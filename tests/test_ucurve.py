@@ -5,7 +5,7 @@ import pytest
 
 from qcurve.grid import RadialFunction, RadialGrid, differentiate
 from qcurve.indicial import DegenerateOperatorError
-from qcurve.linear import WindowError
+from qcurve.linear import BandedFactor, WindowError, _hc_sums
 from qcurve.nonlinear import AdmissibilityError, IterationConfig
 from qcurve.ucurve import (DetParams, _el_rhs_values, sigma2_identity_check,
                            u_curvature_conformal, u_curvature_hyperbolic,
@@ -123,6 +123,60 @@ def test_integer_root_kernel_decay(grid2048):
     d = k.diagnostics
     assert abs(d["decay_measured"] - 1.0) < 0.01
     assert d["log_terms_possible"] is True
+
+
+def _alpha_for(alpha_tilde):
+    """alpha with alpha~^2 = 9/4 - 6 alpha/(1+alpha) = alpha_tilde^2."""
+    c = 2.25 - alpha_tilde ** 2
+    return c / (6.0 - c)
+
+
+@pytest.mark.parametrize("alpha", [
+    PRESETS["conformal_laplacian"][3], PRESETS["spin_laplacian"][3],
+    5.0 / 19.0, 3.0 / 5.0, _alpha_for(1.0 + 1e-6), _alpha_for(1.0 - 1e-6),
+], ids=["A", "D2", "5/19", "3/5", "at=1+1e-6", "at=1-1e-6"])
+def test_t3_kernel_matches_spherical_function(alpha, grid2048):
+    """The regular T3 solution against the independent 2F1 oracle, also at
+    and next to the confluent points alpha~ = 1 (alpha = 5/19: integer
+    root gap, logarithmic Harish-Chandra solution) and alpha~ = 0
+    (alpha = 3/5: double root)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    g = grid2048
+    t3 = BandedFactor(g, 4, 1.0 + alpha, 6.0 * alpha)
+    vals, _ = t3.shoot_regular(dtype=np.longdouble)
+    c = mp.mpf(str(np.longdouble(6.0 * alpha) / np.longdouble(1.0 + alpha)))
+    lam = mp.sqrt(c - mp.mpf(9) / 4)
+    lead = -1.5 + mp.sqrt(max(mp.mpf(9) / 4 - c, 0))
+    for r_target in (0.5, 1.5, 3.0, 6.0, 9.0, g.r_max - 0.01):
+        i = g.index_of(r_target)
+        r = mp.mpf(str(g.r[i]))
+        want = mp.re(mp.hyp2f1((1.5 + 1j * lam) / 2, (1.5 - 1j * lam) / 2, 2,
+                               -mp.sinh(r) ** 2))
+        err = abs(mp.mpf(str(vals[i])) - want) / ((1 + r) * mp.exp(lead * r))
+        assert err < 1e-12, (r_target, float(err))
+
+
+def test_x4_branch_matches_hypergeometric(grid2048):
+    """The x^4 branch Phi_{-4} of Lap - 4 (excised split-regime solve)
+    against (2 cosh r)^s 2F1(-s/2, (1-s)/2; 1-s-rho; sech^2 r), s = -4,
+    rho = 3/2: values and slopes on r >= 1."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    g = grid2048
+    r_seg = g.r[g.index_of(1.0):].astype(np.longdouble)
+    vals, slopes = (np.exp(-4 * r_seg)
+                    * _hc_sums(r_seg, -4, (1, -4), 4)).real
+
+    def phi(r):
+        return (2 * mp.cosh(r)) ** -4 * mp.hyp2f1(2, 2.5, 3.5, mp.sech(r) ** 2)
+
+    for r_target in (1.0, 2.0, 4.0, 8.0, g.r_max - 0.01):
+        j = g.index_of(r_target) - g.index_of(1.0)
+        r = mp.mpf(str(r_seg[j]))
+        env = mp.exp(-4 * r)
+        assert abs(mp.mpf(str(vals[j])) - phi(r)) < 1e-15 * env
+        assert abs(mp.mpf(str(slopes[j])) - mp.diff(phi, r)) < 1e-14 * env
 
 
 def test_split_regime_kernel_needs_excision(grid2048):
