@@ -5,7 +5,7 @@ Commands
 indicial   boundary spectrum of the linearized operator (Q or U family)
 kernel     series kernel element with its leading-order fit
 solve      constant / prescribed Q-curvature fixed-point solve
-sweep      family of solves over several kernel amplitudes (worker pool)
+sweep      family of solves over several kernel amplitudes
 ucurve     constant U-curvature solve for a determinant preset
 expand     boundary-expansion diagnostics of a solved metric
 verify     self-checks: bessel | covariance | asymptotics
@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,13 +31,13 @@ from .bessel import (bessel_I_derivatives, bessel_K_derivatives,
                      model_residual, model_solutions)
 from .expansion import (fit_leading, scalar_asymptotic_coefficient,
                         scalar_linearization_coefficient, weighted_norm)
-from .geometry import (ConformalFactor, PositivityError,
-                       hyperbolic_curvature_report, paneitz_conformal_values,
-                       paneitz_values, q_of_conformal, scalar_of_conformal)
+from .geometry import (ConformalFactor, hyperbolic_curvature_report,
+                       paneitz_conformal_values, paneitz_values,
+                       q_of_conformal, scalar_of_conformal)
 from .grid import RadialFunction, RadialGrid
 from .linear import WindowError, kernel_element
-from .nonlinear import (AdmissibilityError, IterationConfig, SolveReport,
-                        TargetCurvature, build_machinery, fixed_point_solve)
+from .nonlinear import (IterationConfig, TargetCurvature, build_machinery,
+                        fixed_point_solve, guarded_solve, sweep_family)
 from .ucurve import (DetParams, u_curvature_conformal, u_fixed_point_solve,
                      u_kernel_element)
 from .indicial import (DegenerateOperatorError, q_indicial_spectrum,
@@ -167,7 +166,8 @@ def _build_parser():
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=None,
+                    help="accepted and validated; sweeps run serially")
     common(sp)
 
     sp = sub.add_parser("ucurve", help="constant U-curvature solve")
@@ -442,14 +442,11 @@ def _run_solve(cfg):
     machinery = build_machinery(cfg.n, grid)
     target_value = (cfg.target if cfg.get("target") is not None
                     else hyperbolic_curvature_report(cfg.n).Q_hyp)
-    try:
-        target = TargetCurvature(target_value, cfg.n, grid=grid)
-        report, u = fixed_point_solve(cfg.amplitude, target,
-                                      _iteration_config(cfg), machinery)
-    except (AdmissibilityError, PositivityError) as exc:
-        rep = SolveReport(converged=False, iterations=0,
-                          amplitude=float(cfg.amplitude), message=str(exc))
-        return {"n": cfg.n, **rep.to_dict()}, None, EXIT_SOLVER
+    target = TargetCurvature(target_value, cfg.n, grid=grid)
+    report, u = guarded_solve(fixed_point_solve, cfg.amplitude, target,
+                              _iteration_config(cfg), machinery)
+    if u is None:
+        return {"n": cfg.n, **report.to_dict()}, None, EXIT_SOLVER
     table = _solve_profile_table(u, grid, cfg.n)
     code = EXIT_OK if report.converged else EXIT_SOLVER
     return {"n": cfg.n, "target": float(target_value),
@@ -461,38 +458,12 @@ def _run_sweep(cfg):
     machinery = build_machinery(cfg.n, grid)
     target = TargetCurvature(hyperbolic_curvature_report(cfg.n).Q_hyp,
                              cfg.n, grid=grid)
-    it_cfg = _iteration_config(cfg)
-
-    def one(a):
-        try:
-            return fixed_point_solve(a, target, it_cfg, machinery)
-        except (AdmissibilityError, PositivityError) as exc:
-            return (SolveReport(converged=False, iterations=0,
-                                amplitude=float(a), message=str(exc)), None)
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(one, cfg.amplitudes))
-
-    # report assembly in input order; pairwise sup-distances between the
-    # family members witness distinctness of the constructed metrics
-    entries = []
-    solutions = [u for _, u in results]
-    for i, (rep, u) in enumerate(results):
-        dists = []
-        for j in range(i):
-            other = solutions[j]
-            if u is not None and other is not None:
-                dists.append(float(np.abs(np.asarray(u.values, float)
-                                          - np.asarray(other.values, float)
-                                          ).max()))
-            else:
-                dists.append(math.nan)
-        rep.pairwise_distances = dists
-        entries.append(rep.to_dict())
-    all_ok = all(rep.converged for rep, _ in results)
+    reports, solutions = sweep_family(cfg.amplitudes, target,
+                                      _iteration_config(cfg), machinery)
+    all_ok = all(rep.converged for rep in reports)
     report = {"n": cfg.n, "amplitudes": [float(a) for a in cfg.amplitudes],
-              "entries": entries}
-    header = ["r", "x"] + ["u%d" % i for i in range(len(results))]
+              "entries": [rep.to_dict() for rep in reports]}
+    header = ["r", "x"] + ["u%d" % i for i in range(len(reports))]
     cols = [grid.r.astype(float), grid.x.astype(float)]
     for u in solutions:
         cols.append(np.asarray(u.values, float) if u is not None
@@ -504,13 +475,11 @@ def _run_sweep(cfg):
 def _run_ucurve(cfg):
     grid = _grid(cfg)
     params = cfg.params
-    try:
-        report, w = u_fixed_point_solve(cfg.amplitude, params,
-                                        _iteration_config(cfg), grid)
-    except (AdmissibilityError, PositivityError) as exc:
-        rep = SolveReport(converged=False, iterations=0,
-                          amplitude=float(cfg.amplitude), message=str(exc))
-        return {"params": params.to_dict(), **rep.to_dict()}, None, EXIT_SOLVER
+    report, w = guarded_solve(u_fixed_point_solve, cfg.amplitude, params,
+                              _iteration_config(cfg), grid)
+    if w is None:
+        return {"params": params.to_dict(), **report.to_dict()}, None, \
+            EXIT_SOLVER
     u_vals = u_curvature_conformal(w, params)
     table = (("r", "x", "w", "U"),
              (grid.r.astype(float), grid.x.astype(float),
@@ -524,8 +493,8 @@ def _run_expand(cfg):
     machinery = build_machinery(cfg.n, grid)
     target = TargetCurvature(hyperbolic_curvature_report(cfg.n).Q_hyp,
                              cfg.n, grid=grid)
-    report, u = fixed_point_solve(cfg.amplitude, target,
-                                  _iteration_config(cfg), machinery)
+    report, u = guarded_solve(fixed_point_solve, cfg.amplitude, target,
+                              _iteration_config(cfg), machinery)
     if not report.converged:
         return {"n": cfg.n, **report.to_dict()}, None, EXIT_SOLVER
     fit = fit_leading(u, cfg.n)

@@ -24,7 +24,7 @@ from .geometry import (ConformalFactor, check_dimension,
                        warped_product_curvature)
 from .grid import RadialFunction
 from .indicial import oscillation_parameter, q_indicial_spectrum
-from .linear import WindowError, _default_window, _fit_oscillation
+from .linear import WindowError, _default_window, _fit_boundary
 
 __all__ = [
     "ExpansionFit",
@@ -121,8 +121,8 @@ def fit_leading(u, dim, window=None):
         raise WindowError(
             "window [%g, %g] spans %.2f oscillation periods; need >= 3"
             % (lo, hi, periods))
-    a, b = _fit_oscillation(grid, u.values, n, beta, window)
     lam = (n - 1) / 2.0
+    a, b = _fit_boundary(grid.r, u.values, window, lam, beta)
     r = grid.r.astype(float)
     fitted = np.exp(-lam * r) * (a * np.cos(beta * r) - b * np.sin(beta * r))
     resid = np.asarray(u.values, float) - fitted

@@ -145,11 +145,70 @@ def _inner_series(n, c, r):
     return np.array([v * u + f[0], -d * np.sinh(r) / 2])
 
 
-# band geometry: interior rows use the 5-point central stencils
-# (offsets -2..2), closure rows a 5-point one-sided derivative
-# (offsets -4..0), so the solve_banded layout is (l, u) = (4, 2)
+# band geometry: interior rows use the 5-point central stencils (offsets
+# -2..2), the rows next to either end a biased 5-point one (-1..3 after an
+# excised inner edge, -3..1 before the closure row) and the closure row a
+# one-sided derivative (-4..0); the full-ball origin row's sixth-difference
+# term reaches column 3, so the solve_banded layout is (l, u) = (4, 3)
 _L_BAND = 4
 _U_BAND = 3
+BAND = (_L_BAND, _U_BAND)
+
+
+def _add_entries(ab, rows, cols, vals):
+    """Accumulate matrix entries (rows, cols) += vals into the solve_banded
+    layout, in the order given, so that entries landing on one position sum
+    as a row-by-row loop would."""
+    np.add.at(ab, (_U_BAND + rows - cols, cols), vals)
+
+
+def _equation_band(grid, n, scale, constant, i0=0):
+    """Rows 0 .. m-2 of the banded matrix of  scale Lap + constant  on the m
+    nodes i0 .. N-1; row m-1 is left to the closure (`_close_band`).
+
+    i0 = 0, the full ball: row 0 is the regular limit Lap u(0) = n u''(0)
+    with the even-parity fold, plus the same sixth-difference truncation
+    compensation as laplacian_values -- solves and residual evaluations
+    must share one discretization of this row or solutions carry an O(h^2)
+    origin error under composed fourth-order diagnostics -- and row 1's
+    stencil folds across the origin.  i0 > 0, an excised segment: row 0 is
+    the inner Dirichlet row u(i0) = rhs[0], row 1 the biased stencil.
+    """
+    r, h = grid.r[i0:], grid.h
+    m = len(r)
+    ab = np.zeros((_L_BAND + _U_BAND + 1, m))
+    central = np.arange(-2, 3)
+    if i0 == 0:
+        row0 = np.zeros(5, dtype=int)
+        _add_entries(ab, row0, np.abs(central),
+                     scale * n * (fd_weights(central, 2) / h ** 2))
+        six = np.array([-20.0, 30.0, -12.0, 2.0])
+        _add_entries(ab, row0[:4], np.arange(4),
+                     -scale * (n - 1.0) * six / (45.0 * h ** 2))
+        stencils = [(np.arange(1, m - 2), central)]
+    else:
+        ab[_U_BAND, 0] = 1.0
+        stencils = [(np.array([1]), np.arange(-1, 4)),
+                    (np.arange(2, m - 2), central)]
+    stencils.append((np.array([m - 2]), np.arange(-3, 2)))
+    for rows, offs in stencils:
+        a1 = scale * (n - 1.0) * (1.0 / np.tanh(r[rows]))
+        vals = (scale * (fd_weights(offs, 2) / h ** 2)
+                + a1[:, None] * (fd_weights(offs, 1) / h))
+        _add_entries(ab, np.repeat(rows, len(offs)),
+                     np.abs(rows[:, None] + offs).ravel(), vals.ravel())
+    ab[_U_BAND, (1 if i0 else 0):m - 1] += constant
+    return ab
+
+
+def _close_band(ab, h, value, slope):
+    """Write the closure row  value u(R) + slope u'(R), with u' the
+    one-sided (-4..0) derivative, into the last row of `ab`; returns ab."""
+    i = ab.shape[1] - 1
+    offs = np.arange(-4, 1)
+    ab[_U_BAND - offs, i + offs] += slope * (fd_weights(offs, 1) / h)
+    ab[_U_BAND, i] += value
+    return ab
 
 
 class BandedFactor:
@@ -177,49 +236,14 @@ class BandedFactor:
         lap = laplacian_values(values, self.grid, self.n, parity=parity)
         return self.scale * lap + self.constant * values
 
-    # -- banded assembly ---------------------------------------------------
-
-    def _equation_band(self):
-        """Rows 0 .. N-2 of the banded matrix (row N-1 is the closure)."""
-        g = self.grid
-        npts, h, n = g.n_points, g.h, self.n
-        ab = np.zeros((_L_BAND + _U_BAND + 1, npts))
-
-        def put(i, j, v):
-            ab[_U_BAND + i - j, j] += v
-
-        d2 = fd_weights(range(-2, 3), 2) / h ** 2
-        d1 = fd_weights(range(-2, 3), 1) / h
-
-        # origin row: regular limit Lap u(0) = n u''(0), even-parity fold,
-        # plus the same sixth-difference truncation compensation as
-        # laplacian_values -- solves and residual evaluations must share one
-        # discretization of this row or solutions carry an O(h^2) origin
-        # error under composed fourth-order diagnostics
-        for off, w in zip(range(-2, 3), d2):
-            put(0, abs(off), self.scale * n * w)
-        for j, w6 in enumerate((-20.0, 30.0, -12.0, 2.0)):
-            put(0, j, -self.scale * (n - 1.0) * w6 / (45.0 * h ** 2))
-        put(0, 0, self.constant)
-
-        coth = 1.0 / np.tanh(g.r[1:])
-        for i in range(1, npts - 2):
-            a1 = self.scale * (n - 1.0) * coth[i - 1]
-            for off, w2, w1 in zip(range(-2, 3), d2, d1):
-                put(i, abs(i + off), self.scale * w2 + a1 * w1)
-            put(i, i, self.constant)
-        # next-to-last row: biased stencil (offsets -3..1) stays in range
-        d2b = fd_weights(range(-3, 2), 2) / h ** 2
-        d1b = fd_weights(range(-3, 2), 1) / h
-        i = npts - 2
-        a1 = self.scale * (n - 1.0) * coth[i - 1]
-        for off, w2, w1 in zip(range(-3, 2), d2b, d1b):
-            put(i, i + off, self.scale * w2 + a1 * w1)
-        put(i, i, self.constant)
-        return ab
-
-    def _solve(self, ab, rhs):
-        return solve_banded((_L_BAND, _U_BAND), ab, rhs)
+    def _solve(self, f, value, slope, closure_rhs):
+        """u with (scale Lap + constant) u = f, origin closed by regularity,
+        and the outer row  value u(R) + slope u'(R) = closure_rhs."""
+        ab = _equation_band(self.grid, self.n, self.scale, self.constant)
+        rhs = f.copy()
+        rhs[-1] = closure_rhs
+        return solve_banded(BAND, _close_band(ab, self.grid.h, value, slope),
+                            rhs)
 
     def solve_robin(self, f, robin):
         """u with (scale Lap + constant) u = f and the outer Robin row
@@ -231,37 +255,21 @@ class BandedFactor:
         For data vanishing at the boundary this is the plain decaying-branch
         condition u' + robin u = 0."""
         f = np.asarray(f, dtype=float)
-        g = self.grid
-        ab = self._equation_band()
-        d1 = fd_weights(range(-4, 1), 1) / g.h
-        i = g.n_points - 1
-        for off, w in zip(range(-4, 1), d1):
-            ab[_U_BAND + i - (i + off), i + off] += w
-        ab[_U_BAND, i] += float(robin)
-        rhs = f.copy()
-        rhs[i] = float(robin) * f[i] / self.constant if self.constant else 0.0
-        return self._solve(ab, rhs)
+        robin = float(robin)
+        return self._solve(f, robin, 1.0, robin * f[-1] / self.constant
+                           if self.constant else 0.0)
 
     def solve_anchored(self, f, anchor_value, anchor_slope):
         """A particular solution with closure row
         a0 u(R) + a1 u'(R) = 0, (a0, a1) = (anchor, anchor') of a reference
         kernel profile -- always transversal to that kernel since the row
         evaluates to anchor^2 + anchor'^2 > 0 on it."""
-        f = np.asarray(f, dtype=float)
-        g = self.grid
         a0, a1 = float(anchor_value), float(anchor_slope)
         scale = math.hypot(a0, a1)
         if scale == 0.0:
             raise ValueError("anchor profile vanishes at the outer radius")
-        ab = self._equation_band()
-        d1 = fd_weights(range(-4, 1), 1) / g.h
-        i = g.n_points - 1
-        for off, w in zip(range(-4, 1), d1):
-            ab[_U_BAND + i - (i + off), i + off] += (a1 / scale) * w
-        ab[_U_BAND, i] += a0 / scale
-        rhs = f.copy()
-        rhs[i] = 0.0
-        return self._solve(ab, rhs)
+        return self._solve(np.asarray(f, dtype=float), a0 / scale,
+                           a1 / scale, 0.0)
 
     def _matched_outer(self):
         """Coefficients (c1, c2) on `_outer_solutions` continuing the inner
@@ -380,52 +388,46 @@ class KernelElement:
             window_r=self.window_r, diagnostics=self.diagnostics)
 
 
-def _oscillation_basis(r, n, beta):
-    """cos/sin of beta ln x times the x^{(n-1)/2} envelope, in the r
-    coordinate (ln x = -r)."""
-    env = np.exp(-(n - 1.0) / 2.0 * r)
-    return env * np.cos(beta * r), -env * np.sin(beta * r)
-
-
 _NUISANCE_POWERS = 6
 
 
-def _fit_oscillation(grid, values, n, beta, window):
-    """Leading oscillatory coefficients (a, b) at order x^{(n-1)/2}.
+def _fit_boundary(r, values, window, mu, beta=None):
+    """Leading boundary coefficients of `values` (sampled at radii r) on the
+    window: (a, b) of  x^mu (a cos(beta ln x) + b sin(beta ln x))  when beta
+    is given, else (c,) of  c x^mu  (ln x = -r).
 
     The regression carries a nuisance dictionary of faster-decaying powers
-    x^{(n-1)/2 + j/2}, j = 1..6, so that smooth remainders (which still
-    dwarf the x^{(n-1)/2} oscillation well inside any affordable window)
-    are absorbed instead of leaking into (a, b).
+    x^{mu + j/2}, j = 1..6, so that smooth remainders (which still dwarf
+    the leading order well inside any affordable window) are absorbed
+    instead of leaking into the leading coefficients.
     """
     lo, hi = window
-    mask = grid.window_mask(lo, hi)
-    r = grid.r[mask].astype(float)
-    c, s = _oscillation_basis(r, n, beta)
-    cols = [c, s]
-    env = np.exp(-(n - 1.0) / 2.0 * r)
-    for j in range(1, _NUISANCE_POWERS + 1):
-        cols.append(env * np.exp(-0.5 * j * r))
-    design = np.column_stack(cols)
+    mask = (r >= lo) & (r <= hi)
+    r = r[mask].astype(float)
+    env = np.exp(-mu * r)
+    lead = ([env] if beta is None
+            else [env * np.cos(beta * r), -env * np.sin(beta * r)])
+    k = len(lead)
+    design = np.column_stack(lead + [env * np.exp(-0.5 * j * r)
+                                     for j in range(1, _NUISANCE_POWERS + 1)])
     norms = np.linalg.norm(design, axis=0)
     sol, _, rank, _ = np.linalg.lstsq(design / norms,
                                       np.asarray(values, float)[mask],
                                       rcond=None)
     if rank < design.shape[1]:
         raise IllConditionedFitError(
-            "oscillation fit window [%g, %g] is degenerate" % (lo, hi))
-    # identifiability: the oscillatory pair must not be representable by
+            "boundary fit window [%g, %g] is degenerate" % (lo, hi))
+    # identifiability: the leading columns must not be representable by
     # the nuisance span
-    osc = design[:, :2] / norms[:2]
-    nui = design[:, 2:] / norms[2:]
-    coef, _, _, _ = np.linalg.lstsq(nui, osc, rcond=None)
-    leak = osc - nui @ coef
+    cols = design[:, :k] / norms[:k]
+    nui = design[:, k:] / norms[k:]
+    coef, _, _, _ = np.linalg.lstsq(nui, cols, rcond=None)
+    leak = cols - nui @ coef
     if min(np.linalg.norm(leak, axis=0)) < 1e-6:
         raise IllConditionedFitError(
-            "oscillation fit window [%g, %g] cannot separate the kernel "
+            "boundary fit window [%g, %g] cannot separate the leading "
             "order from faster-decaying remainders" % (lo, hi))
-    sol = sol / norms
-    return float(sol[0]), float(sol[1])
+    return tuple(float(c) for c in sol[:k] / norms[:k])
 
 
 def _measure_oscillation(grid, values, n, window):
@@ -476,7 +478,7 @@ def kernel_element(n, grid, amplitude=1.0, window=None, dtype=np.float64):
             "fit window spans %.2f oscillation periods; need 3 "
             "(increase r_max)" % periods)
     vals, _ = factor.shoot_regular(dtype=dtype)
-    a, b = _fit_oscillation(grid, vals, n, beta, window)
+    a, b = _fit_boundary(grid.r, vals, window, (n - 1.0) / 2.0, beta)
     scale = math.hypot(a, b)
     if scale == 0.0:
         raise IllConditionedFitError("kernel has no leading oscillation")
@@ -528,7 +530,8 @@ def project_P1(proj, u):
     if u.grid != k.grid:
         raise ValueError("function does not live on the projection's grid")
     beta = k.diagnostics["beta_exact"]
-    a, b = _fit_oscillation(u.grid, u.values, k.n, beta, proj.window_r)
+    a, b = _fit_boundary(u.grid.r, u.values, proj.window_r,
+                         (k.n - 1.0) / 2.0, beta)
     a0, b0 = k.with_amplitude(1.0).leading_fit
     c = (a * a0 + b * b0) / (a0 * a0 + b0 * b0)
     return k.with_amplitude(c)

@@ -35,7 +35,9 @@ __all__ = [
     "Machinery",
     "build_machinery",
     "nonlinear_rhs",
+    "iterate_fixed_point",
     "fixed_point_solve",
+    "guarded_solve",
     "e_residual",
     "sweep_family",
 ]
@@ -157,6 +159,8 @@ class SolveReport:
     expansion: ExpansionFit | None = None
     message: str = ""
     smallness_margin: float = math.nan
+    pairwise_distances: list[float] | None = None
+    excised_r0: float | None = None
 
     def to_dict(self):
         d = {
@@ -171,9 +175,9 @@ class SolveReport:
         }
         if self.expansion is not None:
             d["expansion"] = self.expansion.to_dict()
-        if hasattr(self, "pairwise_distances"):
+        if self.pairwise_distances is not None:
             d["pairwise_distances"] = list(self.pairwise_distances)
-        if hasattr(self, "excised_r0"):
+        if self.excised_r0 is not None:
             d["excised_r0"] = self.excised_r0
         return d
 
@@ -255,6 +259,27 @@ def _measured_smallness(machinery, f, epsilon):
     return 16.0 * c_meas * epsilon * f_norm
 
 
+def iterate_fixed_point(update, u2, cfg):
+    """Iterate u2 <- update(u2) until the sup-norm step falls below cfg.tol
+    or cfg.max_iter maps have been applied.
+
+    Returns (u2, converged, iterations, contraction_ratios), the ratios
+    being those of successive steps.  The step is measured on update's
+    output as returned (extended precision passes through); u2 is kept in
+    double."""
+    ratios, prev_step = [], None
+    for iterations in range(1, cfg.max_iter + 1):
+        new = update(u2)
+        step = float(np.abs(new - u2).max())
+        if prev_step is not None and prev_step > 0:
+            ratios.append(step / prev_step)
+        prev_step = step
+        u2 = np.asarray(new, float)
+        if step < cfg.tol:
+            return u2, True, iterations, ratios
+    return u2, False, cfg.max_iter, ratios
+
+
 def fixed_point_solve(amplitude, f, cfg, machinery):
     """Iterate u2 <- G T(u1 + u2) from u2 = 0 with u1 = amplitude k-hat.
 
@@ -277,28 +302,17 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     # keep the kernel part in its extended precision: rounding it to double
     # seeds pointwise noise that the residual evaluation amplifies by 1/h^4
     u1v = np.asarray(u1.profile.values)
-    u2 = np.zeros(grid.n_points)
-    ratios = []
-    prev_step = None
-    converged = False
-    iterations = 0
-    message = ""
-    for iterations in range(1, cfg.max_iter + 1):
+
+    def update(u2):
         rhs = nonlinear_rhs(u1, RadialFunction(grid, u2), f, n)
-        new = generalized_inverse(machinery.operator, rhs,
-                                  machinery.projection)
-        step = float(np.abs(new.values - u2).max())
-        if prev_step is not None and prev_step > 0:
-            ratios.append(step / prev_step)
-        prev_step = step
-        u2 = np.asarray(new.values, float)
-        if step < cfg.tol:
-            converged = True
-            break
-    else:
-        message = ("no convergence in %d iterations; ratio trace signals "
-                   "epsilon too large for the measured constants"
-                   % cfg.max_iter)
+        return generalized_inverse(machinery.operator, rhs,
+                                   machinery.projection).values
+
+    u2, converged, iterations, ratios = iterate_fixed_point(
+        update, np.zeros(grid.n_points), cfg)
+    message = "" if converged else (
+        "no convergence in %d iterations; ratio trace signals epsilon too "
+        "large for the measured constants" % cfg.max_iter)
 
     u = RadialFunction(grid, u1v + u2)
     fitted = project_P1(machinery.projection, u).amplitude
@@ -322,30 +336,33 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     return report, u
 
 
+def guarded_solve(solve, amplitude, *args):
+    """(report, solution) of solve(amplitude, *args); an inadmissible
+    amplitude or a conformal factor losing positivity gives a failed report
+    carrying the error message, and no solution, instead of raising."""
+    try:
+        return solve(amplitude, *args)
+    except (AdmissibilityError, PositivityError) as exc:
+        return SolveReport(converged=False, iterations=0,
+                           amplitude=float(amplitude), message=str(exc)), None
+
+
 def sweep_family(amplitudes, f, cfg, machinery):
     """Independent solves over a family of kernel amplitudes.
 
-    Failures are isolated per entry.  Each report gains a
-    `pairwise_distances` entry: sup-distances of the solution to every
-    earlier member of the family, witnessing that distinct kernel data give
+    Failures are isolated per entry.  Each report carries
+    `pairwise_distances`: sup-distances of the solution to every earlier
+    member of the family, witnessing that distinct kernel data give
     distinct metrics.
     """
-    reports = []
-    solutions = []
+    reports, solutions = [], []
     for a in amplitudes:
-        try:
-            rep, u = fixed_point_solve(a, f, cfg, machinery)
-        except (AdmissibilityError, PositivityError) as exc:
-            rep = SolveReport(converged=False, iterations=0,
-                              amplitude=float(a), message=str(exc))
-            u = None
-        dists = []
-        for other in solutions:
-            if u is not None and other is not None:
-                dists.append(float(np.abs(u.values - other.values).max()))
-            else:
-                dists.append(math.nan)
-        rep.pairwise_distances = dists
+        rep, u = guarded_solve(fixed_point_solve, a, f, cfg, machinery)
+        rep.pairwise_distances = [
+            float(np.abs(np.asarray(u.values, float)
+                         - np.asarray(other.values, float)).max())
+            if u is not None and other is not None else math.nan
+            for other in solutions]
         reports.append(rep)
         solutions.append(u)
     return reports, solutions

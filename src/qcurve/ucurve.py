@@ -29,7 +29,6 @@ kernel; the last is solved on an origin-excised domain).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +37,16 @@ from scipy.linalg import solve_banded
 from .geometry import (ConformalFactor, check_dimension,
                        hyperbolic_curvature_report, laplacian_values,
                        q_of_conformal)
-from .grid import RadialFunction, differentiate, fd_weights
+from .grid import RadialFunction, differentiate
 from .indicial import DegenerateOperatorError, u_indicial_spectrum
-from .linear import (BandedFactor, IllConditionedFitError, KernelElement,
-                     WindowError, _default_window, _fit_oscillation,
-                     _hc_sums, _measure_oscillation, _measured_decay,
-                     apply_L, assemble, generalized_inverse, make_projection,
-                     project_P1, solve_T1)
-from .nonlinear import AdmissibilityError, IterationConfig, SolveReport
+from .linear import (BAND, BandedFactor, IllConditionedFitError,
+                     KernelElement, WindowError, _close_band, _default_window,
+                     _equation_band, _fit_boundary, _hc_sums,
+                     _measure_oscillation, _measured_decay, apply_L, assemble,
+                     generalized_inverse, make_projection, project_P1,
+                     solve_T1)
+from .nonlinear import (AdmissibilityError, IterationConfig, SolveReport,
+                        iterate_fixed_point)
 
 __all__ = [
     "DetParams",
@@ -239,19 +240,6 @@ def sigma2_identity_check(params):
 # kernel elements per alpha regime
 
 
-def _fit_decay_coefficient(r, values, mu, n_nuisance=6):
-    """Coefficient of x^mu in `values` on the sample r, with a nuisance
-    dictionary of half-step faster powers absorbing the remainder."""
-    cols = [np.exp(-(mu + 0.5 * j) * r) for j in range(n_nuisance + 1)]
-    design = np.column_stack(cols)
-    norms = np.linalg.norm(design, axis=0)
-    sol, _, rank, _ = np.linalg.lstsq(design / norms,
-                                      np.asarray(values, float), rcond=None)
-    if rank < design.shape[1]:
-        raise IllConditionedFitError("decay-coefficient fit is degenerate")
-    return float(sol[0] / norms[0])
-
-
 def _regime(alpha):
     spec = u_indicial_spectrum(alpha)
     at_sq = spec.extras["alpha_tilde_sq"]
@@ -292,7 +280,7 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
             raise WindowError(
                 "fit window spans %.2f oscillation periods; need 1.25 "
                 "(increase r_max)" % periods)
-        ca, cb = _fit_oscillation(grid, vals, 4, beta, window)
+        ca, cb = _fit_boundary(grid.r, vals, window, 1.5, beta)
         scale = math.hypot(ca, cb)
         if scale == 0.0:
             raise IllConditionedFitError(
@@ -310,9 +298,7 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
         fit = (ca / scale * amplitude, cb / scale * amplitude)
     else:
         mu = 1.5 - beta
-        mask = grid.window_mask(*window)
-        c = _fit_decay_coefficient(grid.r[mask].astype(float),
-                                   np.asarray(vals, float)[mask], mu)
+        c, = _fit_boundary(grid.r, vals, window, mu)
         if c == 0.0:
             raise IllConditionedFitError("kernel has no x^%g leading "
                                          "coefficient" % mu)
@@ -334,69 +320,48 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
 # solves: oscillatory / integer-root regimes on the full ball
 
 
-def _real_projection_amplitude(kernel, values, window):
-    """Leading-coefficient projection amplitude for the real regime: fit
-    the x^mu coefficient of `values` and of the kernel base on the same
-    window; the ratio is linear in the data, so repeated application is
-    idempotent to rounding."""
-    grid = kernel.grid
-    mu = kernel.diagnostics["decay_exact"]
-    mask = grid.window_mask(*window)
-    r = grid.r[mask].astype(float)
-    c = _fit_decay_coefficient(r, np.asarray(values, float)[mask], mu)
-    c0 = _fit_decay_coefficient(
-        r, np.asarray(kernel.base.values, float)[mask], mu)
-    return c / c0
-
-
 def _solve_full_ball(amplitude, params, cfg, grid, target, regime):
-    a = params.alpha
-    op = assemble(grid, alpha=a)
+    op = assemble(grid, alpha=params.alpha)
     kernel = u_kernel_element(params, grid, dtype=np.longdouble)
     if regime == "oscillatory":
         proj = make_projection(kernel)
 
-        def fit_amp(fn):
-            return project_P1(proj, fn).amplitude
+        def fit_amp(values):
+            return project_P1(proj, RadialFunction(grid, values)).amplitude
 
         def g_apply(rhs):
-            return generalized_inverse(op, rhs, proj)
+            return generalized_inverse(op, rhs, proj).values
     else:
-        window = kernel.window_r
+        # leading-coefficient projection: the x^mu coefficient of the data
+        # over that of the kernel base on the same window, linear in the
+        # data, so repeated application is idempotent to rounding
+        mu, window = kernel.diagnostics["decay_exact"], kernel.window_r
+        kv = kernel.base.values
+        c0, = _fit_boundary(grid.r, kv, window, mu)
+        anchor = (kv[-1], kernel.base.d(1)[-1])
+        kv = np.asarray(kv, float)
 
-        def fit_amp(fn):
-            return _real_projection_amplitude(kernel, fn.values, window)
+        def fit_amp(values):
+            return _fit_boundary(grid.r, values, window, mu)[0] / c0
 
         def g_apply(rhs):
             v = solve_T1(op, rhs)
-            kv = kernel.base.values
-            ks = kernel.base.d(1)
-            w_raw = op.t2.solve_anchored(v.values, kv[-1], ks[-1])
-            c = _real_projection_amplitude(kernel, w_raw, window)
-            return RadialFunction(grid, w_raw - c
-                                  * np.asarray(kv, float))
+            w_raw = op.t2.solve_anchored(v.values, *anchor)
+            return w_raw - fit_amp(w_raw) * kv
 
     w1v = np.asarray(kernel.with_amplitude(amplitude).profile.values)
-    w2 = np.zeros(grid.n_points)
-    ratios, prev_step = [], None
-    converged, message = False, ""
-    for iterations in range(1, cfg.max_iter + 1):
-        w_tot = RadialFunction(grid, w1v + w2)
-        rhs = u_nonlinear_rhs(w_tot, params, target)
-        new = g_apply(rhs)
-        step = float(np.abs(new.values - w2).max())
-        if prev_step is not None and prev_step > 0:
-            ratios.append(step / prev_step)
-        prev_step = step
-        w2 = np.asarray(new.values, float)
-        if step < cfg.tol:
-            converged = True
-            break
-    else:
-        message = "no convergence in %d iterations" % cfg.max_iter
+
+    def update(w2):
+        return g_apply(u_nonlinear_rhs(RadialFunction(grid, w1v + w2),
+                                       params, target))
+
+    w2, converged, iterations, ratios = iterate_fixed_point(
+        update, np.zeros(grid.n_points), cfg)
+    message = ("" if converged
+               else "no convergence in %d iterations" % cfg.max_iter)
     w = RadialFunction(grid, w1v + w2)
-    fitted = fit_amp(w)
-    return w, converged, iterations, ratios, fitted, message, kernel
+    return w, converged, iterations, ratios, fit_amp(w.values), message, \
+        kernel
 
 
 # ---------------------------------------------------------------------------
@@ -414,52 +379,6 @@ def _segment_diff(values, h, m):
     for i in range(3):
         d[i] = sign * rev[nn - 1 - i]
     return d
-
-
-def _segment_solve(grid, i0, scale, constant, rhs_interior, inner_value,
-                   robin_rate, robin_rhs):
-    """(scale Lap + constant) u = rhs on nodes i0..N-1 with inner Dirichlet
-    u(i0) = inner_value and outer Robin u' + robin_rate u = robin_rhs."""
-    npts = grid.n_points
-    m = npts - i0
-    h = float(grid.h)
-    lu = (4, 3)
-    ab = np.zeros((lu[0] + lu[1] + 1, m))
-
-    def put(j, jj, v):
-        ab[lu[1] + j - jj, jj] += v
-
-    r = grid.r.astype(float)
-    coth = 1.0 / np.tanh(r[i0:])
-    d2c = fd_weights(range(-2, 3), 2).astype(float) / h ** 2
-    d1c = fd_weights(range(-2, 3), 1).astype(float) / h
-    d2in = fd_weights(range(-1, 4), 2).astype(float) / h ** 2
-    d1in = fd_weights(range(-1, 4), 1).astype(float) / h
-    d2out = fd_weights(range(-3, 2), 2).astype(float) / h ** 2
-    d1out = fd_weights(range(-3, 2), 1).astype(float) / h
-
-    put(0, 0, 1.0)
-    for j in range(1, m - 1):
-        if j == 1:
-            offs, w2, w1 = range(-1, 4), d2in, d1in
-        elif j == m - 2:
-            offs, w2, w1 = range(-3, 2), d2out, d1out
-        else:
-            offs, w2, w1 = range(-2, 3), d2c, d1c
-        a1 = scale * 3.0 * coth[j]
-        for off, ww2, ww1 in zip(offs, w2, w1):
-            put(j, j + off, scale * ww2 + a1 * ww1)
-        put(j, j, constant)
-    d1b = fd_weights(range(-4, 1), 1).astype(float) / h
-    j = m - 1
-    for off, w in zip(range(-4, 1), d1b):
-        put(j, j + off, w)
-    put(j, j, float(robin_rate))
-
-    rhs = np.asarray(rhs_interior, float).copy()
-    rhs[0] = float(inner_value)
-    rhs[-1] = float(robin_rhs)
-    return solve_banded(lu, ab, rhs)
 
 
 def _segment_rhs(w_seg, r_seg, h, params, target):
@@ -500,51 +419,44 @@ def _even_extension(grid, i0, seg_values, seg_h):
 
 def _solve_excised(amplitude, params, cfg, grid, target, at):
     a = params.alpha
-    r0_target = 1.0
-    i0 = grid.index_of(r0_target)
+    i0 = grid.index_of(1.0)
     r_seg = grid.r[i0:].astype(float)
     h = float(grid.h)
-    # the decaying branch x^4 (1 + 12/7 x^2 + ...) of Lap - 4 (roots 1, -4),
-    # normalized so its fitted x^4 boundary coefficient is 1
+    # the decaying branch x^4 (1 + 12/7 x^2 + ...) of Lap - 4 (roots 1, -4):
+    # its Harish-Chandra series has boundary coefficient exactly 1
     k4, k4s = (np.exp(-4 * grid.r[i0:]) * _hc_sums(
         grid.r[i0:], -4, (1, -4), 4)).real.astype(float)
     fit_window = (max(r_seg[0] + 1.0, grid.r_max - 10.0), grid.r_max - 0.25)
-    wmask = (r_seg >= fit_window[0]) & (r_seg <= fit_window[1])
-    c_base = _fit_decay_coefficient(r_seg[wmask], k4[wmask], 4.0)
-    k4, k4s = k4 / c_base, k4s / c_base
     mu3 = 1.5 + at                       # decaying T3 root
+    # inner Dirichlet rows; outer Robin rows on the decaying roots
+    band3 = _close_band(_equation_band(grid, 4, 1.0 + a, 6.0 * a, i0),
+                        grid.h, mu3, 1.0)
+    band1 = _close_band(_equation_band(grid, 4, 1.0, -4.0, i0),
+                        grid.h, 4.0, 1.0)
+
+    def update(w2):
+        rhs = _segment_rhs(w1 + w2, r_seg, h, params, target)
+        rhs[0] = rhs[-1] = 0.0
+        y = solve_banded(BAND, band3, rhs)
+        y[0], y[-1] = w1[0], robin_rhs
+        return solve_banded(BAND, band1, y) - w1   # the solve gives w1 + w2
 
     a_eff = float(amplitude)
     ratios, iterations_total = [], 0
     converged, message = False, ""
     w2 = np.zeros(len(r_seg))
     fitted = math.nan
-    for outer in range(5):
+    for _ in range(5):
         w1 = a_eff * k4
         robin_rhs = a_eff * (k4s[-1] + 4.0 * k4[-1])
-        prev_step = None
-        converged = False
-        for iterations in range(1, cfg.max_iter + 1):
-            iterations_total += 1
-            rhs = _segment_rhs(w1 + w2, r_seg, h, params, target)
-            y = _segment_solve(grid, i0, 1.0 + a, 6.0 * a, rhs,
-                               0.0, mu3, 0.0)
-            w2_new = _segment_solve(grid, i0, 1.0, -4.0, y,
-                                    w1[0], 4.0, robin_rhs)
-            w2_new = w2_new - w1         # total solve returned w1 + w2
-            step = float(np.abs(w2_new - w2).max())
-            if prev_step is not None and prev_step > 0:
-                ratios.append(step / prev_step)
-            prev_step = step
-            w2 = w2_new
-            if step < cfg.tol:
-                converged = True
-                break
-        else:
+        w2, converged, iterations, trace = iterate_fixed_point(update, w2,
+                                                               cfg)
+        iterations_total += iterations
+        ratios += trace
+        if not converged:
             message = "no convergence in %d iterations" % cfg.max_iter
             break
-        fitted = _fit_decay_coefficient(r_seg[wmask],
-                                        (w1 + w2)[wmask], 4.0)
+        fitted, = _fit_boundary(r_seg, w1 + w2, fit_window, 4.0)
         miss = fitted - amplitude
         if abs(miss) <= 0.25 * (1e-6 * abs(amplitude) + 1e-10):
             break
@@ -612,9 +524,8 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
         amplitude=float(amplitude),
         fitted_amplitude=float(fitted),
         message=message,
+        excised_r0=excised_r0,
     )
-    if excised_r0 is not None:
-        report.excised_r0 = excised_r0
     if converged and abs(fitted - amplitude) > 1e-6 * abs(amplitude) + 1e-10:
         report.converged = False
         report.message = ("kernel datum drifted: fitted %g vs prescribed %g"

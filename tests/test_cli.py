@@ -203,6 +203,15 @@ def test_solve_report_and_exit_codes(tmp_path):
     assert data["message"]
 
 
+def test_solve_max_iter_exhausted(tmp_path):
+    code, data = run(["solve", "--n", "5", "--points", "512",
+                      "--max-iter", "1"], tmp_path, "solve.json")
+    assert code == 1
+    assert data["converged"] is False
+    assert data["iterations"] == 1
+    assert data["message"]
+
+
 def test_solve_csv_columns(tmp_path):
     code = main(["solve", "--n", "4", "--points", "1024", "--format", "csv",
                  "--out", str(tmp_path)])
@@ -236,6 +245,16 @@ def test_expand_report(tmp_path):
     assert code == 0
     assert data["expansion"]["leading_exponent"] == pytest.approx(1.5)
     assert data["scalar_coefficient"]["analytic"] == pytest.approx(60.0)
+
+
+def test_expand_inadmissible_amplitude(tmp_path):
+    """Like solve, expand writes a diverged report and exits 1 for an
+    amplitude above the smallness bound."""
+    code, data = run(["expand", "--n", "4", "--points", "1024",
+                      "--amplitude", "10"], tmp_path, "expand.json")
+    assert code == 1
+    assert data["converged"] is False
+    assert "exceeds" in data["message"]
 
 
 def test_verify_bessel(tmp_path):

@@ -6,9 +6,11 @@ import pytest
 from qcurve.geometry import laplacian_values
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
-from qcurve.linear import (BandedFactor, WindowError, apply_L, assemble,
-                           generalized_inverse, kernel_element,
-                           make_projection, project_P1, solve_T1)
+from qcurve.linear import (BAND, BandedFactor, WindowError, _equation_band,
+                           apply_L, assemble, generalized_inverse,
+                           kernel_element, make_projection, project_P1,
+                           solve_T1)
+from qcurve.ucurve import _segment_diff
 
 
 def even_profile(grid, power=3):
@@ -27,6 +29,49 @@ def test_banded_factor_matches_laplacian(grid1024):
     m = g.window_mask(0.0, g.r_max - 0.5)
     scale = np.abs(np.asarray(want, float))[m].max()
     assert np.abs(np.asarray(got - want, float))[m].max() < 1e-9 * scale
+
+
+def band_matvec(ab, v):
+    """Product of the solve_banded-layout matrix ab with v."""
+    lower, upper = BAND
+    m = len(v)
+    out = np.zeros(m)
+    for k in range(lower + upper + 1):
+        d = upper - k           # column offset j - i held in band row k
+        if d >= 0:
+            out[:m - d] += ab[k, d:] * v[d:]
+        else:
+            out[-d:] += ab[k, :m + d] * v[:m + d]
+    return out
+
+
+@pytest.mark.parametrize("n, scale, constant", [
+    (4, 1.0, 6.0), (5, 1.0, 10.5), (6, 1.0, 16.0),
+    (4, 1.5, 3.0), (4, 1.0 + 11.0 / 7.0, 66.0 / 7.0),
+    (4, 1.0 - 7.0 / 16.0, -42.0 / 16.0),
+], ids=["T2 n=4", "T2 n=5", "T2 n=6", "T3 A", "T3 D2", "T3 P"])
+def test_band_matches_stencils(n, scale, constant, grid2048):
+    """The assembled band times a profile equals the stencil application
+    on the rows the two discretizations share: BandedFactor.apply on the
+    full ball (rows 0..N-3, origin row included), and the excised
+    segment's operator built from _segment_diff (rows i0+2..N-3), whose
+    inner row 0 is the Dirichlet identity.  Entries are O(scale/h^2), so
+    agreement is to a rounding-level multiple of that."""
+    g = grid2048
+    r = g.r.astype(float)
+    v = np.cos(3.0 * r) / np.cosh(r)
+    h = float(g.h)
+    tol = 2e-14 * abs(scale) / h ** 2
+    full = band_matvec(_equation_band(g, n, scale, constant), v)
+    want = np.asarray(BandedFactor(g, n, scale, constant).apply(v), float)
+    assert np.abs(full - want)[:-2].max() < tol
+    i0 = g.index_of(1.0)
+    seg, vs = band_matvec(_equation_band(g, n, scale, constant, i0),
+                          v[i0:]), v[i0:]
+    want = scale * (_segment_diff(vs, h, 2) + (n - 1) / np.tanh(r[i0:])
+                    * _segment_diff(vs, h, 1)) + constant * vs
+    assert seg[0] == vs[0]
+    assert np.abs(seg - want)[2:-2].max() < tol
 
 
 def test_banded_factor_scale_and_constant(grid1024):

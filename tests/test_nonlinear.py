@@ -137,6 +137,17 @@ def test_solve_constant_curvature(fixture, request):
     assert report.expansion.leading_exponent == (m.n - 1) / 2.0
 
 
+def test_solve_reports_exhausted_iterations(machinery4):
+    """max_iter maps without reaching tol: a failed verdict, not a raise."""
+    f = constant_target(machinery4)
+    report, u = fixed_point_solve(1e-3, f, IterationConfig(max_iter=1),
+                                  machinery4)
+    assert report.converged is False
+    assert report.iterations == 1
+    assert "no convergence in 1 iterations" in report.message
+    assert u is not None
+
+
 def test_solve_zero_amplitude_returns_trivial(machinery4):
     f = constant_target(machinery4)
     report, u = fixed_point_solve(0.0, f, IterationConfig(), machinery4)

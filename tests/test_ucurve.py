@@ -205,6 +205,18 @@ def test_constant_u_solve(tag, grid2048):
     assert dev < 1e-6
 
 
+@pytest.mark.parametrize("tag", ["spin_laplacian", "paneitz"])
+def test_u_solve_reports_exhausted_iterations(tag, grid2048):
+    """Full-ball (D2) and excised (P) solves that run out of iterations
+    report it instead of claiming convergence."""
+    report, _ = u_fixed_point_solve(1e-3, DetParams.preset(tag),
+                                    IterationConfig(max_iter=1),
+                                    grid=grid2048)
+    assert report.converged is False
+    assert report.iterations == 1
+    assert report.message == "no convergence in 1 iterations"
+
+
 def test_split_solution_envelope(grid2048):
     """alpha = -7/16: the solution's boundary decay is the x^4 branch."""
     p = DetParams.preset("paneitz")
