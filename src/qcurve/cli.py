@@ -34,7 +34,7 @@ from .expansion import (fit_leading, scalar_asymptotic_coefficient,
 from .geometry import (ConformalFactor, hyperbolic_curvature_report,
                        paneitz_conformal_values, paneitz_values,
                        q_of_conformal, scalar_of_conformal)
-from .grid import RadialFunction, RadialGrid
+from .grid import RadialGrid
 from .linear import WindowError, kernel_element
 from .nonlinear import (IterationConfig, TargetCurvature, build_machinery,
                         fixed_point_solve, guarded_solve, sweep_family)

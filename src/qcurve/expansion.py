@@ -22,7 +22,6 @@ import numpy as np
 from .geometry import (ConformalFactor, check_dimension,
                        hyperbolic_curvature_report, scalar_of_conformal,
                        warped_product_curvature)
-from .grid import RadialFunction
 from .indicial import oscillation_parameter, q_indicial_spectrum
 from .linear import WindowError, _default_window, _fit_boundary
 

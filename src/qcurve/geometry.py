@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import RadialFunction, differentiate
+from .grid import differentiate
 
 __all__ = [
     "check_dimension",

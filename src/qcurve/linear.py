@@ -18,12 +18,13 @@ projection exists; see the fit-window notes on ProjectionP1).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import check_dimension, laplacian_values
 from .grid import RadialFunction, RadialGrid, fd_weights
@@ -155,6 +156,15 @@ _U_BAND = 3
 BAND = (_L_BAND, _U_BAND)
 
 
+@functools.cache
+def _weights(lo, hi, m):
+    """fd_weights(lo..hi, m), the exact-rational recursion run once per
+    stencil the bands use; read-only, since every caller shares it."""
+    w = fd_weights(range(lo, hi + 1), m)
+    w.flags.writeable = False
+    return w
+
+
 def _add_entries(ab, rows, cols, vals):
     """Accumulate matrix entries (rows, cols) += vals into the solve_banded
     layout, in the order given, so that entries landing on one position sum
@@ -177,24 +187,24 @@ def _equation_band(grid, n, scale, constant, i0=0):
     r, h = grid.r[i0:], grid.h
     m = len(r)
     ab = np.zeros((_L_BAND + _U_BAND + 1, m))
-    central = np.arange(-2, 3)
     if i0 == 0:
         row0 = np.zeros(5, dtype=int)
-        _add_entries(ab, row0, np.abs(central),
-                     scale * n * (fd_weights(central, 2) / h ** 2))
+        _add_entries(ab, row0, np.abs(np.arange(-2, 3)),
+                     scale * n * (_weights(-2, 2, 2) / h ** 2))
         six = np.array([-20.0, 30.0, -12.0, 2.0])
         _add_entries(ab, row0[:4], np.arange(4),
                      -scale * (n - 1.0) * six / (45.0 * h ** 2))
-        stencils = [(np.arange(1, m - 2), central)]
+        stencils = [(np.arange(1, m - 2), (-2, 2))]
     else:
         ab[_U_BAND, 0] = 1.0
-        stencils = [(np.array([1]), np.arange(-1, 4)),
-                    (np.arange(2, m - 2), central)]
-    stencils.append((np.array([m - 2]), np.arange(-3, 2)))
-    for rows, offs in stencils:
+        stencils = [(np.array([1]), (-1, 3)),
+                    (np.arange(2, m - 2), (-2, 2))]
+    stencils.append((np.array([m - 2]), (-3, 1)))
+    for rows, (lo, hi) in stencils:
+        offs = np.arange(lo, hi + 1)
         a1 = scale * (n - 1.0) * (1.0 / np.tanh(r[rows]))
-        vals = (scale * (fd_weights(offs, 2) / h ** 2)
-                + a1[:, None] * (fd_weights(offs, 1) / h))
+        vals = (scale * (_weights(lo, hi, 2) / h ** 2)
+                + a1[:, None] * (_weights(lo, hi, 1) / h))
         _add_entries(ab, np.repeat(rows, len(offs)),
                      np.abs(rows[:, None] + offs).ravel(), vals.ravel())
     ab[_U_BAND, (1 if i0 else 0):m - 1] += constant
@@ -206,9 +216,29 @@ def _close_band(ab, h, value, slope):
     one-sided (-4..0) derivative, into the last row of `ab`; returns ab."""
     i = ab.shape[1] - 1
     offs = np.arange(-4, 1)
-    ab[_U_BAND - offs, i + offs] += slope * (fd_weights(offs, 1) / h)
+    ab[_U_BAND - offs, i + offs] += slope * (_weights(-4, 0, 1) / h)
     ab[_U_BAND, i] += value
     return ab
+
+
+def factor_banded(ab):
+    """LU factors of a closed band in the solve_banded layout (BAND), for
+    any number of `solve_banded` calls: LAPACK dgbtrf, in place, on a
+    Fortran-ordered copy padded with the l rows of fill-in it needs -- the
+    factorization scipy.linalg.solve_banded repeats on every call."""
+    lu = np.zeros((2 * _L_BAND + _U_BAND + 1, ab.shape[1]), order="F")
+    lu[_L_BAND:] = ab
+    lu, piv, info = dgbtrf(lu, _L_BAND, _U_BAND, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular banded matrix")
+    return lu, piv
+
+
+def solve_banded(factor, rhs):
+    """x with A x = rhs, A given by its `factor_banded` factors (dgbtrs);
+    like scipy.linalg.solve_banded, non-finite data raise ValueError."""
+    lu, piv = factor
+    return dgbtrs(lu, _L_BAND, _U_BAND, np.asarray_chkfinite(rhs), piv)[0]
 
 
 class BandedFactor:
@@ -216,9 +246,10 @@ class BandedFactor:
 
     Application goes through the shared fourth-order stencils (dtype
     preserving, so extended-precision diagnostics pass through); solves
-    assemble a banded matrix whose last row is chosen per call: a Robin
-    row selecting a decay rate, or an anchor row transversal to a supplied
-    kernel profile.
+    run on a banded matrix whose last row is chosen per call: a Robin row
+    selecting a decay rate, or an anchor row transversal to a supplied
+    kernel profile.  Each closure row's band is assembled and factored at
+    its first solve and only its LU factors are kept.
     """
 
     def __init__(self, grid, n, scale, constant):
@@ -230,6 +261,7 @@ class BandedFactor:
         self.scale = float(scale)
         self.constant = float(constant)
         self._c = np.longdouble(self.constant) / np.longdouble(self.scale)
+        self._factors = {}      # closure row (value, slope) -> LU factors
 
     def apply(self, values, parity=1):
         values = np.asarray(values)
@@ -239,11 +271,14 @@ class BandedFactor:
     def _solve(self, f, value, slope, closure_rhs):
         """u with (scale Lap + constant) u = f, origin closed by regularity,
         and the outer row  value u(R) + slope u'(R) = closure_rhs."""
-        ab = _equation_band(self.grid, self.n, self.scale, self.constant)
+        factor = self._factors.get((value, slope))
+        if factor is None:
+            ab = _equation_band(self.grid, self.n, self.scale, self.constant)
+            factor = self._factors[value, slope] = factor_banded(
+                _close_band(ab, self.grid.h, value, slope))
         rhs = f.copy()
         rhs[-1] = closure_rhs
-        return solve_banded(BAND, _close_band(ab, self.grid.h, value, slope),
-                            rhs)
+        return solve_banded(factor, rhs)
 
     def solve_robin(self, f, robin):
         """u with (scale Lap + constant) u = f and the outer Robin row
@@ -391,15 +426,18 @@ class KernelElement:
 _NUISANCE_POWERS = 6
 
 
-def _fit_boundary(r, values, window, mu, beta=None):
-    """Leading boundary coefficients of `values` (sampled at radii r) on the
-    window: (a, b) of  x^mu (a cos(beta ln x) + b sin(beta ln x))  when beta
-    is given, else (c,) of  c x^mu  (ln x = -r).
+def _boundary_design(r, window, mu, beta=None):
+    """(mask, design, norms, k): the column-normalized design of the
+    boundary fit on the window, whose k leading columns model
+    x^mu (a cos(beta ln x) + b sin(beta ln x))  when beta is given, else
+    c x^mu  (ln x = -r).
 
-    The regression carries a nuisance dictionary of faster-decaying powers
+    The design carries a nuisance dictionary of faster-decaying powers
     x^{mu + j/2}, j = 1..6, so that smooth remainders (which still dwarf
     the leading order well inside any affordable window) are absorbed
-    instead of leaking into the leading coefficients.
+    instead of leaking into the leading coefficients.  A design whose
+    leading columns the nuisance span can represent is refused here; its
+    users refuse a deficient rank through `_check_rank`.
     """
     lo, hi = window
     mask = (r >= lo) & (r <= hi)
@@ -411,23 +449,42 @@ def _fit_boundary(r, values, window, mu, beta=None):
     design = np.column_stack(lead + [env * np.exp(-0.5 * j * r)
                                      for j in range(1, _NUISANCE_POWERS + 1)])
     norms = np.linalg.norm(design, axis=0)
-    sol, _, rank, _ = np.linalg.lstsq(design / norms,
-                                      np.asarray(values, float)[mask],
-                                      rcond=None)
-    if rank < design.shape[1]:
-        raise IllConditionedFitError(
-            "boundary fit window [%g, %g] is degenerate" % (lo, hi))
-    # identifiability: the leading columns must not be representable by
-    # the nuisance span
-    cols = design[:, :k] / norms[:k]
-    nui = design[:, k:] / norms[k:]
+    design = design / norms
+    cols, nui = design[:, :k], design[:, k:]
     coef, _, _, _ = np.linalg.lstsq(nui, cols, rcond=None)
-    leak = cols - nui @ coef
-    if min(np.linalg.norm(leak, axis=0)) < 1e-6:
+    if min(np.linalg.norm(cols - nui @ coef, axis=0)) < 1e-6:
         raise IllConditionedFitError(
             "boundary fit window [%g, %g] cannot separate the leading "
             "order from faster-decaying remainders" % (lo, hi))
+    return mask, design, norms, k
+
+
+def _check_rank(rank, design, window):
+    if rank < design.shape[1]:
+        raise IllConditionedFitError(
+            "boundary fit window [%g, %g] is degenerate" % tuple(window))
+
+
+def _fit_boundary(r, values, window, mu, beta=None):
+    """Leading boundary coefficients of `values` (sampled at radii r) on the
+    window, by least squares on `_boundary_design`."""
+    mask, design, norms, k = _boundary_design(r, window, mu, beta)
+    sol, _, rank, _ = np.linalg.lstsq(design, np.asarray(values, float)[mask],
+                                      rcond=None)
+    _check_rank(rank, design, window)
     return tuple(float(c) for c in sol[:k] / norms[:k])
+
+
+def _boundary_rows(r, window, mu, beta=None):
+    """(mask, rows): the leading rows of the pseudo-inverse of
+    `_boundary_design`, so that `_fit_boundary` of any data is
+    rows @ values[mask] up to rounding."""
+    mask, design, norms, k = _boundary_design(r, window, mu, beta)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    # the rank cut of lstsq with rcond=None
+    _check_rank(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps),
+                design, window)
+    return mask, (vt[:, :k].T / s) @ u.T / norms[:k, None]
 
 
 def _measure_oscillation(grid, values, n, window):
@@ -503,25 +560,52 @@ class ProjectionP1:
 
     P1 u fits u's oscillatory coefficients (a, b) at order x^{(n-1)/2} on
     the window and returns c k^ with c = (a a0 + b b0) / (a0^2 + b0^2),
-    (a0, b0) the coefficients of the reference k^.  Exact annihilation of
-    the complement requires the remainder to decay strictly faster than
-    x^{(n-1)/2}, which the nonlinear scheme guarantees by its choice of
-    solution weight.
+    (a0, b0) the coefficients of the reference k^ (a real-regime U kernel,
+    diagnostics "decay_exact" = mu, has the one coefficient a of x^mu).
+    Exact annihilation of the complement requires the remainder to decay
+    strictly faster than the kernel, which the nonlinear scheme guarantees
+    by its choice of solution weight.
+
+    The fit is linear in u and its design is fixed, so c = covector . u
+    with a covector computed once; `anchor` is (k^(R), k^'(R)), the T2
+    closure row of the generalized inverse.
     """
 
     kernel: KernelElement
     window_x: tuple[float, float]
+    anchor: tuple[float, float]
+    covector: np.ndarray
 
     @property
     def window_r(self):
-        lo_x, hi_x = self.window_x
-        return (-math.log(hi_x), -math.log(lo_x))
+        return _window_r(self.window_x)
+
+
+def _window_r(window_x):
+    lo_x, hi_x = window_x
+    return (-math.log(hi_x), -math.log(lo_x))
 
 
 def make_projection(kernel, window=None):
+    """ProjectionP1 for `kernel` on `window` (default: the kernel's fit
+    window), with the covector and the anchor row it holds."""
     window = window or kernel.window_r
-    return ProjectionP1(kernel=kernel,
-                        window_x=(math.exp(-window[1]), math.exp(-window[0])))
+    window_x = (math.exp(-window[1]), math.exp(-window[0]))
+    diag = kernel.diagnostics
+    mask, rows = _boundary_rows(
+        kernel.grid.r, _window_r(window_x),
+        diag.get("decay_exact", (kernel.n - 1.0) / 2.0),
+        diag.get("beta_exact"))
+    lead = np.array(kernel.with_amplitude(1.0).leading_fit[:len(rows)])
+    covector = np.zeros(kernel.grid.n_points)
+    covector[mask] = lead @ rows / (lead @ lead)
+    # k^'(R) by the one-sided stencil of the closure row, the last entry
+    # of base.d(1)
+    kv = kernel.base.values
+    slope = _weights(-4, 0, 1) @ kv[-5:] / np.longdouble(kernel.grid.h)
+    return ProjectionP1(kernel=kernel, window_x=window_x,
+                        anchor=(float(kv[-1]), float(slope)),
+                        covector=covector)
 
 
 def project_P1(proj, u):
@@ -529,12 +613,8 @@ def project_P1(proj, u):
     k = proj.kernel
     if u.grid != k.grid:
         raise ValueError("function does not live on the projection's grid")
-    beta = k.diagnostics["beta_exact"]
-    a, b = _fit_boundary(u.grid.r, u.values, proj.window_r,
-                         (k.n - 1.0) / 2.0, beta)
-    a0, b0 = k.with_amplitude(1.0).leading_fit
-    c = (a * a0 + b * b0) / (a0 * a0 + b0 * b0)
-    return k.with_amplitude(c)
+    return k.with_amplitude(
+        float(proj.covector @ np.asarray(u.values, float)))
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +677,5 @@ def generalized_inverse(op, f, proj):
         warnings.warn("generalized inverse applied to non-decaying data",
                       stacklevel=2)
     v = solve_T1(op, f)
-    khat = proj.kernel.with_amplitude(1.0)
-    kv = khat.base.values
-    ks = khat.base.d(1)
-    w = op.t2.solve_anchored(v.values, kv[-1], ks[-1])
-    w_fn = RadialFunction(op.grid, w)
-    p = project_P1(proj, w_fn)
-    return w_fn - p.profile
+    w = RadialFunction(op.grid, op.t2.solve_anchored(v.values, *proj.anchor))
+    return w - project_P1(proj, w).profile

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import ExpansionFit, fit_leading
-from .geometry import (ConformalFactor, PositivityError, check_dimension,
-                       hyperbolic_curvature_report, paneitz_values,
-                       q_of_conformal)
+from .geometry import (PositivityError, check_dimension,
+                       hyperbolic_curvature_report, paneitz_values)
 from .grid import RadialFunction
 from .linear import (FactoredOperator, KernelElement, ProjectionP1, assemble,
                      generalized_inverse, kernel_element, make_projection,
@@ -208,7 +207,10 @@ def nonlinear_rhs(u1, u2, f, dim):
                 "conformal factor needs 1 + u > 0; violated first at r=%g"
                 % f.grid.r[bad[0]])
         p = (n + 4.0) / (n - 4.0)
-        vals = (0.5 * (n - 4.0) * (fv * (w ** p - 1.0 - p * u) + (fv - q))
+        # (1+u)^p - 1 through expm1/log1p: w ** p - 1 leaves rounding noise
+        # of absolute size eps that does not shrink with u
+        vals = (0.5 * (n - 4.0) * (fv * (np.expm1(p * np.log1p(u)) - p * u)
+                                   + (fv - q))
                 + 0.5 * (n + 4.0) * (fv - q) * u)
     return RadialFunction(f.grid, vals)
 

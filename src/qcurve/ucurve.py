@@ -32,19 +32,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .geometry import (ConformalFactor, check_dimension,
-                       hyperbolic_curvature_report, laplacian_values,
-                       q_of_conformal)
+from .geometry import (ConformalFactor, hyperbolic_curvature_report,
+                       laplacian_values, q_of_conformal)
 from .grid import RadialFunction, differentiate
 from .indicial import DegenerateOperatorError, u_indicial_spectrum
-from .linear import (BAND, BandedFactor, IllConditionedFitError,
-                     KernelElement, WindowError, _close_band, _default_window,
+from .linear import (BandedFactor, IllConditionedFitError, KernelElement,
+                     WindowError, _close_band, _default_window,
                      _equation_band, _fit_boundary, _hc_sums,
                      _measure_oscillation, _measured_decay, apply_L, assemble,
-                     generalized_inverse, make_projection, project_P1,
-                     solve_T1)
+                     factor_banded, generalized_inverse, make_projection,
+                     project_P1, solve_banded)
 from .nonlinear import (AdmissibilityError, IterationConfig, SolveReport,
                         iterate_fixed_point)
 
@@ -320,48 +318,25 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
 # solves: oscillatory / integer-root regimes on the full ball
 
 
-def _solve_full_ball(amplitude, params, cfg, grid, target, regime):
+def _solve_full_ball(amplitude, params, cfg, grid, target):
     op = assemble(grid, alpha=params.alpha)
     kernel = u_kernel_element(params, grid, dtype=np.longdouble)
-    if regime == "oscillatory":
-        proj = make_projection(kernel)
-
-        def fit_amp(values):
-            return project_P1(proj, RadialFunction(grid, values)).amplitude
-
-        def g_apply(rhs):
-            return generalized_inverse(op, rhs, proj).values
-    else:
-        # leading-coefficient projection: the x^mu coefficient of the data
-        # over that of the kernel base on the same window, linear in the
-        # data, so repeated application is idempotent to rounding
-        mu, window = kernel.diagnostics["decay_exact"], kernel.window_r
-        kv = kernel.base.values
-        c0, = _fit_boundary(grid.r, kv, window, mu)
-        anchor = (kv[-1], kernel.base.d(1)[-1])
-        kv = np.asarray(kv, float)
-
-        def fit_amp(values):
-            return _fit_boundary(grid.r, values, window, mu)[0] / c0
-
-        def g_apply(rhs):
-            v = solve_T1(op, rhs)
-            w_raw = op.t2.solve_anchored(v.values, *anchor)
-            return w_raw - fit_amp(w_raw) * kv
-
+    # the projection fits the kernel's oscillatory pair, or in the real
+    # regime its x^mu coefficient
+    proj = make_projection(kernel)
     w1v = np.asarray(kernel.with_amplitude(amplitude).profile.values)
 
     def update(w2):
-        return g_apply(u_nonlinear_rhs(RadialFunction(grid, w1v + w2),
-                                       params, target))
+        return generalized_inverse(op, u_nonlinear_rhs(
+            RadialFunction(grid, w1v + w2), params, target), proj).values
 
     w2, converged, iterations, ratios = iterate_fixed_point(
         update, np.zeros(grid.n_points), cfg)
     message = ("" if converged
                else "no convergence in %d iterations" % cfg.max_iter)
     w = RadialFunction(grid, w1v + w2)
-    return w, converged, iterations, ratios, fit_amp(w.values), message, \
-        kernel
+    return w, converged, iterations, ratios, project_P1(proj, w).amplitude, \
+        message, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +403,19 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
         grid.r[i0:], -4, (1, -4), 4)).real.astype(float)
     fit_window = (max(r_seg[0] + 1.0, grid.r_max - 10.0), grid.r_max - 0.25)
     mu3 = 1.5 + at                       # decaying T3 root
-    # inner Dirichlet rows; outer Robin rows on the decaying roots
-    band3 = _close_band(_equation_band(grid, 4, 1.0 + a, 6.0 * a, i0),
-                        grid.h, mu3, 1.0)
-    band1 = _close_band(_equation_band(grid, 4, 1.0, -4.0, i0),
-                        grid.h, 4.0, 1.0)
+    # inner Dirichlet rows; outer Robin rows on the decaying roots; both
+    # bands are factored once for every iteration of the solve
+    band3 = factor_banded(_close_band(
+        _equation_band(grid, 4, 1.0 + a, 6.0 * a, i0), grid.h, mu3, 1.0))
+    band1 = factor_banded(_close_band(
+        _equation_band(grid, 4, 1.0, -4.0, i0), grid.h, 4.0, 1.0))
 
     def update(w2):
         rhs = _segment_rhs(w1 + w2, r_seg, h, params, target)
         rhs[0] = rhs[-1] = 0.0
-        y = solve_banded(BAND, band3, rhs)
+        y = solve_banded(band3, rhs)
         y[0], y[-1] = w1[0], robin_rhs
-        return solve_banded(BAND, band1, y) - w1   # the solve gives w1 + w2
+        return solve_banded(band1, y) - w1   # the solve gives w1 + w2
 
     a_eff = float(amplitude)
     ratios, iterations_total = [], 0
@@ -510,7 +486,7 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
                                 window=(excised_r0 + 0.5, grid.r_max - 0.5))
     else:
         w, converged, iterations, ratios, fitted, message, kernel = \
-            _solve_full_ball(amplitude, params, cfg, grid, target, regime)
+            _solve_full_ball(amplitude, params, cfg, grid, target)
         residual = u_e_residual(w, params, target)
         if kernel.diagnostics.get("log_terms_possible") and not message:
             message = ("integer-separated indicial roots: log(x) terms "

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qcurve.geometry import laplacian_values
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
-from qcurve.linear import (BAND, BandedFactor, WindowError, _equation_band,
-                           apply_L, assemble, generalized_inverse,
-                           kernel_element, make_projection, project_P1,
+from qcurve.linear import (BAND, BandedFactor, WindowError, _close_band,
+                           _equation_band, apply_L, assemble, factor_banded,
+                           generalized_inverse, kernel_element,
+                           make_projection, project_P1, solve_banded,
                            solve_T1)
-from qcurve.ucurve import _segment_diff
+from qcurve.nonlinear import build_machinery
+from qcurve.ucurve import DetParams, _regime, _segment_diff, u_kernel_element
 
 
 def even_profile(grid, power=3):
@@ -72,6 +75,94 @@ def test_band_matches_stencils(n, scale, constant, grid2048):
                     * _segment_diff(vs, h, 1)) + constant * vs
     assert seg[0] == vs[0]
     assert np.abs(seg - want)[2:-2].max() < tol
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_factor_solves_match_solve_banded(n, grid2048):
+    """solve_robin and solve_anchored, dgbtrs on the LU factors kept from
+    a closure row's first solve, equal scipy.linalg.solve_banded on the
+    same closed band bit for bit, at the first solve and at later ones."""
+    g = grid2048
+    op = assemble(g, n=n)
+    r = g.r.astype(float)
+    h = g.h
+    for f in (np.cos(2.0 * r) / np.cosh(r) ** 3, np.exp(-0.5 * r)):
+        band = _close_band(_equation_band(g, n, 1.0, -float(n)), h,
+                           op.robin, 1.0)
+        rhs = f.copy()
+        rhs[-1] = op.robin * f[-1] / -n
+        want = scipy.linalg.solve_banded(BAND, band, rhs)
+        assert np.array_equal(op.t1.solve_robin(f, op.robin), want)
+        rhs[-1] = 0.0
+        for a0, a1 in ((0.3, -0.7), (1.0, 0.2)):   # two rows, two factors
+            scale = math.hypot(a0, a1)
+            band = _close_band(
+                _equation_band(g, n, 1.0, (n * n - 4.0) / 2.0), h,
+                a0 / scale, a1 / scale)
+            want = scipy.linalg.solve_banded(BAND, band, rhs)
+            assert np.array_equal(op.t2.solve_anchored(f, a0, a1), want)
+
+
+def test_excised_factor_solves_match_solve_banded(grid2048):
+    """The excised split-regime bands (T3 with its decaying Robin row, T1
+    with the x^4 one, inner Dirichlet rows) factored once solve like
+    scipy.linalg.solve_banded, bit for bit."""
+    g = grid2048
+    a = DetParams.preset("paneitz").alpha
+    i0 = g.index_of(1.0)
+    r = g.r[i0:].astype(float)
+    bands = [
+        _close_band(_equation_band(g, 4, 1.0 + a, 6.0 * a, i0), g.h,
+                    1.5 + _regime(a)[1], 1.0),
+        _close_band(_equation_band(g, 4, 1.0, -4.0, i0), g.h, 4.0, 1.0)]
+    for band in bands:
+        factor = factor_banded(band)
+        for rhs in (np.sin(r) / np.cosh(r), np.exp(-2.0 * r)):
+            rhs[0], rhs[-1] = 0.25, -0.5
+            assert np.array_equal(solve_banded(factor, rhs),
+                                  scipy.linalg.solve_banded(BAND, band, rhs))
+
+
+def _lstsq_coefficients(r, values, window, mu, beta=None):
+    """Leading boundary coefficients by np.linalg.lstsq on the design with
+    the six nuisance powers, columns normalized: the route the projection
+    covector replaces."""
+    mask = (r >= window[0]) & (r <= window[1])
+    rr = r[mask].astype(float)
+    env = np.exp(-mu * rr)
+    lead = ([env] if beta is None
+            else [env * np.cos(beta * rr), -env * np.sin(beta * rr)])
+    design = np.column_stack(lead + [env * np.exp(-0.5 * j * rr)
+                                     for j in range(1, 7)])
+    norms = np.linalg.norm(design, axis=0)
+    sol = np.linalg.lstsq(design / norms, values[mask], rcond=None)[0]
+    return sol[:len(lead)] / norms[:len(lead)]
+
+
+@pytest.mark.parametrize("kind", ["n=4", "n=5", "n=6", "U real (A)"])
+def test_projection_covector_matches_lstsq(kind, grid2048):
+    """project_P1, a dot product with a covector computed once, equals the
+    least-squares fit of the leading coefficients (normalized by those of
+    the reference kernel) to 1e-12 relative."""
+    g = grid2048
+    if kind.startswith("n="):
+        kernel = build_machinery(int(kind[2:]), g).kernel
+        mu = (kernel.n - 1.0) / 2.0
+        beta = kernel.diagnostics["beta_exact"]
+    else:
+        kernel = u_kernel_element(DetParams.preset("conformal_laplacian"), g)
+        mu, beta = kernel.diagnostics["decay_exact"], None
+    proj = make_projection(kernel)
+    r = g.r.astype(float)
+    for c in (0.37, -2e-3):
+        values = (c * np.asarray(kernel.base.values, float)
+                  + 0.2 * np.exp(-(mu + 0.8) * r) * np.cos(3.0 * r)
+                  + 1e-3 * np.exp(-(mu + 1.5) * r))
+        coef = _lstsq_coefficients(g.r, values, proj.window_r, mu, beta)
+        lead = np.array(kernel.leading_fit[:len(coef)])
+        want = coef @ lead / (lead @ lead)
+        got = project_P1(proj, RadialFunction(g, values)).amplitude
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_banded_factor_scale_and_constant(grid1024):

@@ -5,6 +5,7 @@ import pytest
 
 from qcurve.geometry import (ConformalFactor, PositivityError,
                              hyperbolic_curvature_report, q_of_conformal)
+from qcurve import linear
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.linear import apply_L
 from qcurve.nonlinear import (AdmissibilityError, IterationConfig,
@@ -106,6 +107,29 @@ def test_rhs_consistent_with_equation_residual(fixture, request):
         pytest.approx(res, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_rhs_small_u_matches_exact_power(n, grid512):
+    """T(u) = (n-4)/2 Q ((1+u)^p - 1 - p u) for a constant target, against
+    40-digit mpmath: the error stays at rounding of p u, so it shrinks with
+    u instead of sitting at the eps of (1+u)^p - 1."""
+    mpmath = pytest.importorskip("mpmath")
+    g = grid512
+    q = hyperbolic_curvature_report(n).Q_hyp
+    f = TargetCurvature(q, n, grid=g)
+    p = (n + 4.0) / (n - 4.0)
+    u = np.sign(np.cos(7.0 * np.arange(g.n_points))) * np.logspace(
+        -9, -2, g.n_points)
+    got = nonlinear_rhs(RadialFunction(g, u), zero_fn(g), f, n).values
+    with mpmath.workdps(40):
+        pm = mpmath.mpf(n + 4) / (n - 4)
+        want = np.array([float(mpmath.mpf(n - 4) / 2 * mpmath.mpf(q)
+                               * ((1 + mpmath.mpf(x)) ** pm - 1
+                                  - pm * mpmath.mpf(x))) for x in u])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want)
+                  <= 16 * eps * (n - 4) / 2 * q * p * np.abs(u))
+
+
 def test_rhs_positivity_guard(machinery5):
     g = machinery5.grid
     f = constant_target(machinery5)
@@ -135,6 +159,43 @@ def test_solve_constant_curvature(fixture, request):
     assert qdev < 1e-6
     assert report.expansion is not None
     assert report.expansion.leading_exponent == (m.n - 1) / 2.0
+
+
+@pytest.fixture(scope="module")
+def machinery_4096(grid4096):
+    return {n: build_machinery(n, grid4096) for n in (5, 6)}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("amplitude", [-5e-5, 5e-5, 7e-5])
+def test_small_amplitude_solve_is_quiet(n, amplitude, machinery_4096):
+    """Small kernel data leave T(u) of size a^2 in the tail: no rounding
+    floor may look like slowly decaying data to the T1 and G decay checks
+    (a warning is an error in this suite)."""
+    m = machinery_4096[n]
+    report, _ = fixed_point_solve(amplitude, constant_target(m),
+                                  IterationConfig(), m)
+    assert report.converged
+    assert report.residual < 1e-9
+
+
+def test_bands_factored_once_per_machinery(monkeypatch, grid2048):
+    """Ten solves on one machinery assemble two bands, T1 with its Robin
+    row and T2 with its anchor row, each factored once."""
+    calls = []
+    assemble_band = linear._equation_band
+
+    def counted(*args):
+        calls.append(args)
+        return assemble_band(*args)
+
+    monkeypatch.setattr(linear, "_equation_band", counted)
+    m = build_machinery(4, grid2048)
+    f = constant_target(m)
+    for a in np.linspace(-8e-4, 8e-4, 10):
+        report, _ = fixed_point_solve(a, f, IterationConfig(), m)
+        assert report.converged
+    assert len(calls) == 2
 
 
 def test_solve_reports_exhausted_iterations(machinery4):
