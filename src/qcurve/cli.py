@@ -10,8 +10,9 @@ ucurve     constant U-curvature solve for a determinant preset
 expand     boundary-expansion diagnostics of a solved metric
 verify     self-checks: bessel | covariance | asymptotics
 
-Exit codes: 0 success, 1 solver non-convergence (the diverged report is
-still written), 2 configuration error.  Reports are serialized with sorted
+Exit codes: 0 success; 1 solver non-convergence or a failed check (the
+report is still written), or a numerical failure (no report, the message
+on stderr); 2 configuration error.  Reports are serialized with sorted
 keys and fixed float formatting so identical configs give byte-identical
 files; the default output directory comes from $QCURVE_OUT.
 """
@@ -23,25 +24,22 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import (bessel_I_derivatives, bessel_K_derivatives,
-                     model_residual, model_solutions)
 from .expansion import (fit_leading, scalar_asymptotic_coefficient,
                         scalar_linearization_coefficient, weighted_norm)
-from .geometry import (ConformalFactor, hyperbolic_curvature_report,
-                       paneitz_conformal_values, paneitz_values,
-                       q_of_conformal, scalar_of_conformal)
+from .geometry import ConformalFactor, q_of_conformal, scalar_of_conformal
 from .grid import RadialGrid
-from .linear import WindowError, kernel_element
-from .nonlinear import (IterationConfig, TargetCurvature, build_machinery,
+from .indicial import (DegenerateOperatorError, oscillation_parameter,
+                       q_indicial_spectrum, u_indicial_spectrum)
+from .linear import _MIN_POINTS, WindowError, fit_window, kernel_element
+from .nonlinear import (IterationConfig, constant_q_problem,
                         fixed_point_solve, guarded_solve, sweep_family)
-from .ucurve import (DetParams, u_curvature_conformal, u_fixed_point_solve,
-                     u_kernel_element)
-from .indicial import (DegenerateOperatorError, q_indicial_spectrum,
-                       u_indicial_spectrum)
+from .ucurve import (OSCILLATORY_PERIODS, DetParams, u_curvature_conformal,
+                     u_fixed_point_solve, u_kernel_element, u_kernel_regime)
+from .verify import verify_asymptotics, verify_bessel, verify_covariance
 
 __all__ = ["main", "parse_config", "execute", "write_report", "ConfigError"]
 
@@ -57,49 +55,64 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-_COMMON_KEYS = ("r_max", "points", "format", "out")
-_ALLOWED_KEYS = {
-    "indicial": _COMMON_KEYS + ("n", "alpha"),
-    "kernel": _COMMON_KEYS + ("n", "preset", "gamma", "amplitude"),
-    "solve": _COMMON_KEYS + ("n", "amplitude", "epsilon", "tol", "max_iter",
-                             "target"),
-    "sweep": _COMMON_KEYS + ("n", "amplitudes", "epsilon", "tol", "max_iter",
-                             "workers"),
-    "ucurve": _COMMON_KEYS + ("preset", "gamma", "amplitude", "epsilon",
-                              "tol", "max_iter"),
-    "expand": _COMMON_KEYS + ("n", "amplitude", "epsilon", "tol", "max_iter"),
-    "verify": _COMMON_KEYS + ("check", "n"),
+_COMMANDS = {
+    "indicial": "boundary spectrum",
+    "kernel": "series kernel element",
+    "solve": "constant Q-curvature solve",
+    "sweep": "family of solves over amplitudes",
+    "ucurve": "constant U-curvature solve",
+    "expand": "boundary-expansion diagnostics",
+    "verify": "self-checks",
 }
+_ALL = tuple(_COMMANDS)
+_SOLVERS = ("solve", "sweep", "ucurve", "expand")
+# commands whose runs assemble banded operators
+_BANDED = ("kernel",) + _SOLVERS
 
-_DEFAULTS = {
-    "n": 5,
-    "r_max": 12.0,
-    "points": 4096,
-    "format": "json",
-    "amplitude": 1e-3,
-    "epsilon": 1e-3,
-    "tol": 1e-10,
-    "max_iter": 50,
-    "amplitudes": (5e-4, -5e-4, 1e-3, -1e-3),
-    "workers": 4,
+
+class _Option(NamedTuple):
+    commands: tuple
+    help: str
+    default: object = None
+    type: object = None
+    choices: tuple | None = None
+    metavar: str | None = None
+
+
+# Every option, once: the commands taking it, its help text, its default
+# (applied after the config file: flag > file > default) and its argparse
+# type, choices and metavar.  `check` is the one positional; `config` names
+# the file and is no key in it.  Table order is --help order.
+_OPTIONS = {
+    "check": _Option(("verify",), "which self-check",
+                     choices=("bessel", "covariance", "asymptotics")),
+    "n": _Option(("indicial", "kernel", "solve", "sweep", "expand",
+                  "verify"), "dimension, at least 4", 5, int),
+    "alpha": _Option(("indicial",), "U-family parameter gamma2/(12 gamma3), "
+                     "in place of --n", type=float),
+    "preset": _Option(("kernel", "ucurve"), "determinant preset tag: A, D2 "
+                      "or P (or its long name)"),
+    "gamma": _Option(("kernel", "ucurve"), "determinant coefficients",
+                     metavar="G1,G2,G3"),
+    "amplitude": _Option(("kernel", "solve", "ucurve", "expand"),
+                         "kernel amplitude", 1e-3, float),
+    "amplitudes": _Option(("sweep",), "kernel amplitudes",
+                          (5e-4, -5e-4, 1e-3, -1e-3), metavar="A1,A2,..."),
+    "epsilon": _Option(_SOLVERS, "bound on the kernel amplitude", 1e-3,
+                       float),
+    "tol": _Option(_SOLVERS, "fixed-point step tolerance", 1e-10, float),
+    "max_iter": _Option(_SOLVERS, "fixed-point iteration limit", 50, int),
+    "target": _Option(("solve",), "constant target curvature (default: "
+                      "hyperbolic Q)", type=float),
+    "workers": _Option(("sweep",), "accepted and validated; sweeps run "
+                       "serially", 4, int),
+    "r_max": _Option(_ALL, "outer grid radius", 12.0, float),
+    "points": _Option(_ALL, "grid points", 4096, int),
+    "format": _Option(_ALL, "report format", "json",
+                      choices=("json", "csv")),
+    "out": _Option(_ALL, "output directory (default: $QCURVE_OUT or .)"),
+    "config": _Option(_ALL, "JSON file with option overrides"),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, fully defaulted configuration for one command."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name)
-
-    def get(self, name, default=None):
-        return self.options.get(name, default)
 
 
 def _parse_floats(text, count=None, what="list"):
@@ -128,71 +141,23 @@ def _build_parser():
         description="Constant Q- and U-curvature conformal metrics on the "
                     "ball: solvers, kernels, and verification reports.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--r-max", type=float, default=None, dest="r_max")
-        sp.add_argument("--points", type=int, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--out", default=None,
-                        help="output directory (default: $QCURVE_OUT or .)")
-        sp.add_argument("--config", default=None,
-                        help="JSON file with option overrides")
-
-    sp = sub.add_parser("indicial", help="boundary spectrum")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("kernel", help="series kernel element")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--preset", default=None)
-    sp.add_argument("--gamma", default=None, metavar="G1,G2,G3")
-    sp.add_argument("--amplitude", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("solve", help="constant Q-curvature solve")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--amplitude", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    sp.add_argument("--target", type=float, default=None,
-                    help="constant target curvature (default: hyperbolic Q)")
-    common(sp)
-
-    sp = sub.add_parser("sweep", help="family of solves over amplitudes")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--amplitudes", default=None, metavar="A1,A2,...")
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="accepted and validated; sweeps run serially")
-    common(sp)
-
-    sp = sub.add_parser("ucurve", help="constant U-curvature solve")
-    sp.add_argument("--preset", default=None,
-                    help="determinant preset tag")
-    sp.add_argument("--gamma", default=None, metavar="G1,G2,G3")
-    sp.add_argument("--amplitude", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    common(sp)
-
-    sp = sub.add_parser("expand", help="boundary-expansion diagnostics")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--amplitude", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="self-checks")
-    sp.add_argument("check", choices=("bessel", "covariance", "asymptotics"))
-    sp.add_argument("--n", type=int, default=None)
-    common(sp)
-
+    for command, summary in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for dest, opt in _OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            default = opt.default
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            text = opt.help if default is None else \
+                "%s (default: %s)" % (opt.help, default)
+            kw = {"type": opt.type, "choices": opt.choices,
+                  "metavar": opt.metavar, "help": text}
+            if dest == "check":
+                sp.add_argument(dest, **kw)
+            else:
+                sp.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                                **kw)
     return p
 
 
@@ -207,63 +172,37 @@ _PRESET_ALIASES = {
 
 
 def parse_config(argv):
-    """argv (without the program name) -> validated RunConfig.
+    """argv (without the program name) -> the validated, fully defaulted
+    configuration, an argparse.Namespace holding `command` and its options.
 
     Option precedence: command-line flag > --config file entry > default.
-    Unknown config-file keys are rejected.
+    Unknown config-file keys are rejected.  A grid too coarse for the
+    banded solves, or an r_max too short for the kernel fit window, is
+    refused here, before any work.
     """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     command = ns.command
-    allowed = _ALLOWED_KEYS[command]
-
-    file_opts = {}
-    if getattr(ns, "config", None):
-        try:
-            with open(ns.config) as fh:
-                file_opts = json.load(fh)
-        except OSError as exc:
-            raise ConfigError("cannot read config file %s: %s"
-                              % (ns.config, exc))
-        except json.JSONDecodeError as exc:
-            raise ConfigError("malformed JSON in %s: %s" % (ns.config, exc))
-        if not isinstance(file_opts, dict):
-            raise ConfigError("config file %s must hold a JSON object"
-                              % ns.config)
-        cmd = file_opts.pop("command", command)
-        if cmd != command:
-            raise ConfigError("config file command %r does not match %r"
-                              % (cmd, command))
-        unknown = sorted(set(file_opts) - set(allowed))
-        if unknown:
-            raise ConfigError("unknown config keys for %s: %s"
-                              % (command, ", ".join(unknown)))
-
+    allowed = [key for key, opt in _OPTIONS.items()
+               if command in opt.commands and key != "config"]
+    file_opts = _read_config_file(ns.config, command, allowed) \
+        if ns.config else {}
     opts = {}
     for key in allowed:
-        cli_val = getattr(ns, key, None)
-        if cli_val is not None:
-            opts[key] = cli_val
-        elif key in file_opts:
-            opts[key] = file_opts[key]
-        elif key in _DEFAULTS:
-            opts[key] = _DEFAULTS[key]
-        else:
-            opts[key] = None
+        value = getattr(ns, key)
+        opts[key] = (value if value is not None
+                     else file_opts.get(key, _OPTIONS[key].default))
 
     # family selection and numeric validation
-    if command in ("kernel", "ucurve") or (command == "indicial"
-                                           and opts.get("alpha") is not None):
-        if opts.get("preset") is not None or opts.get("gamma") is not None:
-            opts["params"] = _det_params(opts)
-    if command == "ucurve" and "params" not in opts:
+    if command in ("kernel", "ucurve"):
+        opts["params"] = (_det_params(opts) if opts["preset"] is not None
+                          or opts["gamma"] is not None else None)
+    if command == "ucurve" and opts["params"] is None:
         raise ConfigError("ucurve needs --preset or --gamma")
-    if command == "indicial" and opts.get("alpha") is not None:
-        if opts["alpha"] == -1:
-            raise ConfigError("alpha = -1 degenerates the operator family")
-    elif "n" in opts and opts.get("n") is not None:
-        if opts["n"] < 4:
-            raise ConfigError("dimension must be ≥ 4")
+    if opts.get("alpha") == -1:
+        raise ConfigError("alpha = -1 degenerates the operator family")
+    if opts.get("alpha") is None and opts.get("n") is not None \
+            and opts["n"] < 4:
+        raise ConfigError("dimension must be ≥ 4")
     if opts.get("r_max", 1.0) <= 0:
         raise ConfigError("r_max must be positive")
     if opts.get("points", 16) < 16:
@@ -282,11 +221,54 @@ def parse_config(argv):
                 "alpha", "target"):
         if opts.get(key) is not None:
             _check_finite(key, np.ravel(opts[key]))
+    if command in _BANDED or opts.get("check") == "asymptotics":
+        if opts["points"] < _MIN_POINTS:
+            raise ConfigError("need at least %d grid points for the banded "
+                              "solves" % _MIN_POINTS)
+        _check_fit_window(command, opts)
     if opts.get("out") is None:
         opts["out"] = os.environ.get("QCURVE_OUT", ".")
     opts.pop("preset", None)
     opts.pop("gamma", None)
-    return RunConfig(command=command, options=opts)
+    return argparse.Namespace(command=command, **opts)
+
+
+def _read_config_file(path, command, allowed):
+    """The option overrides in a --config JSON file, less its "command"."""
+    try:
+        with open(path) as fh:
+            file_opts = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("cannot read config file %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise ConfigError("malformed JSON in %s: %s" % (path, exc))
+    if not isinstance(file_opts, dict):
+        raise ConfigError("config file %s must hold a JSON object" % path)
+    cmd = file_opts.pop("command", command)
+    if cmd != command:
+        raise ConfigError("config file command %r does not match %r"
+                          % (cmd, command))
+    unknown = sorted(set(file_opts) - set(allowed))
+    if unknown:
+        raise ConfigError("unknown config keys for %s: %s"
+                          % (command, ", ".join(unknown)))
+    return file_opts
+
+
+def _check_fit_window(command, opts):
+    """ConfigError unless the default kernel fit window at r_max spans the
+    oscillation periods the command's kernel fits need (n = 4..6 for
+    `verify asymptotics`; a real-regime U kernel has no oscillation)."""
+    try:
+        if opts.get("params") is not None:
+            regime, beta = u_kernel_regime(opts["params"].alpha)
+            if regime == "oscillatory":
+                fit_window(opts["r_max"], beta, OSCILLATORY_PERIODS)
+        else:
+            for n in (4, 5, 6) if command == "verify" else (opts["n"],):
+                fit_window(opts["r_max"], oscillation_parameter(n))
+    except WindowError as exc:
+        raise ConfigError(str(exc))
 
 
 def _det_params(opts):
@@ -381,17 +363,13 @@ def write_report(report, fmt, path):
 # command implementations: each returns (report_dict, profile_table | None,
 # exit_code)
 
-def _grid(cfg):
-    return RadialGrid(cfg.r_max, cfg.points)
-
-
 def _iteration_config(cfg):
     return IterationConfig(epsilon=cfg.epsilon, tol=cfg.tol,
                            max_iter=cfg.max_iter)
 
 
 def _run_indicial(cfg):
-    if cfg.get("alpha") is not None:
+    if cfg.alpha is not None:
         spec = u_indicial_spectrum(cfg.alpha)
         report = {"family": "ucurve", "alpha": cfg.alpha, **spec.to_dict()}
     else:
@@ -401,8 +379,8 @@ def _run_indicial(cfg):
 
 
 def _run_kernel(cfg):
-    grid = _grid(cfg)
-    if cfg.get("params") is not None:
+    grid = RadialGrid(cfg.r_max, cfg.points)
+    if cfg.params is not None:
         params = cfg.params
         try:
             k = u_kernel_element(params, grid, amplitude=cfg.amplitude)
@@ -438,26 +416,22 @@ def _solve_profile_table(u, grid, n):
 
 
 def _run_solve(cfg):
-    grid = _grid(cfg)
-    machinery = build_machinery(cfg.n, grid)
-    target_value = (cfg.target if cfg.get("target") is not None
-                    else hyperbolic_curvature_report(cfg.n).Q_hyp)
-    target = TargetCurvature(target_value, cfg.n, grid=grid)
+    machinery, target = constant_q_problem(cfg.n, cfg.r_max, cfg.points,
+                                           cfg.target)
+    grid = machinery.grid
     report, u = guarded_solve(fixed_point_solve, cfg.amplitude, target,
                               _iteration_config(cfg), machinery)
     if u is None:
         return {"n": cfg.n, **report.to_dict()}, None, EXIT_SOLVER
     table = _solve_profile_table(u, grid, cfg.n)
     code = EXIT_OK if report.converged else EXIT_SOLVER
-    return {"n": cfg.n, "target": float(target_value),
+    return {"n": cfg.n, "target": float(target.f.values[0]),
             **report.to_dict()}, table, code
 
 
 def _run_sweep(cfg):
-    grid = _grid(cfg)
-    machinery = build_machinery(cfg.n, grid)
-    target = TargetCurvature(hyperbolic_curvature_report(cfg.n).Q_hyp,
-                             cfg.n, grid=grid)
+    machinery, target = constant_q_problem(cfg.n, cfg.r_max, cfg.points)
+    grid = machinery.grid
     reports, solutions = sweep_family(cfg.amplitudes, target,
                                       _iteration_config(cfg), machinery)
     all_ok = all(rep.converged for rep in reports)
@@ -473,7 +447,7 @@ def _run_sweep(cfg):
 
 
 def _run_ucurve(cfg):
-    grid = _grid(cfg)
+    grid = RadialGrid(cfg.r_max, cfg.points)
     params = cfg.params
     report, w = guarded_solve(u_fixed_point_solve, cfg.amplitude, params,
                               _iteration_config(cfg), grid)
@@ -489,10 +463,8 @@ def _run_ucurve(cfg):
 
 
 def _run_expand(cfg):
-    grid = _grid(cfg)
-    machinery = build_machinery(cfg.n, grid)
-    target = TargetCurvature(hyperbolic_curvature_report(cfg.n).Q_hyp,
-                             cfg.n, grid=grid)
+    machinery, target = constant_q_problem(cfg.n, cfg.r_max, cfg.points)
+    grid = machinery.grid
     report, u = guarded_solve(fixed_point_solve, cfg.amplitude, target,
                               _iteration_config(cfg), machinery)
     if not report.converged:
@@ -518,148 +490,14 @@ def _run_expand(cfg):
     return out, table, EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify sub-checks
-
-def _verify_bessel(cfg):
-    n = cfg.n
-    window = (0.2, 8.0)
-    factors = (("L1", {"n": n}), ("L2", {"n": n}),
-               ("L3", {"alpha": -7.0 / 16.0}))
-    out = {"window": list(window), "factors": {}}
-    for fid, kw in factors:
-        sols = model_solutions(fid, **kw)
-        res = {s.kind: model_residual(s, window) for s in sols}
-        order = sols[0].order
-        # Wronskian of the modified Bessel pair: I K' - I' K = -1/t
-        worst_w = 0.0
-        for t in np.linspace(window[0], window[1], 40):
-            t = float(t)
-            i0, i1, _ = bessel_I_derivatives(order, t)
-            k0, k1, _ = bessel_K_derivatives(order, t)
-            wr = complex(i0) * complex(k1) - complex(i1) * complex(k0)
-            worst_w = max(worst_w, abs(wr + 1.0 / t))
-        # exponential dichotomy on [5, 20]: log-magnitude slope of the
-        # I-branch stays positive, of the K-branch negative
-        ts = np.linspace(5.0, 20.0, 31)
-        li = [math.log(abs(bessel_I_derivatives(order, float(t))[0]))
-              + bessel_I_derivatives(order, float(t))[0].log_scale
-              for t in ts]
-        lk = [math.log(abs(bessel_K_derivatives(order, float(t))[0]))
-              - bessel_K_derivatives(order, float(t))[0].log_scale
-              for t in ts]
-        si = np.diff(li) / np.diff(ts)
-        sk = np.diff(lk) / np.diff(ts)
-        out["factors"][fid] = {
-            "order": [order.real, order.imag],
-            "residual_I": res["I"],
-            "residual_K": res["K"],
-            "wronskian_defect": worst_w,
-            "dichotomy_I_min_slope": float(si.min()),
-            "dichotomy_K_max_slope": float(sk.max()),
-        }
-    ok = all(f["residual_I"] < 1e-8 and f["residual_K"] < 1e-8
-             and f["wronskian_defect"] < 1e-8
-             and f["dichotomy_I_min_slope"] > 0.5
-             and f["dichotomy_K_max_slope"] < -0.5
-             for f in out["factors"].values())
-    out["passed"] = ok
-    return out, None, EXIT_OK if ok else EXIT_SOLVER
-
-
-def covariance_residual(grid, n, w_vals, phi_vals, window=(1.0, None)):
-    """Relative defect of the Paneitz conformal-covariance law for the
-    radial metric e^{2w} g against the warped-product evaluation."""
-    r_lo, r_hi = window
-    if r_hi is None:
-        r_hi = grid.r_max - 1.0
-    # extended precision: the warped-product curvature chain amplifies
-    # double-rounding noise by 1/h^4, which would bury the h^4 truncation
-    # error this check is supposed to watch
-    w_vals = np.asarray(w_vals).astype(np.longdouble)
-    phi_vals = np.asarray(phi_vals).astype(np.longdouble)
-    lhs = paneitz_conformal_values(phi_vals, w_vals, grid, n)
-    s = 0.5 * (n - 4.0)
-    lifted = np.exp(s * w_vals) * phi_vals
-    rhs = np.exp(-(s + 4.0) * w_vals) * paneitz_values(lifted, grid, n)
-    mask = grid.window_mask(r_lo, r_hi)
-    num = np.abs(np.asarray(lhs - rhs, float)[mask]).max()
-    den = (np.abs(np.asarray(lhs, float)[mask])
-           + np.abs(np.asarray(rhs, float)[mask])).max()
-    return num / den if den > 0 else 0.0
-
-
-def covariance_pair(grid, cw, cp):
-    """Smooth even (w, phi) profiles decaying like x^2, from even
-    polynomial coefficients in tanh^2 r.
-
-    The cosine factors keep the sixth-derivative scale large enough that
-    the h^4 truncation error of the covariance defect sits well above the
-    rounding floor on 2048-point grids; without them the refinement ratio
-    is noise."""
-    r = grid.r.astype(float)
-    rho = np.tanh(r) ** 2
-    env = 1.0 / np.cosh(r) ** 2
-    w = 0.3 * (cw[0] + cw[1] * rho + cw[2] * rho ** 2) * np.cos(3.0 * r) * env
-    phi = (cp[0] + cp[1] * rho + cp[2] * rho ** 2) * np.cos(5.0 * r) * env
-    return w, phi
-
-
-def _verify_covariance(cfg):
-    n = cfg.n
-    coarse = RadialGrid(cfg.r_max, 2048)
-    fine = RadialGrid(cfg.r_max, 4096)
-    coeffs = np.random.default_rng(20260823).uniform(-1.0, 1.0, (10, 2, 3))
-    ratios = []
-    entries = []
-    for cw, cp in coeffs:
-        per_grid = []
-        for grid in (coarse, fine):
-            w, phi = covariance_pair(grid, cw, cp)
-            per_grid.append(covariance_residual(grid, n, w, phi))
-        ratio = per_grid[0] / per_grid[1] if per_grid[1] > 0 else math.inf
-        ratios.append(ratio)
-        entries.append({"residual_coarse": per_grid[0],
-                        "residual_fine": per_grid[1], "ratio": ratio})
-    min_ratio = min(ratios)
-    ok = min_ratio >= 3.5
-    report = {"n": n, "pairs": entries, "min_ratio": min_ratio,
-              "passed": ok}
-    return report, None, EXIT_OK if ok else EXIT_SOLVER
-
-
-def _verify_asymptotics(cfg):
-    entries = {}
-    for n in (4, 5, 6):
-        grid = RadialGrid(cfg.r_max, min(cfg.points, 2048))
-        machinery = build_machinery(n, grid)
-        target = TargetCurvature(hyperbolic_curvature_report(n).Q_hyp, n,
-                                 grid=grid)
-        rep, u = fixed_point_solve(1e-3, target, IterationConfig(), machinery)
-        entry = {"converged": rep.converged,
-                 "analytic": scalar_linearization_coefficient(n)}
-        # the x^{(n-1)/2} decay leaves no curvature signal past r ~ 7 for
-        # n = 6, so the extrapolation windows move inward with n
-        window = None if n < 6 else (4.5, 6.5)
-        try:
-            entry["measured"] = scalar_asymptotic_coefficient(
-                u, n, base_window=window)
-        except Exception as exc:
-            entry["measured"] = math.nan
-            entry["error"] = str(exc)
-        entries["n%d" % n] = entry
-    ok = all(e["converged"] and e["measured"] == e["measured"]
-             and abs(e["measured"] - e["analytic"])
-             <= 0.01 * abs(e["analytic"])
-             for e in entries.values())
-    report = {"cases": entries, "passed": ok}
-    return report, None, EXIT_OK if ok else EXIT_SOLVER
-
-
 def _run_verify(cfg):
-    return {"bessel": _verify_bessel,
-            "covariance": _verify_covariance,
-            "asymptotics": _verify_asymptotics}[cfg.check](cfg)
+    if cfg.check == "bessel":
+        report = verify_bessel(cfg.n)
+    elif cfg.check == "covariance":
+        report = verify_covariance(cfg.n, cfg.r_max)
+    else:
+        report = verify_asymptotics(cfg.r_max, cfg.points)
+    return report, None, EXIT_OK if report["passed"] else EXIT_SOLVER
 
 
 _RUNNERS = {
@@ -686,18 +524,16 @@ def execute(cfg):
 
 
 def main(argv=None):
+    """Parse, run and report; returns the exit code.  Configuration errors
+    exit 2 whether parsing or the run finds them; any other error of the
+    run (a numerical failure) exits 1 without a report."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
+        return execute(parse_config(argv))
     except (ConfigError, DegenerateOperatorError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return execute(cfg)
-    except (ConfigError, DegenerateOperatorError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ArithmeticError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
 

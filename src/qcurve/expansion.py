@@ -23,7 +23,7 @@ from .geometry import (ConformalFactor, check_dimension,
                        hyperbolic_curvature_report, scalar_of_conformal,
                        warped_product_curvature)
 from .indicial import oscillation_parameter, q_indicial_spectrum
-from .linear import WindowError, _default_window, _fit_boundary
+from .linear import WindowError, _fit_boundary, fit_window
 
 __all__ = [
     "ExpansionFit",
@@ -112,14 +112,8 @@ def fit_leading(u, dim, window=None):
     n = check_dimension(dim)
     grid = u.grid
     beta = oscillation_parameter(n)
-    if window is None:
-        window = _default_window(grid)
+    window, _ = fit_window(grid.r_max, beta, window=window)
     lo, hi = window
-    periods = beta * (hi - lo) / (2.0 * math.pi)
-    if periods < 3.0:
-        raise WindowError(
-            "window [%g, %g] spans %.2f oscillation periods; need >= 3"
-            % (lo, hi, periods))
     lam = (n - 1) / 2.0
     a, b = _fit_boundary(grid.r, u.values, window, lam, beta)
     r = grid.r.astype(float)

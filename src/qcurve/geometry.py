@@ -33,7 +33,6 @@ __all__ = [
     "ConformalFactor",
     "laplacian_radial",
     "laplacian_values",
-    "bilaplacian_values",
     "paneitz_apply",
     "paneitz_values",
     "q_of_conformal",
@@ -163,11 +162,6 @@ def laplacian_radial(f, grid, n):
     if f.grid != grid:
         raise ValueError("function does not live on the supplied grid")
     return f.as_function(laplacian_values(f.values, grid, n, parity=f.parity))
-
-
-def bilaplacian_values(values, grid, n, parity=1):
-    lap = laplacian_values(values, grid, n, parity=parity)
-    return laplacian_values(lap, grid, n, parity=parity)
 
 
 def paneitz_gradient_coefficient(n):

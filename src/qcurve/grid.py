@@ -11,9 +11,12 @@ one-sided stencils.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-__all__ = ["RadialGrid", "RadialFunction", "fd_weights", "differentiate"]
+__all__ = ["RadialGrid", "RadialFunction", "fd_weights", "stencil_weights",
+           "differentiate"]
 
 
 def fd_weights(offsets, m):
@@ -60,24 +63,14 @@ def fd_weights(offsets, m):
 # Central stencil half-widths giving 4th-order accuracy.
 _HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
 
-_central_cache: dict[int, np.ndarray] = {}
-_onesided_cache: dict[tuple[int, int], np.ndarray] = {}
 
-
-def _central_weights(m):
-    if m not in _central_cache:
-        k = _HALF_WIDTH[m]
-        _central_cache[m] = fd_weights(range(-k, k + 1), m)
-    return _central_cache[m]
-
-
-def _onesided_weights(m, lead):
-    """Biased stencil of m+4 points with `lead` points to the right of 0."""
-    key = (m, lead)
-    if key not in _onesided_cache:
-        p = m + 4
-        _onesided_cache[key] = fd_weights(range(lead - p + 1, lead + 1), m)
-    return _onesided_cache[key]
+@functools.cache
+def stencil_weights(lo, hi, m):
+    """fd_weights(lo..hi, m), the exact-rational recursion run once per
+    stencil and process; read-only, since every caller shares it."""
+    w = fd_weights(range(lo, hi + 1), m)
+    w.flags.writeable = False
+    return w
 
 
 def differentiate(values, h, m, parity=1):
@@ -101,7 +94,7 @@ def differentiate(values, h, m, parity=1):
     # products): rounding the weights to double first leaves a residue that
     # no longer annihilates constants exactly, and a second composed
     # operator amplifies that residue by 1/h^2
-    w = _central_weights(m)
+    w = stencil_weights(-k, k, m)
     acc_dtype = np.result_type(values.dtype, w.dtype)
     out = np.zeros(n, dtype=acc_dtype)
     # interior (vectorized)
@@ -116,10 +109,10 @@ def differentiate(values, h, m, parity=1):
         out[i] = acc
     # outer side: biased stencils
     for i in range(n - k, n):
+        # biased stencil of m+4 points, `lead` of them right of node i
         lead = n - 1 - i
-        wb = _onesided_weights(m, lead)
-        p = m + 4
-        out[i] = wb @ values[i + lead - p + 1:i + lead + 1]
+        lo = lead - m - 3
+        out[i] = stencil_weights(lo, lead, m) @ values[i + lo:i + lead + 1]
     return (out / np.longdouble(h) ** m).astype(values.dtype)
 
 

@@ -61,13 +61,6 @@ class IndicialPolynomial:
             poly = np.convolve(poly, [1.0, b, c])
         return poly
 
-    def factor_roots(self):
-        roots = []
-        for b, c in self.factors:
-            disc = cmath.sqrt(complex(b * b - 4.0 * c))
-            roots.append(((-b + disc) / 2.0, (-b - disc) / 2.0))
-        return roots
-
 
 @dataclass(frozen=True)
 class BoundarySpectrum:

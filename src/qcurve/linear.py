@@ -18,7 +18,6 @@ projection exists; see the fit-window notes on ProjectionP1).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import check_dimension, laplacian_values
-from .grid import RadialFunction, RadialGrid, fd_weights
+from .grid import RadialFunction, RadialGrid, stencil_weights
 from .indicial import DegenerateOperatorError, oscillation_parameter
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "ProjectionP1",
     "assemble",
     "kernel_element",
+    "fit_window",
     "apply_L",
     "solve_T1",
     "generalized_inverse",
@@ -52,7 +52,7 @@ class CoarseGridError(ValueError):
 
 
 class WindowError(ValueError):
-    """The oscillation fit window covers fewer than 3 periods."""
+    """The oscillation fit window covers too few periods."""
 
 
 class IllConditionedFitError(ValueError):
@@ -156,15 +156,6 @@ _U_BAND = 3
 BAND = (_L_BAND, _U_BAND)
 
 
-@functools.cache
-def _weights(lo, hi, m):
-    """fd_weights(lo..hi, m), the exact-rational recursion run once per
-    stencil the bands use; read-only, since every caller shares it."""
-    w = fd_weights(range(lo, hi + 1), m)
-    w.flags.writeable = False
-    return w
-
-
 def _add_entries(ab, rows, cols, vals):
     """Accumulate matrix entries (rows, cols) += vals into the solve_banded
     layout, in the order given, so that entries landing on one position sum
@@ -190,7 +181,7 @@ def _equation_band(grid, n, scale, constant, i0=0):
     if i0 == 0:
         row0 = np.zeros(5, dtype=int)
         _add_entries(ab, row0, np.abs(np.arange(-2, 3)),
-                     scale * n * (_weights(-2, 2, 2) / h ** 2))
+                     scale * n * (stencil_weights(-2, 2, 2) / h ** 2))
         six = np.array([-20.0, 30.0, -12.0, 2.0])
         _add_entries(ab, row0[:4], np.arange(4),
                      -scale * (n - 1.0) * six / (45.0 * h ** 2))
@@ -203,8 +194,8 @@ def _equation_band(grid, n, scale, constant, i0=0):
     for rows, (lo, hi) in stencils:
         offs = np.arange(lo, hi + 1)
         a1 = scale * (n - 1.0) * (1.0 / np.tanh(r[rows]))
-        vals = (scale * (_weights(lo, hi, 2) / h ** 2)
-                + a1[:, None] * (_weights(lo, hi, 1) / h))
+        vals = (scale * (stencil_weights(lo, hi, 2) / h ** 2)
+                + a1[:, None] * (stencil_weights(lo, hi, 1) / h))
         _add_entries(ab, np.repeat(rows, len(offs)),
                      np.abs(rows[:, None] + offs).ravel(), vals.ravel())
     ab[_U_BAND, (1 if i0 else 0):m - 1] += constant
@@ -216,7 +207,8 @@ def _close_band(ab, h, value, slope):
     one-sided (-4..0) derivative, into the last row of `ab`; returns ab."""
     i = ab.shape[1] - 1
     offs = np.arange(-4, 1)
-    ab[_U_BAND - offs, i + offs] += slope * (_weights(-4, 0, 1) / h)
+    ab[_U_BAND - offs, i + offs] += slope * (stencil_weights(-4, 0, 1)
+                                             / h)
     ab[_U_BAND, i] += value
     return ab
 
@@ -514,44 +506,64 @@ def _measure_oscillation(grid, values, n, window):
     return freq, envelope
 
 
-def _default_window(grid):
-    return (max(2.0, grid.r_max - 10.0), grid.r_max - 0.25)
+def _default_window(r_max):
+    # the outer 10 units of radius, clear of the origin transient
+    return (max(2.0, r_max - 10.0), r_max - 0.25)
+
+
+def fit_window(r_max, beta, need=3.0, window=None):
+    """(window, periods): the fit window (default: `_default_window`) and
+    the oscillation periods of frequency beta it spans; WindowError below
+    `need` periods.  Needs no grid, so a configuration can be checked
+    before any work."""
+    window = window or _default_window(r_max)
+    periods = beta * (window[1] - window[0]) / (2.0 * math.pi)
+    if periods < need:
+        raise WindowError(
+            "fit window [%g, %g] spans %.2f oscillation periods; need %g "
+            "(increase r_max)" % (window[0], window[1], periods, need))
+    return window, periods
+
+
+def _oscillatory_kernel(factor, beta, amplitude=1.0, window=None, need=3.0,
+                        dtype=np.float64, **diagnostics):
+    """KernelElement of the regular solution of `factor`, whose boundary
+    oscillation x^{(n-1)/2 +- i beta} is fitted on `window` (at least
+    `need` periods, checked before the solution is summed) and the profile
+    rescaled so the fitted amplitude equals `amplitude`; `diagnostics`
+    joins the measured frequency and envelope exponent."""
+    grid, n = factor.grid, factor.n
+    window, periods = fit_window(grid.r_max, beta, need, window)
+    vals, _ = factor.shoot_regular(dtype=dtype)
+    mu = (n - 1.0) / 2.0
+    a, b = _fit_boundary(grid.r, vals, window, mu, beta)
+    scale = math.hypot(a, b)
+    if scale == 0.0:
+        raise IllConditionedFitError("kernel has no leading oscillation")
+    freq, envelope = _measure_oscillation(grid, vals, n, window)
+    diagnostics.update({
+        "beta_exact": beta,
+        "frequency_measured": freq,
+        "envelope_exponent_exact": mu,
+        "envelope_exponent_measured": envelope,
+        "fit_periods": periods,
+    })
+    return KernelElement(
+        grid=grid, n=n, amplitude=float(amplitude),
+        base=RadialFunction(grid, vals / scale),
+        leading_fit=(a / scale * amplitude, b / scale * amplitude),
+        window_r=window, diagnostics=diagnostics)
 
 
 def kernel_element(n, grid, amplitude=1.0, window=None, dtype=np.float64):
     """The regular decaying kernel element of T2, from the series solution
-    k = 1 - (n^2-4)/(4n) r^2 + ... of BandedFactor.shoot_regular; the
-    boundary oscillation x^{(n-1)/2 +- i beta} is then fitted on `window`
-    (default: the outer 10 units of radius, clear of the origin transient)
-    and the profile rescaled so the fitted amplitude equals `amplitude`.
-    """
+    k = 1 - (n^2-4)/(4n) r^2 + ... of BandedFactor.shoot_regular, with its
+    boundary oscillation fitted over at least 3 periods (see
+    `_oscillatory_kernel`)."""
     n = check_dimension(n)
     factor = BandedFactor(grid, n, 1.0, (n * n - 4.0) / 2.0)
-    beta = oscillation_parameter(n)
-    window = window or _default_window(grid)
-    periods = beta * (window[1] - window[0]) / (2.0 * math.pi)
-    if periods < 3.0:
-        raise WindowError(
-            "fit window spans %.2f oscillation periods; need 3 "
-            "(increase r_max)" % periods)
-    vals, _ = factor.shoot_regular(dtype=dtype)
-    a, b = _fit_boundary(grid.r, vals, window, (n - 1.0) / 2.0, beta)
-    scale = math.hypot(a, b)
-    if scale == 0.0:
-        raise IllConditionedFitError("kernel has no leading oscillation")
-    base = RadialFunction(grid, vals / scale)
-    freq, envelope = _measure_oscillation(grid, vals, n, window)
-    diagnostics = {
-        "beta_exact": beta,
-        "frequency_measured": freq,
-        "envelope_exponent_exact": (n - 1.0) / 2.0,
-        "envelope_exponent_measured": envelope,
-        "fit_periods": periods,
-    }
-    return KernelElement(
-        grid=grid, n=n, amplitude=float(amplitude), base=base,
-        leading_fit=(a / scale * amplitude, b / scale * amplitude),
-        window_r=window, diagnostics=diagnostics)
+    return _oscillatory_kernel(factor, oscillation_parameter(n), amplitude,
+                               window, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -602,7 +614,8 @@ def make_projection(kernel, window=None):
     # k^'(R) by the one-sided stencil of the closure row, the last entry
     # of base.d(1)
     kv = kernel.base.values
-    slope = _weights(-4, 0, 1) @ kv[-5:] / np.longdouble(kernel.grid.h)
+    slope = (stencil_weights(-4, 0, 1) @ kv[-5:]
+             / np.longdouble(kernel.grid.h))
     return ProjectionP1(kernel=kernel, window_x=window_x,
                         anchor=(float(kv[-1]), float(slope)),
                         covector=covector)

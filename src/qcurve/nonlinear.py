@@ -22,7 +22,7 @@ import numpy as np
 from .expansion import ExpansionFit, fit_leading
 from .geometry import (PositivityError, check_dimension,
                        hyperbolic_curvature_report, paneitz_values)
-from .grid import RadialFunction
+from .grid import RadialFunction, RadialGrid
 from .linear import (FactoredOperator, KernelElement, ProjectionP1, assemble,
                      generalized_inverse, kernel_element, make_projection,
                      project_P1)
@@ -33,6 +33,7 @@ __all__ = [
     "SolveReport",
     "Machinery",
     "build_machinery",
+    "constant_q_problem",
     "nonlinear_rhs",
     "iterate_fixed_point",
     "fixed_point_solve",
@@ -65,6 +66,17 @@ def build_machinery(n, grid):
     k = kernel_element(n, grid, dtype=np.longdouble)
     return Machinery(grid=grid, n=n, operator=op, kernel=k,
                      projection=make_projection(k))
+
+
+def constant_q_problem(n, r_max, points, target=None):
+    """(machinery, target) of the constant-Q problem on RadialGrid(r_max,
+    points): the assembled machinery and the constant target curvature
+    (default: the hyperbolic Q)."""
+    grid = RadialGrid(r_max, points)
+    machinery = build_machinery(n, grid)
+    if target is None:
+        target = hyperbolic_curvature_report(n).Q_hyp
+    return machinery, TargetCurvature(target, n, grid=grid)
 
 
 class TargetCurvature:

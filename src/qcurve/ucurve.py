@@ -39,10 +39,10 @@ from .grid import RadialFunction, differentiate
 from .indicial import DegenerateOperatorError, u_indicial_spectrum
 from .linear import (BandedFactor, IllConditionedFitError, KernelElement,
                      WindowError, _close_band, _default_window,
-                     _equation_band, _fit_boundary, _hc_sums,
-                     _measure_oscillation, _measured_decay, apply_L, assemble,
-                     factor_banded, generalized_inverse, make_projection,
-                     project_P1, solve_banded)
+                     _equation_band, _fit_boundary, _hc_sums, _measured_decay,
+                     _oscillatory_kernel, apply_L, assemble, factor_banded,
+                     generalized_inverse, make_projection, project_P1,
+                     solve_banded)
 from .nonlinear import (AdmissibilityError, IterationConfig, SolveReport,
                         iterate_fixed_point)
 
@@ -52,6 +52,7 @@ __all__ = [
     "u_nonlinear_rhs",
     "u_linearized_apply",
     "u_kernel_element",
+    "u_kernel_regime",
     "u_fixed_point_solve",
     "u_curvature_conformal",
     "u_e_residual",
@@ -118,6 +119,16 @@ def _nonlin_terms(d1, d2, lap, coth_d1):
             - 2.0 * d1 ** 2 * lap)
 
 
+def _nonlinear_values(wv, d1, d2, lap, cd1, params, target):
+    """T(w) of `u_nonlinear_rhs` from w, its radial derivatives, Lap w and
+    coth(r) w'."""
+    u_base = u_curvature_hyperbolic(params)
+    g6 = 6.0 * params.gamma3
+    return ((target / g6) * (np.expm1(4.0 * wv) - 4.0 * wv)
+            + ((target - u_base) / g6) * (1.0 + 4.0 * wv)
+            - _nonlin_terms(d1, d2, lap, cd1))
+
+
 def _coth_weighted(d1, d2, r):
     """coth(r) w' with its regular limit w''(0) at the origin."""
     out = np.empty_like(d1)
@@ -139,19 +150,15 @@ def u_nonlinear_rhs(w, params, target_u=None):
         raise DegenerateOperatorError(
             "alpha = -1 degenerates the fourth-order family")
     grid = w.grid
-    u_base = u_curvature_hyperbolic(params)
-    target = u_base if target_u is None else float(target_u)
-    g6 = 6.0 * params.gamma3
+    target = (u_curvature_hyperbolic(params) if target_u is None
+              else float(target_u))
     wv = np.asarray(w.values, float)
     d1 = differentiate(wv, grid.h, 1, parity=w.parity)
     d2 = differentiate(wv, grid.h, 2, parity=w.parity)
     lap = laplacian_values(wv, grid, 4, parity=w.parity)
     cd1 = _coth_weighted(d1, d2, grid.r.astype(float))
-    nonlin = _nonlin_terms(d1, d2, lap, cd1)
-    vals = ((target / g6) * (np.expm1(4.0 * wv) - 4.0 * wv)
-            + ((target - u_base) / g6) * (1.0 + 4.0 * wv)
-            - nonlin)
-    return RadialFunction(grid, vals)
+    return RadialFunction(grid, _nonlinear_values(wv, d1, d2, lap, cd1,
+                                                  params, target))
 
 
 def u_linearized_apply(w, params):
@@ -238,7 +245,13 @@ def sigma2_identity_check(params):
 # kernel elements per alpha regime
 
 
-def _regime(alpha):
+# an oscillatory U kernel is fitted over at least this many periods
+OSCILLATORY_PERIODS = 1.25
+
+
+def u_kernel_regime(alpha):
+    """(regime, alpha~) of the T3 kernel: "oscillatory" with frequency
+    |alpha~|, else "real_decaying" (3/2 - alpha~ > 0) or "real_split"."""
     spec = u_indicial_spectrum(alpha)
     at_sq = spec.extras["alpha_tilde_sq"]
     if at_sq < 0.0:
@@ -262,56 +275,31 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
     Lap - 4 is used instead, see u_fixed_point_solve.
     """
     a = float(params.alpha)
-    regime, beta = _regime(a)
+    regime, beta = u_kernel_regime(a)
     if regime == "real_split":
         raise WindowError(
             "alpha = %g: the regular T3 branch grows like x^{%.3f}; the "
             "kernel datum lives on the x^4 branch of the excised-domain "
             "solve" % (a, 1.5 - beta))
     factor = BandedFactor(grid, 4, 1.0 + a, 6.0 * a)
-    vals, _ = factor.shoot_regular(dtype=dtype)
-    window = window or _default_window(grid)
-    spec = u_indicial_spectrum(a)
+    extra = {"alpha": a,
+             "log_terms_possible": u_indicial_spectrum(a).log_terms_possible}
     if regime == "oscillatory":
-        periods = beta * (window[1] - window[0]) / (2.0 * math.pi)
-        if periods < 1.25:
-            raise WindowError(
-                "fit window spans %.2f oscillation periods; need 1.25 "
-                "(increase r_max)" % periods)
-        ca, cb = _fit_boundary(grid.r, vals, window, 1.5, beta)
-        scale = math.hypot(ca, cb)
-        if scale == 0.0:
-            raise IllConditionedFitError(
-                "kernel has no leading oscillation")
-        freq, envelope = _measure_oscillation(grid, vals, 4, window)
-        diagnostics = {
-            "beta_exact": beta,
-            "frequency_measured": freq,
-            "envelope_exponent_exact": 1.5,
-            "envelope_exponent_measured": envelope,
-            "fit_periods": periods,
-            "alpha": a,
-            "log_terms_possible": spec.log_terms_possible,
-        }
-        fit = (ca / scale * amplitude, cb / scale * amplitude)
-    else:
-        mu = 1.5 - beta
-        c, = _fit_boundary(grid.r, vals, window, mu)
-        if c == 0.0:
-            raise IllConditionedFitError("kernel has no x^%g leading "
-                                         "coefficient" % mu)
-        scale = abs(c)
-        diagnostics = {
-            "decay_exact": mu,
-            "decay_measured": _measured_decay(grid, vals),
-            "alpha": a,
-            "log_terms_possible": spec.log_terms_possible,
-        }
-        fit = (math.copysign(amplitude, c), 0.0)
-    base = RadialFunction(grid, np.asarray(vals) / scale)
+        return _oscillatory_kernel(factor, beta, amplitude, window,
+                                   OSCILLATORY_PERIODS, dtype, **extra)
+    vals, _ = factor.shoot_regular(dtype=dtype)
+    window = window or _default_window(grid.r_max)
+    mu = 1.5 - beta
+    c, = _fit_boundary(grid.r, vals, window, mu)
+    if c == 0.0:
+        raise IllConditionedFitError("kernel has no x^%g leading "
+                                     "coefficient" % mu)
+    diagnostics = {"decay_exact": mu,
+                   "decay_measured": _measured_decay(grid, vals), **extra}
     return KernelElement(grid=grid, n=4, amplitude=float(amplitude),
-                         base=base, leading_fit=fit, window_r=window,
-                         diagnostics=diagnostics)
+                         base=RadialFunction(grid, np.asarray(vals) / abs(c)),
+                         leading_fit=(math.copysign(amplitude, c), 0.0),
+                         window_r=window, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +345,13 @@ def _segment_diff(values, h, m):
 
 
 def _segment_rhs(w_seg, r_seg, h, params, target):
-    """T(w) on the excised segment (same terms as u_nonlinear_rhs)."""
-    u_base = u_curvature_hyperbolic(params)
-    g6 = 6.0 * params.gamma3
+    """T(w) on the excised segment, with one-sided derivatives at its inner
+    edge."""
     d1 = _segment_diff(w_seg, h, 1)
     d2 = _segment_diff(w_seg, h, 2)
     lap = d2 + 3.0 / np.tanh(r_seg) * d1
-    cd1 = d1 / np.tanh(r_seg)
-    nonlin = _nonlin_terms(d1, d2, lap, cd1)
-    return ((target / g6) * (np.expm1(4.0 * w_seg) - 4.0 * w_seg)
-            + ((target - u_base) / g6) * (1.0 + 4.0 * w_seg)
-            - nonlin)
+    return _nonlinear_values(w_seg, d1, d2, lap, d1 / np.tanh(r_seg),
+                             params, target)
 
 
 def _even_extension(grid, i0, seg_values, seg_h):
@@ -468,7 +452,7 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
             % (amplitude, cfg.epsilon))
     target = (u_curvature_hyperbolic(params) if target_u is None
               else float(target_u))
-    regime, at = _regime(params.alpha)
+    regime, at = u_kernel_regime(params.alpha)
 
     if amplitude == 0.0 and target == u_curvature_hyperbolic(params):
         w = RadialFunction(grid, np.zeros(grid.n_points))

@@ -11,9 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from qcurve.bessel import (bessel_I_derivatives, bessel_K_derivatives,
-                           model_residual, model_solutions)
-from qcurve.cli import covariance_pair, covariance_residual, main
+from qcurve.cli import main
 from qcurve.expansion import scalar_asymptotic_coefficient, weighted_norm
 from qcurve.geometry import (ConformalFactor, hyperbolic_curvature_report,
                              q_of_conformal)
@@ -27,6 +25,7 @@ from qcurve.nonlinear import (IterationConfig, TargetCurvature,
 from qcurve.ucurve import (DetParams, sigma2_identity_check,
                            u_curvature_conformal, u_curvature_hyperbolic,
                            u_fixed_point_solve, u_kernel_element)
+from qcurve.verify import verify_bessel, verify_covariance
 
 
 def constant_target(machinery):
@@ -103,15 +102,11 @@ def test_criterion_2_curvature_constants(grid1024):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_criterion_3_paneitz_conformal_covariance(n):
-    coarse = RadialGrid(12.0, 2048)
-    fine = RadialGrid(12.0, 4096)
-    coeffs = np.random.default_rng(20260823).uniform(-1.0, 1.0, (10, 2, 3))
-    for cw, cp in coeffs:
-        res = []
-        for g in (coarse, fine):
-            w, phi = covariance_pair(g, cw, cp)
-            res.append(covariance_residual(g, n, w, phi))
-        assert res[0] / res[1] >= 3.5
+    rep = verify_covariance(n, 12.0)
+    assert len(rep["pairs"]) == 10
+    for pair in rep["pairs"]:
+        assert pair["ratio"] >= 3.5
+    assert rep["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +114,15 @@ def test_criterion_3_paneitz_conformal_covariance(n):
 
 
 def test_criterion_4_bessel_layer():
-    factors = (("L1", {"n": 4}),    # order 5/2
-               ("L2", {"n": 4}),    # order i sqrt(15)/2
-               ("L3", {"alpha": -7.0 / 16.0}))  # order sqrt(83/12)
-    for fid, kw in factors:
-        sols = model_solutions(fid, **kw)
-        for sol in sols:
-            assert model_residual(sol, (0.2, 8.0)) < 1e-8
-        order = sols[0].order
-        for t in np.linspace(0.2, 8.0, 30):
-            t = float(t)
-            i0, i1, _ = bessel_I_derivatives(order, t)
-            k0, k1, _ = bessel_K_derivatives(order, t)
-            wr = complex(i0) * complex(k1) - complex(i1) * complex(k0)
-            assert abs(wr + 1.0 / t) < 1e-8
-        ts = np.linspace(5.0, 20.0, 31)
-        li, lk = [], []
-        for t in ts:
-            vi = bessel_I_derivatives(order, float(t))[0]
-            vk = bessel_K_derivatives(order, float(t))[0]
-            li.append(math.log(abs(complex(vi))) + vi.log_scale)
-            lk.append(math.log(abs(complex(vk))) - vk.log_scale)
-        assert (np.diff(li) / np.diff(ts)).min() > 0.5
-        assert (np.diff(lk) / np.diff(ts)).max() < -0.5
+    # L1 of order 5/2, L2 of order i sqrt(15)/2, L3 of order sqrt(83/12)
+    rep = verify_bessel(4)
+    assert sorted(rep["factors"]) == ["L1", "L2", "L3"]
+    for f in rep["factors"].values():
+        assert f["residual_I"] < 1e-8 and f["residual_K"] < 1e-8
+        assert f["wronskian_defect"] < 1e-8
+        assert f["dichotomy_I_min_slope"] > 0.5
+        assert f["dichotomy_K_max_slope"] < -0.5
+    assert rep["passed"]
 
 
 # ---------------------------------------------------------------------------

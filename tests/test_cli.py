@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcurve.cli import (ConfigError, execute, main, parse_config,
+from qcurve.cli import (ConfigError, _build_parser, main, parse_config,
                         write_report)
 
 
@@ -78,6 +78,84 @@ def test_config_file_rejects_non_finite(tmp_path):
     cfg_file.write_text(json.dumps({"amplitude": math.nan}))
     with pytest.raises(ConfigError, match="must be finite"):
         parse_config(["solve", "--config", str(cfg_file)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--r-max", "3"],
+    ["expand", "--r-max", "5"],
+    ["kernel", "--n", "4", "--r-max", "10"],
+    ["sweep", "--r-max", "9"],
+    ["ucurve", "--preset", "D2", "--r-max", "8"],
+    ["verify", "asymptotics", "--r-max", "11"],
+], ids=["solve", "expand", "kernel-n4", "sweep", "ucurve-D2",
+        "verify-asymptotics"])
+def test_parse_rejects_short_fit_window(argv):
+    """An r_max whose default kernel fit window spans too few oscillation
+    periods is a configuration error, found before any machinery."""
+    with pytest.raises(ConfigError, match="oscillation periods"):
+        parse_config(argv)
+
+
+def test_parse_fit_window_needs_no_oscillation_in_real_regimes():
+    # presets A (alpha = 1/2) and P (alpha = -7/16) have real kernels
+    for preset in ("A", "P"):
+        assert parse_config(["ucurve", "--preset", preset,
+                             "--r-max", "3"]).r_max == 3.0
+    assert parse_config(["verify", "bessel", "--r-max", "3"]).r_max == 3.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--points", "32"],
+    ["solve", "--points", "63"],
+    ["ucurve", "--preset", "A", "--points", "48"],
+    ["verify", "asymptotics", "--points", "32"],
+])
+def test_parse_rejects_too_few_points_for_bands(argv, capsys):
+    assert main(argv) == 2
+    assert "at least 64 grid points" in capsys.readouterr().err
+
+
+def test_few_points_allowed_without_bands(tmp_path):
+    assert main(["indicial", "--points", "16", "--out", str(tmp_path)]) == 0
+    assert parse_config(["verify", "bessel", "--points", "16"]).points == 16
+
+
+def test_numerical_failure_exits_1_without_report(tmp_path, capsys):
+    """The real-regime U kernel fit at r_max = 3 is ill-conditioned: a
+    numerical failure of the run (exit 1), not a configuration error."""
+    assert main(["ucurve", "--preset", "A", "--r-max", "3",
+                 "--out", str(tmp_path)]) == 1
+    assert "cannot separate the leading order" in capsys.readouterr().err
+    assert not (tmp_path / "ucurve.json").exists()
+
+
+def test_option_table_builds_parser_and_config_keys(tmp_path):
+    """Each command's flags, and the keys its config file may hold, come
+    from the one option table."""
+    flags = {
+        "indicial": {"n", "alpha"},
+        "kernel": {"n", "preset", "gamma", "amplitude"},
+        "solve": {"n", "amplitude", "epsilon", "tol", "max_iter", "target"},
+        "sweep": {"n", "amplitudes", "epsilon", "tol", "max_iter",
+                  "workers"},
+        "ucurve": {"preset", "gamma", "amplitude", "epsilon", "tol",
+                   "max_iter"},
+        "expand": {"n", "amplitude", "epsilon", "tol", "max_iter"},
+        "verify": {"check", "n"},
+    }
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    for command, own in flags.items():
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+        assert dests == own | {"r_max", "points", "format", "out", "config"}
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"workers": 2, "max_iter": 7}))
+    cfg = parse_config(["sweep", "--config", str(cfg_file)])
+    assert cfg.workers == 2 and cfg.max_iter == 7
+    for key in ("target", "config"):
+        cfg_file.write_text(json.dumps({key: 1.0}))
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            parse_config(["sweep", "--config", str(cfg_file)])
 
 
 def test_parse_preset_aliases():

@@ -13,7 +13,8 @@ from qcurve.linear import (BAND, BandedFactor, WindowError, _close_band,
                            make_projection, project_P1, solve_banded,
                            solve_T1)
 from qcurve.nonlinear import build_machinery
-from qcurve.ucurve import DetParams, _regime, _segment_diff, u_kernel_element
+from qcurve.ucurve import (DetParams, _segment_diff, u_kernel_element,
+                           u_kernel_regime)
 
 
 def even_profile(grid, power=3):
@@ -113,7 +114,7 @@ def test_excised_factor_solves_match_solve_banded(grid2048):
     r = g.r[i0:].astype(float)
     bands = [
         _close_band(_equation_band(g, 4, 1.0 + a, 6.0 * a, i0), g.h,
-                    1.5 + _regime(a)[1], 1.0),
+                    1.5 + u_kernel_regime(a)[1], 1.0),
         _close_band(_equation_band(g, 4, 1.0, -4.0, i0), g.h, 4.0, 1.0)]
     for band in bands:
         factor = factor_banded(band)

@@ -1,12 +1,15 @@
 """Source hygiene that needs no linter: every name a qcurve module imports
-is used in that module."""
+is used in that module, and every function, class and method it defines
+is named somewhere else in the repository."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qcurve"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qcurve"
 # the package __init__ imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -43,3 +46,71 @@ def test_unused_import_scan_finds_them():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source):
+    """Top-level functions and classes and the methods of those classes,
+    dunder names left out."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body
+                      if isinstance(m, ast.FunctionDef)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def references(source):
+    """Every identifier a module names: names, attributes, imported names,
+    and identifiers inside string literals (the benchmark's tracer names
+    its targets in strings), but not in docstrings or `__all__`."""
+    tree = ast.parse(source)
+    skip = {id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            skip.update(id(c) for c in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def unreferenced(defined_in, referencing):
+    """Names defined in the `defined_in` sources that none of the
+    `referencing` sources names."""
+    used = set().union(*(references(s) for s in referencing))
+    return sorted({name for s in defined_in for name in definitions(s)}
+                  - used)
+
+
+def test_dead_code_scan_finds_them():
+    lib = ("__all__ = ['dead']\n"
+           "def dead():\n    'docstring naming traced_by_string'\n"
+           "def called(): pass\n"
+           "class Box:\n    def __len__(self): return 0\n"
+           "    def orphan(self): pass\n    def used(self): pass\n"
+           "def traced_by_string(): pass\n")
+    user = ("from lib import called\n"
+            "Box().used()\n"
+            "TARGETS = ('lib.traced_by_string',)\n")
+    assert unreferenced([lib], [lib, user]) == ["dead", "orphan"]
+
+
+def test_no_dead_code():
+    """Every function, class and method of src/qcurve is named somewhere in
+    src/, tests/ or bench/ besides its definition and `__all__`."""
+    sources = [p.read_text() for d in ("src", "tests", "bench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced([p.read_text() for p in MODULES], sources) == []

@@ -1,0 +1,19 @@
+import math
+
+from qcurve.verify import verify_asymptotics, verify_covariance
+
+
+def test_verify_asymptotics_within_one_percent():
+    rep = verify_asymptotics(12.0, 1024)
+    assert sorted(rep["cases"]) == ["n4", "n5", "n6"]
+    for case in rep["cases"].values():
+        assert case["converged"]
+        assert math.isclose(case["measured"], case["analytic"], rel_tol=0.01)
+    assert rep["passed"]
+
+
+def test_verify_covariance_reports_its_worst_ratio():
+    rep = verify_covariance(6, 12.0)
+    assert rep["n"] == 6
+    assert rep["min_ratio"] == min(p["ratio"] for p in rep["pairs"])
+    assert rep["passed"] == (rep["min_ratio"] >= 3.5)
