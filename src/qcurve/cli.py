@@ -176,9 +176,11 @@ def parse_config(argv):
     configuration, an argparse.Namespace holding `command` and its options.
 
     Option precedence: command-line flag > --config file entry > default.
-    Unknown config-file keys are rejected.  A grid too coarse for the
-    banded solves, or an r_max too short for the kernel fit window, is
-    refused here, before any work.
+    Unknown config-file keys are rejected; file values pass their option's
+    type and choices, as flags do (a JSON null leaves the default).  A
+    grid too coarse for the banded solves, or an r_max too short for the
+    kernel fit window or the covariance window, is refused here, before
+    any work.
     """
     ns = _build_parser().parse_args(argv)
     command = ns.command
@@ -205,6 +207,9 @@ def parse_config(argv):
         raise ConfigError("dimension must be ≥ 4")
     if opts.get("r_max", 1.0) <= 0:
         raise ConfigError("r_max must be positive")
+    if opts.get("check") == "covariance" and opts["r_max"] <= 2:
+        raise ConfigError("verify covariance compares on [1, r_max - 1]; "
+                          "r_max must exceed 2")
     if opts.get("points", 16) < 16:
         raise ConfigError("need at least 16 grid points")
     for key in ("epsilon", "tol"):
@@ -252,7 +257,25 @@ def _read_config_file(path, command, allowed):
     if unknown:
         raise ConfigError("unknown config keys for %s: %s"
                           % (command, ", ".join(unknown)))
-    return file_opts
+    return {key: _file_value(key, value) for key, value in file_opts.items()
+            if value is not None}
+
+
+def _file_value(key, value):
+    """A config-file value through its option's type and choices, as
+    argparse treats the flag's text: "1024" and 1024 both give int 1024,
+    while 5.5 or true for an int option is refused."""
+    opt = _OPTIONS[key]
+    if opt.type is not None:
+        try:
+            value = opt.type(str(value))
+        except ValueError:
+            raise ConfigError("config key %s: invalid %s value %r"
+                              % (key, opt.type.__name__, value))
+    if opt.choices is not None and value not in opt.choices:
+        raise ConfigError("config key %s: invalid choice %r (choose from %s)"
+                          % (key, value, ", ".join(opt.choices)))
+    return value
 
 
 def _check_fit_window(command, opts):

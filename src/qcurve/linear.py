@@ -19,7 +19,6 @@ projection exists; see the fit-window notes on ProjectionP1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ __all__ = [
     "apply_L",
     "solve_T1",
     "generalized_inverse",
+    "decay_diagnostics",
     "project_P1",
     "make_projection",
 ]
@@ -643,29 +643,38 @@ def _measured_decay(grid, values, span=3.0):
                              np.log(mags + floor), 1)[0])
 
 
+def decay_diagnostics(grid, values):
+    """Report notes on data for G decaying like x^mu too slowly: mu <= 0
+    is non-decaying data; 0.05 < |mu|, mu < 0.5 leaves an O(x^mu) residual
+    at the T1 Robin closure, which absorbs only constant-like tails exactly
+    (through its particular-solution shift)."""
+    mags = np.abs(np.asarray(values, float))
+    # the gate separates rounding-level tails (iterates of a converged
+    # contraction carry ~1e-10 relative noise there) from genuinely slow
+    # decay, whose tail/head ratio is at least x^0.5(r_max) ~ 2.5e-3
+    tail = mags[grid.window_mask(grid.r_max - 3.0, grid.r_max)]
+    if not tail.max() > 1e-8 * mags.max():
+        return []
+    mu = _measured_decay(grid, values)
+    notes = []
+    if mu <= 0.0:
+        notes.append("generalized inverse applied to non-decaying data")
+    if mu < 0.5 and abs(mu) > 0.05:
+        notes.append("T1 data decays like x^%.3f; the Robin closure at "
+                     "r_max = %g carries an O(x^%.3f) boundary-condition "
+                     "residual" % (mu, grid.r_max, max(mu, 0.0)))
+    return notes
+
+
 def solve_T1(op, f):
     """The unique decaying solution of T1 v = f: regular at the origin,
     outer Robin row v' + robin v = 0 selecting the x^robin branch over the
-    growing x^{-1} branch.  Slowly decaying data is solved anyway, with the
-    measured decay reported in a warning."""
+    growing x^{-1} branch.  Slowly decaying data is solved anyway; see
+    `decay_diagnostics`."""
     if f.grid != op.grid:
         raise ValueError("data does not live on the operator's grid")
     if np.all(f.values == 0.0):
         return RadialFunction(op.grid, np.zeros(op.grid.n_points))
-    mu = _measured_decay(op.grid, f.values)
-    tail_sup = float(np.abs(np.asarray(f.values, float)[
-        op.grid.window_mask(op.grid.r_max - 3.0, op.grid.r_max)]).max())
-    head_sup = float(np.abs(np.asarray(f.values, float)).max())
-    # the gate separates rounding-level tails (iterates of a converged
-    # contraction carry ~1e-10 relative noise there) from genuinely slow
-    # decay, whose tail/head ratio is at least x^0.5(r_max) ~ 2.5e-3
-    if mu < 0.5 and abs(mu) > 0.05 and tail_sup > 1e-8 * head_sup:
-        # constant-like tails (mu ~ 0) are absorbed exactly by the Robin
-        # row's particular-solution shift; genuinely slow decay is not
-        warnings.warn(
-            "T1 data decays like x^%.3f; the Robin closure at r_max = %g "
-            "carries an O(x^%.3f) boundary-condition residual"
-            % (mu, op.grid.r_max, max(mu, 0.0)), stacklevel=2)
     v = op.t1.solve_robin(f.values, op.robin)
     return RadialFunction(op.grid, v)
 
@@ -682,13 +691,6 @@ def generalized_inverse(op, f, proj):
         raise ValueError("data does not live on the operator's grid")
     if np.all(f.values == 0.0):
         return RadialFunction(op.grid, np.zeros(op.grid.n_points))
-    fv = np.asarray(f.values, float)
-    tail_sup = float(np.abs(fv[op.grid.window_mask(
-        op.grid.r_max - 3.0, op.grid.r_max)]).max())
-    if _measured_decay(op.grid, f.values) <= 0.0 \
-            and tail_sup > 1e-8 * float(np.abs(fv).max()):
-        warnings.warn("generalized inverse applied to non-decaying data",
-                      stacklevel=2)
     v = solve_T1(op, f)
     w = RadialFunction(op.grid, op.t2.solve_anchored(v.values, *proj.anchor))
     return w - project_P1(proj, w).profile

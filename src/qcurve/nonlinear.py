@@ -9,12 +9,14 @@ u or proportional to the deviation f - Q_g, and G is the generalized
 inverse of the factored linear operator with the kernel component projected
 out.  The limit u = u1 + u2 solves the prescribed-curvature equation with
 P1 u = u1, so distinct amplitudes parametrize distinct solutions.
+`projected_contraction` runs this scheme for any factored operator and
+right-hand side: the constant-Q solve here and the U-curvature solve of
+`qcurve.ucurve` share it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +26,8 @@ from .geometry import (PositivityError, check_dimension,
                        hyperbolic_curvature_report, paneitz_values)
 from .grid import RadialFunction, RadialGrid
 from .linear import (FactoredOperator, KernelElement, ProjectionP1, assemble,
-                     generalized_inverse, kernel_element, make_projection,
-                     project_P1)
+                     decay_diagnostics, generalized_inverse, kernel_element,
+                     make_projection, project_P1)
 
 __all__ = [
     "TargetCurvature",
@@ -36,6 +38,8 @@ __all__ = [
     "constant_q_problem",
     "nonlinear_rhs",
     "iterate_fixed_point",
+    "solve_report",
+    "projected_contraction",
     "fixed_point_solve",
     "guarded_solve",
     "e_residual",
@@ -86,9 +90,9 @@ class TargetCurvature:
     RadialFunction; the deviation f - Q_g must decay like x^nu with
     nu in ((n-1)/4, (n-1)/2) — the window on which the projected linear
     theory is invertible.  The measured weighted deviation norm is stored;
-    a deviation that fails to decay at rate nu triggers a warning, not an
-    error, since constants sharper than the a-priori ones may still admit
-    the contraction.
+    a deviation that fails to decay at rate nu is noted in `diagnostics`,
+    which every solve on this target reports, not refused, since constants
+    sharper than the a-priori ones may still admit the contraction.
     """
 
     def __init__(self, f, n, nu=None, grid=None):
@@ -117,16 +121,16 @@ class TargetCurvature:
         self.deviation_norm = float(weighted.max())
         # decay check on the outer half: the weighted deviation must not
         # keep growing into the boundary
+        self.diagnostics = []
         half = r >= self.grid.r_max / 2.0
         tail = weighted[half]
         if tail.size and self.deviation_norm > 0:
             third = max(1, tail.size // 3)
             if tail[-third:].max() > 2.0 * tail[:third].max() + 1e-300:
-                warnings.warn(
+                self.diagnostics.append(
                     "target deviation f - Q_g does not decay like x^%.3g; "
                     "measured weighted norm %.3g keeps growing toward the "
-                    "boundary" % (self.nu, self.deviation_norm),
-                    stacklevel=2)
+                    "boundary" % (self.nu, self.deviation_norm))
 
     @property
     def is_constant_target(self):
@@ -139,16 +143,16 @@ class IterationConfig:
     """Contraction-iteration knobs.
 
     epsilon bounds the kernel amplitude, tol stops the iteration on the
-    sup-norm of increments, nu is the diagnostic weight.  The classical
+    sup-norm of increments, max_iter on the number of maps.  The classical
     smallness inequality (a constant times epsilon times the target norm
-    below 1) is checked with measured constants and reported as a warning
-    only: the measured constants are sharper than the a-priori ones.
+    below 1) is evaluated with measured constants and reported as the
+    report's `smallness_margin`, not enforced: the measured constants are
+    sharper than the a-priori ones.
     """
 
     epsilon: float = 1e-3
     tol: float = 1e-10
     max_iter: int = 50
-    nu: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -172,24 +176,15 @@ class SolveReport:
     smallness_margin: float = math.nan
     pairwise_distances: list[float] | None = None
     excised_r0: float | None = None
+    diagnostics: list[str] = field(default_factory=list)
 
     def to_dict(self):
-        d = {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "contraction_ratios": list(self.contraction_ratios),
-            "residual": self.residual,
-            "amplitude": self.amplitude,
-            "fitted_amplitude": self.fitted_amplitude,
-            "message": self.message,
-            "smallness_margin": self.smallness_margin,
-        }
+        """The fields not left None; `diagnostics` only when non-empty."""
+        d = {k: v for k, v in vars(self).items() if v is not None}
         if self.expansion is not None:
             d["expansion"] = self.expansion.to_dict()
-        if self.pairwise_distances is not None:
-            d["pairwise_distances"] = list(self.pairwise_distances)
-        if self.excised_r0 is not None:
-            d["excised_r0"] = self.excised_r0
+        if not self.diagnostics:
+            del d["diagnostics"]
         return d
 
 
@@ -261,16 +256,13 @@ def _measured_smallness(machinery, f, epsilon):
     the norm of f enters through the hyperbolic background value.  A margin
     below 1 is the classical sufficient condition; larger values, common
     for converging solves, only mean the a-priori estimate is inconclusive."""
-    n = machinery.n
     zero = RadialFunction(machinery.grid,
                           np.zeros(machinery.grid.n_points))
-    a = epsilon
-    t_a = nonlinear_rhs(machinery.kernel.with_amplitude(a), zero, f, n)
+    t_a = nonlinear_rhs(machinery.kernel.with_amplitude(epsilon), zero, f,
+                        machinery.n)
     sup_k = float(np.abs(machinery.kernel.profile.values).max())
-    sup_t = float(np.abs(t_a.values).max())
-    c_meas = sup_t / (a * sup_k) ** 2 if a > 0 else 0.0
-    f_norm = float(np.abs(f.f.values).max())
-    return 16.0 * c_meas * epsilon * f_norm
+    c_meas = float(np.abs(t_a.values).max()) / (epsilon * sup_k) ** 2
+    return 16.0 * c_meas * epsilon * float(np.abs(f.f.values).max())
 
 
 def iterate_fixed_point(update, u2, cfg):
@@ -294,59 +286,84 @@ def iterate_fixed_point(update, u2, cfg):
     return u2, False, cfg.max_iter, ratios
 
 
-def fixed_point_solve(amplitude, f, cfg, machinery):
-    """Iterate u2 <- G T(u1 + u2) from u2 = 0 with u1 = amplitude k-hat.
+def check_amplitude(amplitude, cfg):
+    """AdmissibilityError unless |amplitude| <= cfg.epsilon."""
+    if abs(amplitude) > cfg.epsilon:
+        raise AdmissibilityError(
+            "kernel amplitude %g exceeds the configured bound %g"
+            % (amplitude, cfg.epsilon))
 
-    Returns (report, u) where u = u1 + u2.  On convergence the re-fitted
-    kernel projection of u reproduces `amplitude` (the parametrization is
-    by the kernel datum) and the equation residual is re-verified through
-    the independent conformal-curvature evaluation.
+
+def drift_bound(amplitude):
+    """How far a converged solve's re-fitted kernel datum may sit from the
+    prescribed `amplitude`."""
+    return 1e-6 * abs(amplitude) + 1e-10
+
+
+def solve_report(cfg, converged, amplitude, fitted, **fields):
+    """SolveReport of a solve under `cfg` with the shared verdict: a
+    converged solve whose re-fitted datum `fitted` misses `amplitude` by
+    more than `drift_bound` has failed."""
+    message = "" if converged else (
+        "no convergence in %d iterations" % cfg.max_iter)
+    if converged and abs(fitted - amplitude) > drift_bound(amplitude):
+        converged = False
+        message = ("kernel projection drifted: fitted amplitude %g vs "
+                   "prescribed %g" % (fitted, amplitude))
+    return SolveReport(converged=converged, amplitude=float(amplitude),
+                       fitted_amplitude=float(fitted), message=message,
+                       **fields)
+
+
+def projected_contraction(amplitude, cfg, machinery, rhs, residual):
+    """(report, u): iterate u2 <- G T(u1 + u2) from u2 = 0, u1 = amplitude
+    k-hat, on the machinery's operator, kernel and projection.
+
+    `rhs(u1, u2)` is T(u1 + u2) from the value arrays of u1 (extended
+    precision) and u2 (double), so each family picks where the sum is
+    rounded; `residual(u)` is the family's equation residual.  u = u1 + u2
+    stays in extended precision: rounding u1 seeds noise that residuals
+    amplify by 1/h^4.  The report holds the re-fitted kernel datum and the
+    `decay_diagnostics` of the last right-hand side G was applied to."""
+    check_amplitude(amplitude, cfg)
+    grid = machinery.grid
+    u1 = np.asarray(machinery.kernel.with_amplitude(amplitude).profile.values)
+    data = None
+
+    def update(u2):
+        nonlocal data
+        data = rhs(u1, u2)
+        return generalized_inverse(machinery.operator, data,
+                                   machinery.projection).values
+
+    u2, converged, iterations, ratios = iterate_fixed_point(
+        update, np.zeros(grid.n_points), cfg)
+    u = RadialFunction(grid, u1 + u2)
+    return solve_report(
+        cfg, converged, amplitude,
+        project_P1(machinery.projection, u).amplitude,
+        iterations=iterations, contraction_ratios=ratios,
+        residual=residual(u),
+        diagnostics=decay_diagnostics(grid, data.values)), u
+
+
+def fixed_point_solve(amplitude, f, cfg, machinery):
+    """(report, u) of the constant / prescribed Q-curvature metric with
+    kernel datum `amplitude` (`projected_contraction`); the report adds the
+    smallness margin, the boundary expansion and the target's diagnostics.
     """
     n = machinery.n
     grid = machinery.grid
     if f.grid != grid:
         raise ValueError("target curvature lives on a different grid")
-    if abs(amplitude) > cfg.epsilon:
-        raise AdmissibilityError(
-            "kernel amplitude %g exceeds the configured bound %g"
-            % (amplitude, cfg.epsilon))
-    margin = _measured_smallness(machinery, f, cfg.epsilon)
-
-    u1 = machinery.kernel.with_amplitude(amplitude)
-    # keep the kernel part in its extended precision: rounding it to double
-    # seeds pointwise noise that the residual evaluation amplifies by 1/h^4
-    u1v = np.asarray(u1.profile.values)
-
-    def update(u2):
-        rhs = nonlinear_rhs(u1, RadialFunction(grid, u2), f, n)
-        return generalized_inverse(machinery.operator, rhs,
-                                   machinery.projection).values
-
-    u2, converged, iterations, ratios = iterate_fixed_point(
-        update, np.zeros(grid.n_points), cfg)
-    message = "" if converged else (
-        "no convergence in %d iterations; ratio trace signals epsilon too "
-        "large for the measured constants" % cfg.max_iter)
-
-    u = RadialFunction(grid, u1v + u2)
-    fitted = project_P1(machinery.projection, u).amplitude
-    residual = e_residual(u, f, n)
-    expansion = fit_leading(u, n) if amplitude != 0 else None
-    report = SolveReport(
-        converged=converged,
-        iterations=iterations,
-        contraction_ratios=ratios,
-        residual=residual,
-        amplitude=float(amplitude),
-        fitted_amplitude=float(fitted),
-        expansion=expansion,
-        message=message,
-        smallness_margin=margin,
-    )
-    if converged and abs(fitted - amplitude) > 1e-6 * abs(amplitude) + 1e-10:
-        report.converged = False
-        report.message = ("kernel projection drifted: fitted amplitude %g "
-                          "vs prescribed %g" % (fitted, amplitude))
+    report, u = projected_contraction(
+        amplitude, cfg, machinery,
+        lambda u1, u2: nonlinear_rhs(RadialFunction(grid, u1),
+                                     RadialFunction(grid, u2), f, n),
+        lambda u: e_residual(u, f, n))
+    report.smallness_margin = _measured_smallness(machinery, f, cfg.epsilon)
+    report.expansion = fit_leading(u, n) if amplitude != 0 else None
+    report.diagnostics = f.diagnostics + report.diagnostics
     return report, u
 
 

@@ -20,10 +20,11 @@ On radial profiles the tensor contractions reduce to
     Ric(grad w, grad w) = -3 (w')^2,     Ric_ij w_ij = -3 Lap w,
 
 verified in the tests against finite-difference evaluations of the full
-coordinate expressions.  The fixed-point solver mirrors the constant-Q
-scheme, with three qualitatively different kernel regimes depending on
-alpha (oscillatory, integer-root, and real-split with no regular decaying
-kernel; the last is solved on an origin-excised domain).
+coordinate expressions.  The fixed-point solver is the constant-Q
+scheme (`nonlinear.projected_contraction`), with three qualitatively
+different kernel regimes depending on alpha (oscillatory, integer-root,
+and real-split with no regular decaying kernel; the last is solved on an
+origin-excised domain).
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from .linear import (BandedFactor, IllConditionedFitError, KernelElement,
                      WindowError, _close_band, _default_window,
                      _equation_band, _fit_boundary, _hc_sums, _measured_decay,
                      _oscillatory_kernel, apply_L, assemble, factor_banded,
-                     generalized_inverse, make_projection, project_P1,
-                     solve_banded)
-from .nonlinear import (AdmissibilityError, IterationConfig, SolveReport,
-                        iterate_fixed_point)
+                     make_projection, solve_banded)
+from .nonlinear import (IterationConfig, Machinery, check_amplitude,
+                        drift_bound, iterate_fixed_point,
+                        projected_contraction, solve_report)
 
 __all__ = [
     "DetParams",
@@ -303,31 +304,6 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
 
 
 # ---------------------------------------------------------------------------
-# solves: oscillatory / integer-root regimes on the full ball
-
-
-def _solve_full_ball(amplitude, params, cfg, grid, target):
-    op = assemble(grid, alpha=params.alpha)
-    kernel = u_kernel_element(params, grid, dtype=np.longdouble)
-    # the projection fits the kernel's oscillatory pair, or in the real
-    # regime its x^mu coefficient
-    proj = make_projection(kernel)
-    w1v = np.asarray(kernel.with_amplitude(amplitude).profile.values)
-
-    def update(w2):
-        return generalized_inverse(op, u_nonlinear_rhs(
-            RadialFunction(grid, w1v + w2), params, target), proj).values
-
-    w2, converged, iterations, ratios = iterate_fixed_point(
-        update, np.zeros(grid.n_points), cfg)
-    message = ("" if converged
-               else "no convergence in %d iterations" % cfg.max_iter)
-    w = RadialFunction(grid, w1v + w2)
-    return w, converged, iterations, ratios, project_P1(proj, w).amplitude, \
-        message, kernel
-
-
-# ---------------------------------------------------------------------------
 # split regime: origin-excised solve on the x^4 branch
 
 
@@ -403,7 +379,6 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
 
     a_eff = float(amplitude)
     ratios, iterations_total = [], 0
-    converged, message = False, ""
     w2 = np.zeros(len(r_seg))
     fitted = math.nan
     for _ in range(5):
@@ -414,18 +389,21 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
         iterations_total += iterations
         ratios += trace
         if not converged:
-            message = "no convergence in %d iterations" % cfg.max_iter
             break
         fitted, = _fit_boundary(r_seg, w1 + w2, fit_window, 4.0)
         miss = fitted - amplitude
-        if abs(miss) <= 0.25 * (1e-6 * abs(amplitude) + 1e-10):
+        if abs(miss) <= 0.25 * drift_bound(amplitude):
             break
         a_eff -= miss                     # renormalize the kernel datum
     w_seg = a_eff * k4 + w2
     filler = _even_extension(grid, i0, w_seg, h)
-    w_full = RadialFunction(grid, np.concatenate([filler, w_seg]))
-    return w_full, converged, iterations_total, ratios, fitted, message, \
-        float(grid.r[i0])
+    w = RadialFunction(grid, np.concatenate([filler, w_seg]))
+    r0 = float(grid.r[i0])
+    return solve_report(
+        cfg, converged, amplitude, fitted, iterations=iterations_total,
+        contraction_ratios=ratios, excised_r0=r0,
+        residual=u_e_residual(w, params, target,
+                              window=(r0 + 0.5, grid.r_max - 0.5))), w
 
 
 def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
@@ -433,7 +411,7 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
     """Constant-U-curvature metric with kernel datum `amplitude`.
 
     Dispatch on the kernel regime of alpha: oscillatory (the constant-Q
-    machinery verbatim), real integer-root (rank-one leading-coefficient
+    scheme verbatim), real integer-root (rank-one leading-coefficient
     projection; possible log terms are reported, not asserted), or real
     split (alpha = -7/16 class: the x^4 branch of Lap - 4 carries the
     datum and the problem is solved on an origin-excised domain, since the
@@ -446,48 +424,25 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
         cfg = IterationConfig()
     if grid is None:
         raise ValueError("supply the grid to solve on")
-    if abs(amplitude) > cfg.epsilon:
-        raise AdmissibilityError(
-            "kernel amplitude %g exceeds the configured bound %g"
-            % (amplitude, cfg.epsilon))
+    check_amplitude(amplitude, cfg)
     target = (u_curvature_hyperbolic(params) if target_u is None
               else float(target_u))
     regime, at = u_kernel_regime(params.alpha)
-
-    if amplitude == 0.0 and target == u_curvature_hyperbolic(params):
-        w = RadialFunction(grid, np.zeros(grid.n_points))
-        report = SolveReport(converged=True, iterations=1,
-                             contraction_ratios=[], residual=0.0,
-                             amplitude=0.0, fitted_amplitude=0.0,
-                             message="zero kernel datum")
-        return report, w
-
-    excised_r0 = None
     if regime == "real_split":
-        w, converged, iterations, ratios, fitted, message, excised_r0 = \
-            _solve_excised(amplitude, params, cfg, grid, target, at)
-        residual = u_e_residual(w, params, target,
-                                window=(excised_r0 + 0.5, grid.r_max - 0.5))
-    else:
-        w, converged, iterations, ratios, fitted, message, kernel = \
-            _solve_full_ball(amplitude, params, cfg, grid, target)
-        residual = u_e_residual(w, params, target)
-        if kernel.diagnostics.get("log_terms_possible") and not message:
-            message = ("integer-separated indicial roots: log(x) terms "
-                       "possible in the boundary expansion")
+        return _solve_excised(amplitude, params, cfg, grid, target, at)
 
-    report = SolveReport(
-        converged=converged,
-        iterations=iterations,
-        contraction_ratios=ratios,
-        residual=residual,
-        amplitude=float(amplitude),
-        fitted_amplitude=float(fitted),
-        message=message,
-        excised_r0=excised_r0,
-    )
-    if converged and abs(fitted - amplitude) > 1e-6 * abs(amplitude) + 1e-10:
-        report.converged = False
-        report.message = ("kernel datum drifted: fitted %g vs prescribed %g"
-                          % (fitted, amplitude))
+    kernel = u_kernel_element(params, grid, dtype=np.longdouble)
+    # the projection fits the kernel's oscillatory pair, or in the real
+    # regime its x^mu coefficient
+    machinery = Machinery(grid=grid, n=4,
+                          operator=assemble(grid, alpha=params.alpha),
+                          kernel=kernel, projection=make_projection(kernel))
+    report, w = projected_contraction(
+        amplitude, cfg, machinery,
+        lambda w1, w2: u_nonlinear_rhs(RadialFunction(grid, w1 + w2),
+                                       params, target),
+        lambda w: u_e_residual(w, params, target))
+    if kernel.diagnostics.get("log_terms_possible") and not report.message:
+        report.message = ("integer-separated indicial roots: log(x) terms "
+                          "possible in the boundary expansion")
     return report, w

@@ -24,7 +24,7 @@ from qcurve.nonlinear import (IterationConfig, TargetCurvature,
                               sweep_family)
 from qcurve.ucurve import (DetParams, sigma2_identity_check,
                            u_curvature_conformal, u_curvature_hyperbolic,
-                           u_fixed_point_solve, u_kernel_element)
+                           u_fixed_point_solve)
 from qcurve.verify import verify_bessel, verify_covariance
 
 

@@ -1,12 +1,10 @@
-import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from qcurve.bessel import (SCALE_THRESHOLD, BesselValue, bessel_I,
-                           bessel_I_derivatives, bessel_K,
+from qcurve.bessel import (bessel_I, bessel_I_derivatives, bessel_K,
                            bessel_K_derivatives, model_operator,
                            model_residual, model_solutions)
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +208,39 @@ def test_config_file_command_mismatch(tmp_path):
         parse_config(["solve", "--config", str(cfg_file)])
 
 
+@pytest.mark.parametrize("value", [1024, "1024"], ids=["number", "text"])
+def test_config_file_values_take_the_option_type(value, tmp_path):
+    """File values go through the option's type, as flag text does."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"points": value, "tol": "1e-9",
+                                    "format": "csv", "target": None}))
+    cfg = parse_config(["solve", "--config", str(cfg_file)])
+    assert cfg.points == 1024 and type(cfg.points) is int
+    assert cfg.tol == 1e-9 and cfg.format == "csv" and cfg.target is None
+
+
+@pytest.mark.parametrize("entry", [
+    {"n": 5.5}, {"n": True}, {"points": "many"}, {"tol": [1e-9]},
+    {"format": "xml"}, {"max_iter": "1.5"},
+], ids=["n-float", "n-bool", "points-text", "tol-list", "format-choice",
+        "max_iter-text"])
+def test_config_file_rejects_mistyped_values(entry, tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(entry))
+    assert main(["solve", "--config", str(cfg_file),
+                 "--out", str(tmp_path)]) == 2
+    assert "config key %s" % next(iter(entry)) in capsys.readouterr().err
+    assert not (tmp_path / "solve.json").exists()
+
+
+@pytest.mark.parametrize("r_max", ["2", "1.5"])
+def test_verify_covariance_refuses_an_empty_window(r_max, tmp_path, capsys):
+    """The comparison window [1, r_max - 1] needs r_max > 2."""
+    assert main(["verify", "covariance", "--r-max", r_max,
+                 "--out", str(tmp_path)]) == 2
+    assert "r_max must exceed 2" in capsys.readouterr().err
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCURVE_OUT", str(tmp_path))
     assert main(["indicial", "--n", "4"]) == 0
@@ -288,6 +325,27 @@ def test_solve_max_iter_exhausted(tmp_path):
     assert data["converged"] is False
     assert data["iterations"] == 1
     assert data["message"]
+
+
+def test_solve_reports_diagnostics_not_warnings(tmp_path):
+    """A non-hyperbolic constant target neither decays nor converges: the
+    run exits 1 with a quiet stderr, even with warnings as errors, and the
+    report names the target deviation and the right-hand side."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qcurve.cli", "solve", "--n",
+         "5", "--target", "13.1", "--points", "1024", "--out",
+         str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    data = json.loads((tmp_path / "solve.json").read_text())
+    assert data["converged"] is False
+    assert data["message"] == "no convergence in 50 iterations"
+    first, second = data["diagnostics"]
+    assert first.startswith("target deviation f - Q_g does not decay")
+    assert second == "generalized inverse applied to non-decaying data"
 
 
 def test_solve_csv_columns(tmp_path):

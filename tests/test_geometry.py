@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from qcurve.geometry import (ConformalFactor, DimensionError, PositivityError,
                              laplacian_radial, laplacian_values,
                              paneitz_values, q_of_conformal,
                              scalar_of_conformal)
-from qcurve.grid import RadialFunction, RadialGrid, differentiate
+from qcurve.grid import RadialFunction, differentiate
 
 
 def zero_on(grid):

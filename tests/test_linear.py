@@ -8,7 +8,8 @@ from qcurve.geometry import laplacian_values
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
 from qcurve.linear import (BAND, BandedFactor, WindowError, _close_band,
-                           _equation_band, apply_L, assemble, factor_banded,
+                           _equation_band, apply_L, assemble,
+                           decay_diagnostics, factor_banded,
                            generalized_inverse, kernel_element,
                            make_projection, project_P1, solve_banded,
                            solve_T1)
@@ -352,6 +353,24 @@ def test_solve_T1_inverts_factor(machinery5):
         < 1e-7 * scale
     # the decaying branch was selected: the solution dies at the boundary
     assert np.abs(v.values[-10:]).max() < 1e-6 * np.abs(v.values).max()
+
+
+@pytest.mark.parametrize("mu, notes", [
+    (None, []), (2.0, []),
+    (-0.02, ["generalized inverse applied to non-decaying data"]),
+    (0.3, ["T1 data decays like x^0.300"]),
+    (-0.2, ["generalized inverse applied to non-decaying data",
+            "T1 data decays like x^-0.200"]),
+])
+def test_decay_diagnostics(mu, notes, grid1024):
+    """Data x^mu near the boundary: zero data and fast decay pass quietly,
+    a constant-like tail is noted for G only (the Robin row absorbs it),
+    slow decay for T1, growth for both."""
+    r = grid1024.r.astype(float)
+    values = np.zeros_like(r) if mu is None else np.exp(-mu * r)
+    got = decay_diagnostics(grid1024, values)
+    assert len(got) == len(notes)
+    assert all(g.startswith(want) for g, want in zip(got, notes))
 
 
 def test_grid_mismatch_rejected(machinery4, grid1024):

@@ -6,7 +6,7 @@ import pytest
 from qcurve.geometry import (ConformalFactor, PositivityError,
                              hyperbolic_curvature_report, q_of_conformal)
 from qcurve import linear
-from qcurve.grid import RadialFunction, RadialGrid
+from qcurve.grid import RadialFunction
 from qcurve.linear import apply_L
 from qcurve.nonlinear import (AdmissibilityError, IterationConfig,
                               TargetCurvature, build_machinery, e_residual,
@@ -53,11 +53,14 @@ def test_target_deviation_norm(grid1024):
 
 
 def test_target_slow_decay_warns(grid1024):
+    """A slowly decaying deviation is noted in the target's diagnostics,
+    which its solves report, not raised as a warning."""
     g = grid1024
     r = g.r.astype(float)
     f = RadialFunction(g, 3.0 + 0.1 * np.exp(-0.5 * r))
-    with pytest.warns(UserWarning, match="does not decay"):
-        TargetCurvature(f, 4)
+    note, = TargetCurvature(f, 4).diagnostics
+    assert "does not decay" in note
+    assert TargetCurvature(3.0, 4, grid=g).diagnostics == []
 
 
 def test_iteration_config_validation():
@@ -177,6 +180,16 @@ def test_small_amplitude_solve_is_quiet(n, amplitude, machinery_4096):
                                   IterationConfig(), m)
     assert report.converged
     assert report.residual < 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_small_amplitude_solve_reports_no_diagnostics(n, machinery_4096):
+    """The tail of T(u) at a^2 size is rounding, not slow decay: a default
+    solve's report carries no diagnostics and serializes none."""
+    report, _ = fixed_point_solve(5e-5, constant_target(machinery_4096[n]),
+                                  IterationConfig(), machinery_4096[n])
+    assert report.diagnostics == []
+    assert "diagnostics" not in report.to_dict()
 
 
 def test_bands_factored_once_per_machinery(monkeypatch, grid2048):

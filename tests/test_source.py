@@ -1,6 +1,7 @@
-"""Source hygiene that needs no linter: every name a qcurve module imports
-is used in that module, and every function, class and method it defines
-is named somewhere else in the repository."""
+"""Source hygiene that needs no linter: every name a qcurve or test module
+imports is used in that module, every function, class and method qcurve
+defines is named somewhere else in the repository, and the library neither
+warns nor prints (diagnostics go into reports, output through the CLI)."""
 
 import ast
 import pathlib
@@ -12,6 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcurve"
 # the package __init__ imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -43,9 +45,38 @@ def test_unused_import_scan_finds_them():
     assert unused_imports(src) == ["pi", "system"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def warns_or_prints(source):
+    """(imports `warnings`, calls `print`) for a module's source."""
+    tree = ast.parse(source)
+    imports = any(
+        (isinstance(node, ast.Import)
+         and any(a.name.split(".")[0] == "warnings" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "warnings")
+        for node in ast.walk(tree))
+    prints = any(isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "print" for node in ast.walk(tree))
+    return imports, prints
+
+
+def test_warns_or_prints_scan_finds_them():
+    assert warns_or_prints("import warnings.x\nprint(1)\n") == (True, True)
+    assert warns_or_prints("from warnings import warn\n") == (True, False)
+    assert warns_or_prints("log.print(1)\n") == (False, False)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_neither_warns_nor_prints(path):
+    """No qcurve module imports `warnings`, and only cli.py prints."""
+    imports, prints = warns_or_prints(path.read_text())
+    assert not imports
+    assert not prints or path.name == "cli.py"
 
 
 def definitions(source):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcurve.grid import RadialFunction, RadialGrid, differentiate
+from qcurve.grid import RadialFunction, differentiate
 from qcurve.indicial import DegenerateOperatorError
 from qcurve.linear import BandedFactor, WindowError, _hc_sums
 from qcurve.nonlinear import AdmissibilityError, IterationConfig
