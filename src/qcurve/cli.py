@@ -186,7 +186,9 @@ def parse_config(argv):
     command = ns.command
     allowed = [key for key, opt in _OPTIONS.items()
                if command in opt.commands and key != "config"]
-    file_opts = _read_config_file(ns.config, command, allowed) \
+    # verify's positional check always wins, so a file may not set it
+    file_opts = _read_config_file(
+        ns.config, command, [key for key in allowed if key != "check"]) \
         if ns.config else {}
     opts = {}
     for key in allowed:
@@ -492,7 +494,8 @@ def _run_expand(cfg):
                               _iteration_config(cfg), machinery)
     if not report.converged:
         return {"n": cfg.n, **report.to_dict()}, None, EXIT_SOLVER
-    fit = fit_leading(u, cfg.n)
+    # the solve has fitted the expansion already, unless the amplitude is 0
+    fit = report.expansion or fit_leading(u, cfg.n)
     nu_half = (cfg.n - 1) / 2.0
     norms = {"nu_sub": 0.9 * nu_half,
              "norm_sub": weighted_norm(u, 0.9 * nu_half),

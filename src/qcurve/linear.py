@@ -18,11 +18,13 @@ projection exists; see the fit-window notes on ProjectionP1).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import check_dimension, laplacian_values
 from .grid import RadialFunction, RadialGrid, stencil_weights
@@ -211,6 +213,30 @@ def _close_band(ab, h, value, slope):
                                              / h)
     ab[_U_BAND, i] += value
     return ab
+
+
+def _banded_lapack():
+    """dgbtrf and dgbtrs from scipy's `_flapack` extension file, found by
+    `find_spec` without running scipy's __init__ (scipy.linalg's package
+    init is most of a cold start): the Fortran routines scipy.linalg.lapack
+    re-exports, which the public import gives when the file will not load."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None:
+        spec = importlib.util.spec_from_file_location(
+            "scipy.linalg._flapack", os.path.join(
+                scipy.submodule_search_locations[0], "linalg",
+                "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]))
+        try:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dgbtrf, flapack.dgbtrs
+        except ImportError:
+            pass
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    return dgbtrf, dgbtrs
+
+
+dgbtrf, dgbtrs = _banded_lapack()
 
 
 def factor_banded(ab):

@@ -8,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+import qcurve.cli
+import qcurve.nonlinear
 from qcurve.cli import (ConfigError, _build_parser, main, parse_config,
                         write_report)
+from qcurve.expansion import fit_leading
 
 
 def run(argv, tmp_path, name):
@@ -193,6 +196,18 @@ def test_config_file_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"bogus": 1}))
     assert main(["solve", "--config", str(cfg_file)]) == 2
+
+
+def test_config_file_refuses_verify_check(tmp_path, capsys):
+    """verify's check is positional and always given on the command line,
+    so a "check" entry in its config file is refused, before any work,
+    instead of being ignored."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"check": "bessel"}))
+    assert main(["verify", "covariance", "--config", str(cfg_file),
+                 "--out", str(tmp_path)]) == 2
+    assert "unknown config keys for verify: check" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
 
 
 def test_config_file_malformed(tmp_path):
@@ -381,6 +396,22 @@ def test_expand_report(tmp_path):
     assert code == 0
     assert data["expansion"]["leading_exponent"] == pytest.approx(1.5)
     assert data["scalar_coefficient"]["analytic"] == pytest.approx(60.0)
+
+
+def test_expand_fits_the_expansion_once(tmp_path, monkeypatch):
+    """expand reports the boundary expansion its solve has already fitted."""
+    calls = []
+
+    def counting(u, n, *args, **kwargs):
+        calls.append(n)
+        return fit_leading(u, n, *args, **kwargs)
+
+    monkeypatch.setattr(qcurve.nonlinear, "fit_leading", counting)
+    monkeypatch.setattr(qcurve.cli, "fit_leading", counting)
+    code, data = run(["expand", "--n", "4", "--points", "1024"],
+                     tmp_path, "expand.json")
+    assert code == 0 and calls == [4]
+    assert data["expansion"]["leading_exponent"] == pytest.approx(1.5)
 
 
 def test_expand_inadmissible_amplitude(tmp_path):

@@ -1,14 +1,22 @@
+import importlib.machinery
+import importlib.util
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from qcurve.geometry import laplacian_values
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
-from qcurve.linear import (BAND, BandedFactor, WindowError, _close_band,
-                           _equation_band, apply_L, assemble,
+from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
+                           _close_band, _equation_band, apply_L, assemble,
                            decay_diagnostics, factor_banded,
                            generalized_inverse, kernel_element,
                            make_projection, project_P1, solve_banded,
@@ -123,6 +131,63 @@ def test_excised_factor_solves_match_solve_banded(grid2048):
             rhs[0], rhs[-1] = 0.25, -0.5
             assert np.array_equal(solve_banded(factor, rhs),
                                   scipy.linalg.solve_banded(BAND, band, rhs))
+
+
+def test_loaded_lapack_matches_public_routines(grid2048):
+    """dgbtrf and dgbtrs loaded from the `_flapack` file give the LU factors,
+    pivots and solves of scipy.linalg.lapack's, bit for bit."""
+    loaded = _banded_lapack()
+    public = scipy.linalg.lapack.dgbtrf, scipy.linalg.lapack.dgbtrs
+    g = grid2048
+    band = _close_band(_equation_band(g, 5, 1.0, -5.0), g.h, 2.0, 1.0)
+    r = g.r.astype(float)
+    rhs = np.cos(2.0 * r) / np.cosh(r)
+    results = []
+    for trf, trs in (loaded, public):
+        lu = np.zeros((2 * BAND[0] + BAND[1] + 1, band.shape[1]), order="F")
+        lu[BAND[0]:] = band
+        lu, piv, info = trf(lu, *BAND, overwrite_ab=True)
+        x, info_s = trs(lu, *BAND, rhs, piv)
+        assert info == info_s == 0
+        results.append((lu, piv, x))
+    for mine, theirs in zip(*results):
+        assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("case", ["no scipy spec", "no file", "bad file"])
+def test_lapack_loader_falls_back_to_public_import(case, tmp_path,
+                                                   monkeypatch):
+    """When the extension file cannot be found or loaded, the loader hands
+    out scipy.linalg.lapack's own routines."""
+    if case == "bad file":
+        (tmp_path / "linalg").mkdir()
+        (tmp_path / "linalg" / ("_flapack"
+                                + importlib.machinery.EXTENSION_SUFFIXES[0])
+         ).write_bytes(b"not a shared object")
+    spec = (None if case == "no scipy spec" else
+            types.SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, package=None: spec)
+    trf, trs = _banded_lapack()
+    assert trf is scipy.linalg.lapack.dgbtrf
+    assert trs is scipy.linalg.lapack.dgbtrs
+
+
+def test_cli_solve_leaves_scipy_linalg_unimported(tmp_path):
+    """A fresh interpreter runs a whole solve without scipy.linalg's
+    package init: the LAPACK routines come from the extension file."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, qcurve.cli\n"
+            "code = qcurve.cli.main(['solve', '--n', '4', '--points', "
+            "'256', '--out', sys.argv[1]])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.linalg' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "solve.json").exists()
 
 
 def _lstsq_coefficients(r, values, window, mu, beta=None):
