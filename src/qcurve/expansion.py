@@ -14,6 +14,7 @@ curvature along the kernel branch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .geometry import (ConformalFactor, check_dimension,
                        hyperbolic_curvature_report, scalar_of_conformal,
                        warped_product_curvature)
 from .indicial import oscillation_parameter, q_indicial_spectrum
-from .linear import WindowError, _fit_boundary, fit_window
+from .linear import WindowError, _boundary_rows, fit_window
 
 __all__ = [
     "ExpansionFit",
@@ -101,13 +102,20 @@ def _remainder_slope(grid, residual, window):
     return -slope
 
 
+@functools.cache
+def _log_terms_possible(n):
+    # a flag, not the spectrum: BoundarySpectrum.extras is a mutable dict
+    return q_indicial_spectrum(n).log_terms_possible
+
+
 def fit_leading(u, dim, window=None):
     """Least-squares leading-term fit of a decaying radial profile.
 
     The window is an (r_lo, r_hi) pair and must contain at least three
     periods of the boundary oscillation.  The regression carries the same
     nuisance dictionary of faster-decaying powers as the kernel fits, so
-    smooth remainders do not leak into (a, b).
+    smooth remainders do not leak into (a, b), which the memoized
+    covector `_boundary_rows` reads off u.
     """
     n = check_dimension(dim)
     grid = u.grid
@@ -115,11 +123,11 @@ def fit_leading(u, dim, window=None):
     window, _ = fit_window(grid.r_max, beta, window=window)
     lo, hi = window
     lam = (n - 1) / 2.0
-    a, b = _fit_boundary(grid.r, u.values, window, lam, beta)
+    mask, rows = _boundary_rows(grid, (lo, hi), lam, beta)
+    a, b = map(float, rows @ np.asarray(u.values, float)[mask])
     r = grid.r.astype(float)
     fitted = np.exp(-lam * r) * (a * np.cos(beta * r) - b * np.sin(beta * r))
     resid = np.asarray(u.values, float) - fitted
-    mask = grid.window_mask(lo, hi)
     return ExpansionFit(
         leading_exponent=lam,
         frequency=beta,
@@ -128,7 +136,7 @@ def fit_leading(u, dim, window=None):
         window_x=(float(math.exp(-hi)), float(math.exp(-lo))),
         residual=float(np.abs(resid[mask]).max()),
         remainder_exponent=float(_remainder_slope(grid, resid, window)),
-        log_terms_flag=q_indicial_spectrum(n).log_terms_possible,
+        log_terms_flag=_log_terms_possible(n),
     )
 
 

@@ -19,6 +19,7 @@ route to the scalar curvature, independent of the conformal-Laplacian law.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -113,12 +114,16 @@ class ConformalFactor:
                     % u.grid.r[bad[0]])
 
 
-def _coth(r, dtype):
+@functools.lru_cache(maxsize=16)
+def _coth(grid, dtype):
+    """coth on the nodes of `grid` in `dtype`, once per (grid, dtype);
+    read-only, since every caller shares it."""
     # r[0] = 0 is special-cased by every caller; avoid the 1/0 warning here
-    r = r.astype(dtype)
+    r = grid.r.astype(dtype)
     out = np.empty_like(r)
     out[1:] = np.cosh(r[1:]) / np.sinh(r[1:])
     out[0] = np.inf
+    out.flags.writeable = False
     return out
 
 
@@ -134,7 +139,7 @@ def laplacian_values(values, grid, n, parity=1):
     values = values.astype(dtype)
     d1 = differentiate(values, grid.h, 1, parity=parity)
     d2 = differentiate(values, grid.h, 2, parity=parity)
-    coth = _coth(grid.r, dtype)
+    coth = _coth(grid, dtype)
     out = np.empty_like(values)
     out[1:] = d2[1:] + (n - 1) * coth[1:] * d1[1:]
     if parity == 1:

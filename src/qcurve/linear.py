@@ -18,6 +18,7 @@ projection exists; see the fit-window notes on ProjectionP1).
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -493,16 +494,20 @@ def _fit_boundary(r, values, window, mu, beta=None):
     return tuple(float(c) for c in sol[:k] / norms[:k])
 
 
-def _boundary_rows(r, window, mu, beta=None):
-    """(mask, rows): the leading rows of the pseudo-inverse of
-    `_boundary_design`, so that `_fit_boundary` of any data is
-    rows @ values[mask] up to rounding."""
-    mask, design, norms, k = _boundary_design(r, window, mu, beta)
+@functools.lru_cache(maxsize=16)
+def _boundary_rows(grid, window, mu, beta=None):
+    """(mask, rows), read-only and computed once per (grid, window, mu,
+    beta): the leading rows of the pseudo-inverse of `_boundary_design`,
+    so that `_fit_boundary` of any data is rows @ values[mask] up to
+    rounding.  The design is not kept."""
+    mask, design, norms, k = _boundary_design(grid.r, window, mu, beta)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     # the rank cut of lstsq with rcond=None
     _check_rank(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps),
                 design, window)
-    return mask, (vt[:, :k].T / s) @ u.T / norms[:k, None]
+    rows = (vt[:, :k].T / s) @ u.T / norms[:k, None]
+    mask.flags.writeable = rows.flags.writeable = False
+    return mask, rows
 
 
 def _measure_oscillation(grid, values, n, window):
@@ -631,7 +636,7 @@ def make_projection(kernel, window=None):
     window_x = (math.exp(-window[1]), math.exp(-window[0]))
     diag = kernel.diagnostics
     mask, rows = _boundary_rows(
-        kernel.grid.r, _window_r(window_x),
+        kernel.grid, _window_r(window_x),
         diag.get("decay_exact", (kernel.n - 1.0) / 2.0),
         diag.get("beta_exact"))
     lead = np.array(kernel.with_amplitude(1.0).leading_fit[:len(rows)])

@@ -53,13 +53,15 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Machinery:
-    """The assembled linear machinery a solve runs on."""
+    """The assembled linear machinery a solve runs on; `smallness` memoizes
+    `_measured_smallness` per (target, epsilon)."""
 
     grid: object
     n: int
     operator: FactoredOperator
     kernel: KernelElement
     projection: ProjectionP1
+    smallness: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_machinery(n, grid):
@@ -222,6 +224,11 @@ def nonlinear_rhs(u1, u2, f, dim):
     return RadialFunction(f.grid, vals)
 
 
+def _power1p(u, p):
+    """(1+u)^p by exp/log1p: (1+u) ** p in longdouble is x87 powl."""
+    return np.exp(p * np.log1p(u))
+
+
 def e_residual(u, f, dim, margin=0.5):
     """Sup of the curvature equation residual on the interior window.
 
@@ -240,11 +247,10 @@ def e_residual(u, f, dim, margin=0.5):
         pu = paneitz_values(uv, grid, n, parity=u.parity)
         res = pu + 2.0 * f.q_base - 2.0 * fv * np.exp(4.0 * uv)
     else:
-        w = 1.0 + uv
         # P(1+u) = P u + (n-4)/2 Q, split analytically (see q_of_conformal)
         pw = paneitz_values(uv, grid, n, parity=u.parity) \
             + 0.5 * (n - 4.0) * f.q_base
-        res = pw - 0.5 * (n - 4.0) * fv * w ** ((n + 4.0) / (n - 4.0))
+        res = pw - 0.5 * (n - 4.0) * fv * _power1p(uv, (n + 4.0) / (n - 4.0))
     mask = grid.r <= grid.r_max - margin
     return float(np.abs(np.asarray(res, float)[mask]).max())
 
@@ -361,7 +367,10 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
         lambda u1, u2: nonlinear_rhs(RadialFunction(grid, u1),
                                      RadialFunction(grid, u2), f, n),
         lambda u: e_residual(u, f, n))
-    report.smallness_margin = _measured_smallness(machinery, f, cfg.epsilon)
+    memo, key = machinery.smallness, (f, cfg.epsilon)
+    if key not in memo:
+        memo[key] = _measured_smallness(machinery, *key)
+    report.smallness_margin = memo[key]
     report.expansion = fit_leading(u, n) if amplitude != 0 else None
     report.diagnostics = f.diagnostics + report.diagnostics
     return report, u

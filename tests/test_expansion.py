@@ -8,7 +8,7 @@ from qcurve.expansion import (SignalToNoiseError, fit_leading,
                               scalar_linearization_coefficient, weighted_norm)
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
-from qcurve.linear import WindowError
+from qcurve.linear import WindowError, _fit_boundary, fit_window
 from qcurve.nonlinear import (IterationConfig, TargetCurvature,
                               fixed_point_solve)
 from qcurve.geometry import hyperbolic_curvature_report
@@ -44,6 +44,24 @@ def test_fit_leading_ignores_fast_contaminant(grid2048):
         synthetic_oscillation(grid2048, 5, 1e-3, 5e-4, extra=5e-3), 5)
     assert dirty.a == pytest.approx(clean.a, rel=1e-6)
     assert dirty.b == pytest.approx(clean.b, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fit_leading_covector_matches_lstsq(n, grid2048):
+    """fit_leading's (a, b), the memoized covector applied to u, equal the
+    least-squares fit `_fit_boundary` on the same window and dictionary to
+    1e-12 relative."""
+    g = grid2048
+    u = synthetic_oscillation(g, n, 7e-4, -3e-4, extra=2e-3)
+    r = g.r.astype(float)
+    u = u + 1e-3 * np.exp(-(n + 2.0) / 2.0 * r) * np.cos(0.7 * r)
+    fit = fit_leading(u, n)
+    beta = oscillation_parameter(n)
+    window, _ = fit_window(g.r_max, beta)
+    want = _fit_boundary(g.r, u.values, window, (n - 1) / 2.0, beta)
+    scale = math.hypot(*want)
+    assert abs(fit.a - want[0]) <= 1e-12 * scale
+    assert abs(fit.b - want[1]) <= 1e-12 * scale
 
 
 def test_fit_leading_remainder_exponent(grid2048):

@@ -6,7 +6,8 @@ from qcurve.geometry import (ConformalFactor, DimensionError, PositivityError,
                              laplacian_radial, laplacian_values,
                              paneitz_values, q_of_conformal,
                              scalar_of_conformal)
-from qcurve.grid import RadialFunction, differentiate
+from qcurve import geometry
+from qcurve.grid import RadialFunction, RadialGrid, differentiate
 
 
 def zero_on(grid):
@@ -65,6 +66,28 @@ def test_laplacian_origin_closure(grid1024):
         lap = laplacian_values(f, g, n)
         d2 = differentiate(f, float(g.h), 2)
         assert abs(float(lap[0]) - n * float(d2[0])) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("grid", [RadialGrid(12.0, 1024),
+                                  RadialGrid(9.0, 700)], ids=repr)
+def test_laplacian_cached_coth_is_bit_identical(grid, dtype):
+    """The per-grid coth table changes no bit of the Laplacian: every row
+    off the origin equals f'' + (n-1) cosh(r)/sinh(r) f' evaluated afresh
+    in the input's dtype, on the first call and on a cached one."""
+    n = 5
+    r = grid.r.astype(dtype)
+    f = (1.0 + r * r) / np.cosh(r) ** 3
+    d1 = differentiate(f, grid.h, 1)
+    d2 = differentiate(f, grid.h, 2)
+    want = d2[1:] + (n - 1) * (np.cosh(r[1:]) / np.sinh(r[1:])) * d1[1:]
+    for _ in range(2):
+        got = laplacian_values(f, grid, n)
+        assert got.dtype == dtype
+        assert np.array_equal(got[1:], want)
+    coth = geometry._coth(grid, np.dtype(dtype))
+    assert coth.dtype == dtype
+    assert not coth.flags.writeable
 
 
 def test_laplacian_radial_wrapper(grid1024):

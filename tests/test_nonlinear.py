@@ -5,8 +5,8 @@ import pytest
 
 from qcurve.geometry import (ConformalFactor, PositivityError,
                              hyperbolic_curvature_report, q_of_conformal)
-from qcurve import linear
-from qcurve.grid import RadialFunction
+from qcurve import expansion, indicial, linear, nonlinear
+from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.linear import apply_L
 from qcurve.nonlinear import (AdmissibilityError, IterationConfig,
                               TargetCurvature, build_machinery, e_residual,
@@ -110,6 +110,30 @@ def test_rhs_consistent_with_equation_residual(fixture, request):
         pytest.approx(res, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_residual_power_matches_mpmath(n):
+    """The residual's (1+u)^p, exp(p log1p(u)) in extended precision,
+    against 30-digit mpmath on u in [-0.5, 1): the error is that of the
+    exponent's rounding, about one ulp of p ln(1+u), plus the rounding of
+    exp and log1p.  p is the double the residual uses (11/3 is inexact)."""
+    mpmath = pytest.importorskip("mpmath")
+    u = np.linspace(np.longdouble(-0.5), np.longdouble(1.0), 1201)[:-1]
+    p = (n + 4.0) / (n - 4.0)
+    got = nonlinear._power1p(u, p)
+    assert got.dtype == np.longdouble
+
+    def exact(x):
+        num, den = x.as_integer_ratio()
+        return mpmath.mpf(num) / den
+
+    eps = np.finfo(np.longdouble).eps
+    with mpmath.workdps(30):
+        for x, y in zip(u, got):
+            arg = mpmath.mpf(p) * mpmath.log1p(exact(x))
+            want = mpmath.exp(arg)
+            assert abs(exact(y) - want) <= 2 * eps * (1 + abs(arg)) * want
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_rhs_small_u_matches_exact_power(n, grid512):
     """T(u) = (n-4)/2 Q ((1+u)^p - 1 - p u) for a constant target, against
@@ -209,6 +233,60 @@ def test_bands_factored_once_per_machinery(monkeypatch, grid2048):
         report, _ = fixed_point_solve(a, f, IterationConfig(), m)
         assert report.converged
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
+    """The coth table, the boundary-fit design and its SVD, the indicial
+    spectrum and the smallness margin are fixed per grid, n or (machinery,
+    target, epsilon): a second solve on the same machinery and target
+    computes none of them.  The coth table is counted by its cosh calls,
+    which no other step of a solve makes."""
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(np, "cosh")
+    count(linear, "_boundary_design")
+    count(np.linalg, "svd")
+    count(nonlinear, "_measured_smallness")
+    for owner in (expansion, indicial):
+        count(owner, "q_indicial_spectrum")
+    # a grid no other case uses, so the first solve finds cold caches
+    m = build_machinery(n, RadialGrid(12.0, 1000 + n))
+    f = constant_target(m)
+    # the hooks are live: the kernel fit and the projection pass them
+    assert calls.get("_boundary_design") and calls.get("svd")
+    calls.clear()
+    report, _ = fixed_point_solve(7e-4, f, IterationConfig(), m)
+    assert report.converged
+    for name in ("cosh", "_measured_smallness"):
+        assert calls.get(name, 0) >= 1, name
+    calls.clear()
+    report, _ = fixed_point_solve(-3e-4, f, IterationConfig(), m)
+    assert report.converged
+    assert calls == {}
+
+
+def test_caching_cannot_change_results(machinery5):
+    """Solving a, then b, then a again on one machinery and target gives
+    the same report for both a solves: warm caches return what a cold
+    solve computed."""
+    f = constant_target(machinery5)
+    cfg = IterationConfig()
+    first, u_first = fixed_point_solve(6e-4, f, cfg, machinery5)
+    fixed_point_solve(-9e-4, f, cfg, machinery5)
+    again, u_again = fixed_point_solve(6e-4, f, cfg, machinery5)
+    assert first.converged
+    assert again.to_dict() == first.to_dict()
+    assert np.array_equal(u_again.values, u_first.values)
 
 
 def test_solve_reports_exhausted_iterations(machinery4):
