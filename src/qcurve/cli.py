@@ -266,8 +266,16 @@ def _read_config_file(path, command, allowed):
 def _file_value(key, value):
     """A config-file value through its option's type and choices, as
     argparse treats the flag's text: "1024" and 1024 both give int 1024,
-    while 5.5 or true for an int option is refused."""
+    while 5.5 or true for an int option is refused.  `amplitudes` takes
+    the flag's comma string or a non-empty list of numbers."""
     opt = _OPTIONS[key]
+    if key == "amplitudes" and not isinstance(value, str):
+        if not (isinstance(value, list) and value
+                and all(type(v) in (int, float) for v in value)):
+            raise ConfigError("config key amplitudes: need comma-separated "
+                              "numbers or a non-empty list of numbers, got "
+                              "%r" % (value,))
+        return tuple(map(float, value))
     if opt.type is not None:
         try:
             value = opt.type(str(value))

@@ -112,10 +112,11 @@ def fit_leading(u, dim, window=None):
     """Least-squares leading-term fit of a decaying radial profile.
 
     The window is an (r_lo, r_hi) pair and must contain at least three
-    periods of the boundary oscillation.  The regression carries the same
-    nuisance dictionary of faster-decaying powers as the kernel fits, so
-    smooth remainders do not leak into (a, b), which the memoized
-    covector `_boundary_rows` reads off u.
+    periods of the boundary oscillation.  The regression carries a
+    nuisance dictionary of faster-decaying powers, so smooth remainders do
+    not leak into (a, b).  Like every leading-coefficient fit, (a, b) is
+    the memoized covector `_boundary_rows` applied to u; on the default
+    window it shares one entry with the constant-Q kernel fit and its P1.
     """
     n = check_dimension(dim)
     grid = u.grid

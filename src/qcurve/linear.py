@@ -408,22 +408,27 @@ def apply_L(op, u):
 
 @dataclass(frozen=True)
 class KernelElement:
-    """A multiple of the regular radial kernel of T2.
+    """A multiple of the regular radial kernel of a T2-type factor.
 
-    `base` is the phase-normalized profile k^ with fitted leading amplitude
-    1; `profile` = amplitude * k^.  `leading_fit` holds (a, b) with
+    `base` is the profile k^ whose leading boundary coefficients, fitted
+    on `window_r`, are `unit_fit` = (a, b) with a^2 + b^2 = 1 in
 
-        k ~ x^{(n-1)/2} (a cos(beta ln x) + b sin(beta ln x)),  x -> 0,
+        k ~ x^mu (a cos(beta ln x) + b sin(beta ln x)),  x -> 0,
 
-    fitted on `window_r`; `diagnostics` records the measured oscillation
-    frequency and envelope decay exponent next to their exact values.
+    or (a, 0) with a = +-1 in  k ~ a x^mu  when `beta` is None (a real
+    indicial root); `profile` = amplitude * k^ and `leading_fit` =
+    amplitude * unit_fit, so a zero amplitude keeps the direction.
+    `diagnostics` records the measured oscillation frequency and envelope
+    exponent (or decay exponent) next to their exact values.
     """
 
     grid: RadialGrid
     n: int
     amplitude: float
     base: RadialFunction
-    leading_fit: tuple[float, float]
+    unit_fit: tuple[float, float]
+    mu: float
+    beta: float | None
     window_r: tuple[float, float]
     diagnostics: dict
 
@@ -431,15 +436,16 @@ class KernelElement:
     def profile(self):
         return self.base * self.amplitude
 
+    @property
+    def leading_fit(self):
+        return tuple(c * self.amplitude for c in self.unit_fit)
+
     def with_amplitude(self, amplitude):
-        a, b = self.leading_fit
-        if self.amplitude != 0.0:
-            a, b = a / self.amplitude, b / self.amplitude
-        return KernelElement(
-            grid=self.grid, n=self.n, amplitude=float(amplitude),
-            base=self.base,
-            leading_fit=(a * float(amplitude), b * float(amplitude)),
-            window_r=self.window_r, diagnostics=self.diagnostics)
+        # the constructor, not dataclasses.replace: P1 calls this on every
+        # iteration of a solve, and replace costs twice as much
+        return KernelElement(self.grid, self.n, float(amplitude), self.base,
+                             self.unit_fit, self.mu, self.beta,
+                             self.window_r, self.diagnostics)
 
 
 _NUISANCE_POWERS = 6
@@ -456,7 +462,7 @@ def _boundary_design(r, window, mu, beta=None):
     the leading order well inside any affordable window) are absorbed
     instead of leaking into the leading coefficients.  A design whose
     leading columns the nuisance span can represent is refused here; its
-    users refuse a deficient rank through `_check_rank`.
+    one user, `_boundary_rows`, refuses a deficient rank.
     """
     lo, hi = window
     mask = (r >= lo) & (r <= hi)
@@ -478,36 +484,30 @@ def _boundary_design(r, window, mu, beta=None):
     return mask, design, norms, k
 
 
-def _check_rank(rank, design, window):
-    if rank < design.shape[1]:
-        raise IllConditionedFitError(
-            "boundary fit window [%g, %g] is degenerate" % tuple(window))
-
-
-def _fit_boundary(r, values, window, mu, beta=None):
-    """Leading boundary coefficients of `values` (sampled at radii r) on the
-    window, by least squares on `_boundary_design`."""
-    mask, design, norms, k = _boundary_design(r, window, mu, beta)
-    sol, _, rank, _ = np.linalg.lstsq(design, np.asarray(values, float)[mask],
-                                      rcond=None)
-    _check_rank(rank, design, window)
-    return tuple(float(c) for c in sol[:k] / norms[:k])
-
-
 @functools.lru_cache(maxsize=16)
 def _boundary_rows(grid, window, mu, beta=None):
     """(mask, rows), read-only and computed once per (grid, window, mu,
-    beta): the leading rows of the pseudo-inverse of `_boundary_design`,
-    so that `_fit_boundary` of any data is rows @ values[mask] up to
-    rounding.  The design is not kept."""
+    beta): the leading rows of the pseudo-inverse of `_boundary_design`
+    (the least-squares fit's linear map), refused when the design is rank
+    deficient.  The design is not kept."""
     mask, design, norms, k = _boundary_design(grid.r, window, mu, beta)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     # the rank cut of lstsq with rcond=None
-    _check_rank(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps),
-                design, window)
+    if np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps) \
+            < design.shape[1]:
+        raise IllConditionedFitError(
+            "boundary fit window [%g, %g] is degenerate" % tuple(window))
     rows = (vt[:, :k].T / s) @ u.T / norms[:k, None]
     mask.flags.writeable = rows.flags.writeable = False
     return mask, rows
+
+
+def _fit_boundary(grid, values, window, mu, beta=None, i0=0):
+    """Leading boundary coefficients on the window of `values`, sampled on
+    grid.r[i0:]: the `_boundary_rows` covector applied to them (the window
+    must lie in that segment)."""
+    mask, rows = _boundary_rows(grid, tuple(window), mu, beta)
+    return tuple(map(float, rows @ np.asarray(values, float)[mask[i0:]]))
 
 
 def _measure_oscillation(grid, values, n, window):
@@ -556,90 +556,84 @@ def fit_window(r_max, beta, need=3.0, window=None):
     return window, periods
 
 
-def _oscillatory_kernel(factor, beta, amplitude=1.0, window=None, need=3.0,
-                        dtype=np.float64, **diagnostics):
-    """KernelElement of the regular solution of `factor`, whose boundary
-    oscillation x^{(n-1)/2 +- i beta} is fitted on `window` (at least
-    `need` periods, checked before the solution is summed) and the profile
-    rescaled so the fitted amplitude equals `amplitude`; `diagnostics`
-    joins the measured frequency and envelope exponent."""
+def _regular_kernel(factor, mu, beta=None, amplitude=1.0, window=None,
+                    need=3.0, dtype=np.float64, **diagnostics):
+    """KernelElement of the regular solution of `factor`, whose leading
+    boundary term x^{mu +- i beta} (x^mu if beta is None) is fitted on
+    `window` -- for an oscillation over at least `need` periods, checked
+    before the solution is summed -- and the profile scaled to unit
+    leading coefficients; `diagnostics` joins the measured frequency and
+    envelope exponent, or the measured decay exponent."""
     grid, n = factor.grid, factor.n
-    window, periods = fit_window(grid.r_max, beta, need, window)
+    if beta is None:
+        window = tuple(window or _default_window(grid.r_max))
+    else:
+        window, periods = fit_window(grid.r_max, beta, need, window)
     vals, _ = factor.shoot_regular(dtype=dtype)
-    mu = (n - 1.0) / 2.0
-    a, b = _fit_boundary(grid.r, vals, window, mu, beta)
+    # a real root has the one coefficient a
+    a, b, *_ = _fit_boundary(grid, vals, window, mu, beta) + (0.0,)
     scale = math.hypot(a, b)
     if scale == 0.0:
-        raise IllConditionedFitError("kernel has no leading oscillation")
-    freq, envelope = _measure_oscillation(grid, vals, n, window)
-    diagnostics.update({
-        "beta_exact": beta,
-        "frequency_measured": freq,
-        "envelope_exponent_exact": mu,
-        "envelope_exponent_measured": envelope,
-        "fit_periods": periods,
-    })
+        raise IllConditionedFitError("kernel has no leading boundary term")
+    if beta is None:
+        diagnostics.update(decay_exact=mu,
+                           decay_measured=_measured_decay(grid, vals))
+    else:
+        freq, envelope = _measure_oscillation(grid, vals, n, window)
+        diagnostics.update({
+            "beta_exact": beta,
+            "frequency_measured": freq,
+            "envelope_exponent_exact": mu,
+            "envelope_exponent_measured": envelope,
+            "fit_periods": periods,
+        })
     return KernelElement(
         grid=grid, n=n, amplitude=float(amplitude),
         base=RadialFunction(grid, vals / scale),
-        leading_fit=(a / scale * amplitude, b / scale * amplitude),
-        window_r=window, diagnostics=diagnostics)
+        unit_fit=(a / scale, b / scale), mu=mu, beta=beta, window_r=window,
+        diagnostics=diagnostics)
 
 
 def kernel_element(n, grid, amplitude=1.0, window=None, dtype=np.float64):
     """The regular decaying kernel element of T2, from the series solution
     k = 1 - (n^2-4)/(4n) r^2 + ... of BandedFactor.shoot_regular, with its
     boundary oscillation fitted over at least 3 periods (see
-    `_oscillatory_kernel`)."""
+    `_regular_kernel`)."""
     n = check_dimension(n)
     factor = BandedFactor(grid, n, 1.0, (n * n - 4.0) / 2.0)
-    return _oscillatory_kernel(factor, oscillation_parameter(n), amplitude,
-                               window, dtype=dtype)
+    return _regular_kernel(factor, (n - 1.0) / 2.0, oscillation_parameter(n),
+                           amplitude, window, dtype=dtype)
 
 
 @dataclass(frozen=True)
 class ProjectionP1:
     """Boundary-coefficient projection onto the radial kernel span.
 
-    P1 u fits u's oscillatory coefficients (a, b) at order x^{(n-1)/2} on
-    the window and returns c k^ with c = (a a0 + b b0) / (a0^2 + b0^2),
-    (a0, b0) the coefficients of the reference k^ (a real-regime U kernel,
-    diagnostics "decay_exact" = mu, has the one coefficient a of x^mu).
-    Exact annihilation of the complement requires the remainder to decay
-    strictly faster than the kernel, which the nonlinear scheme guarantees
-    by its choice of solution weight.
+    P1 u fits u's leading coefficients (a, b) of x^mu (cos, sin)(beta ln x)
+    on `window_r` and returns c k^ with c = (a a0 + b b0) / (a0^2 + b0^2),
+    (a0, b0) the kernel's `unit_fit` (a real-regime kernel, beta None, has
+    the one coefficient a of x^mu).  Exact annihilation of the complement
+    requires the remainder to decay strictly faster than the kernel, which
+    the nonlinear scheme guarantees by its choice of solution weight.
 
     The fit is linear in u and its design is fixed, so c = covector . u
-    with a covector computed once; `anchor` is (k^(R), k^'(R)), the T2
-    closure row of the generalized inverse.
+    with the covector built from the memoized `_boundary_rows` (on the
+    kernel's own window, the entry its fit computed); `anchor` is
+    (k^(R), k^'(R)), the T2 closure row of the generalized inverse.
     """
 
     kernel: KernelElement
-    window_x: tuple[float, float]
+    window_r: tuple[float, float]
     anchor: tuple[float, float]
     covector: np.ndarray
-
-    @property
-    def window_r(self):
-        return _window_r(self.window_x)
-
-
-def _window_r(window_x):
-    lo_x, hi_x = window_x
-    return (-math.log(hi_x), -math.log(lo_x))
 
 
 def make_projection(kernel, window=None):
     """ProjectionP1 for `kernel` on `window` (default: the kernel's fit
     window), with the covector and the anchor row it holds."""
-    window = window or kernel.window_r
-    window_x = (math.exp(-window[1]), math.exp(-window[0]))
-    diag = kernel.diagnostics
-    mask, rows = _boundary_rows(
-        kernel.grid, _window_r(window_x),
-        diag.get("decay_exact", (kernel.n - 1.0) / 2.0),
-        diag.get("beta_exact"))
-    lead = np.array(kernel.with_amplitude(1.0).leading_fit[:len(rows)])
+    window = tuple(window or kernel.window_r)
+    mask, rows = _boundary_rows(kernel.grid, window, kernel.mu, kernel.beta)
+    lead = np.array(kernel.unit_fit[:len(rows)])
     covector = np.zeros(kernel.grid.n_points)
     covector[mask] = lead @ rows / (lead @ lead)
     # k^'(R) by the one-sided stencil of the closure row, the last entry
@@ -647,7 +641,7 @@ def make_projection(kernel, window=None):
     kv = kernel.base.values
     slope = (stencil_weights(-4, 0, 1) @ kv[-5:]
              / np.longdouble(kernel.grid.h))
-    return ProjectionP1(kernel=kernel, window_x=window_x,
+    return ProjectionP1(kernel=kernel, window_r=window,
                         anchor=(float(kv[-1]), float(slope)),
                         covector=covector)
 

@@ -38,11 +38,9 @@ from .geometry import (ConformalFactor, hyperbolic_curvature_report,
                        laplacian_values, q_of_conformal)
 from .grid import RadialFunction, differentiate
 from .indicial import DegenerateOperatorError, u_indicial_spectrum
-from .linear import (BandedFactor, IllConditionedFitError, KernelElement,
-                     WindowError, _close_band, _default_window,
-                     _equation_band, _fit_boundary, _hc_sums, _measured_decay,
-                     _oscillatory_kernel, apply_L, assemble, factor_banded,
-                     make_projection, solve_banded)
+from .linear import (BandedFactor, WindowError, _close_band, _equation_band,
+                     _fit_boundary, _hc_sums, _regular_kernel, apply_L,
+                     assemble, factor_banded, make_projection, solve_banded)
 from .nonlinear import (IterationConfig, Machinery, check_amplitude,
                         drift_bound, iterate_fixed_point,
                         projected_contraction, solve_report)
@@ -283,24 +281,10 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
             "kernel datum lives on the x^4 branch of the excised-domain "
             "solve" % (a, 1.5 - beta))
     factor = BandedFactor(grid, 4, 1.0 + a, 6.0 * a)
-    extra = {"alpha": a,
-             "log_terms_possible": u_indicial_spectrum(a).log_terms_possible}
-    if regime == "oscillatory":
-        return _oscillatory_kernel(factor, beta, amplitude, window,
-                                   OSCILLATORY_PERIODS, dtype, **extra)
-    vals, _ = factor.shoot_regular(dtype=dtype)
-    window = window or _default_window(grid.r_max)
-    mu = 1.5 - beta
-    c, = _fit_boundary(grid.r, vals, window, mu)
-    if c == 0.0:
-        raise IllConditionedFitError("kernel has no x^%g leading "
-                                     "coefficient" % mu)
-    diagnostics = {"decay_exact": mu,
-                   "decay_measured": _measured_decay(grid, vals), **extra}
-    return KernelElement(grid=grid, n=4, amplitude=float(amplitude),
-                         base=RadialFunction(grid, np.asarray(vals) / abs(c)),
-                         leading_fit=(math.copysign(amplitude, c), 0.0),
-                         window_r=window, diagnostics=diagnostics)
+    mu, beta = (1.5, beta) if regime == "oscillatory" else (1.5 - beta, None)
+    return _regular_kernel(
+        factor, mu, beta, amplitude, window, OSCILLATORY_PERIODS, dtype,
+        alpha=a, log_terms_possible=u_indicial_spectrum(a).log_terms_possible)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +374,7 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
         ratios += trace
         if not converged:
             break
-        fitted, = _fit_boundary(r_seg, w1 + w2, fit_window, 4.0)
+        fitted, = _fit_boundary(grid, w1 + w2, fit_window, 4.0, i0=i0)
         miss = fitted - amplitude
         if abs(miss) <= 0.25 * drift_bound(amplitude):
             break

@@ -38,3 +38,24 @@ def machinery5(grid2048):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
+
+
+def _lstsq_coefficients(r, values, window, mu, beta=None):
+    """Leading boundary coefficients by np.linalg.lstsq on the design with
+    the six nuisance powers, columns normalized: the route the memoized
+    boundary covector replaces, written out apart from it."""
+    mask = (r >= window[0]) & (r <= window[1])
+    rr = r[mask].astype(float)
+    env = np.exp(-mu * rr)
+    lead = ([env] if beta is None
+            else [env * np.cos(beta * rr), -env * np.sin(beta * rr)])
+    design = np.column_stack(lead + [env * np.exp(-0.5 * j * rr)
+                                     for j in range(1, 7)])
+    norms = np.linalg.norm(design, axis=0)
+    sol = np.linalg.lstsq(design / norms, values[mask], rcond=None)[0]
+    return sol[:len(lead)] / norms[:len(lead)]
+
+
+@pytest.fixture(scope="session")
+def lstsq_coefficients():
+    return _lstsq_coefficients

@@ -248,6 +248,20 @@ def test_config_file_rejects_mistyped_values(entry, tmp_path, capsys):
     assert not (tmp_path / "solve.json").exists()
 
 
+@pytest.mark.parametrize("amplitudes", [1e-3, [1e-3, "x"], [True], []],
+                         ids=["number", "list-text", "list-bool", "empty"])
+def test_config_file_rejects_mistyped_amplitudes(amplitudes, tmp_path,
+                                                 capsys):
+    """A file's amplitudes are a comma string, as the flag takes, or a
+    non-empty list of numbers; anything else exits 2 before any work."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"amplitudes": amplitudes}))
+    assert main(["sweep", "--config", str(cfg_file),
+                 "--out", str(tmp_path)]) == 2
+    assert "config key amplitudes" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 @pytest.mark.parametrize("r_max", ["2", "1.5"])
 def test_verify_covariance_refuses_an_empty_window(r_max, tmp_path, capsys):
     """The comparison window [1, r_max - 1] needs r_max > 2."""

@@ -8,7 +8,7 @@ from qcurve.expansion import (SignalToNoiseError, fit_leading,
                               scalar_linearization_coefficient, weighted_norm)
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
-from qcurve.linear import WindowError, _fit_boundary, fit_window
+from qcurve.linear import WindowError, fit_window
 from qcurve.nonlinear import (IterationConfig, TargetCurvature,
                               fixed_point_solve)
 from qcurve.geometry import hyperbolic_curvature_report
@@ -47,10 +47,11 @@ def test_fit_leading_ignores_fast_contaminant(grid2048):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_fit_leading_covector_matches_lstsq(n, grid2048):
-    """fit_leading's (a, b), the memoized covector applied to u, equal the
-    least-squares fit `_fit_boundary` on the same window and dictionary to
-    1e-12 relative."""
+def test_fit_leading_covector_matches_lstsq(n, grid2048,
+                                           lstsq_coefficients):
+    """fit_leading's (a, b), the memoized covector applied to u, equal a
+    least-squares fit by np.linalg.lstsq on the same window and dictionary
+    to 1e-12 relative."""
     g = grid2048
     u = synthetic_oscillation(g, n, 7e-4, -3e-4, extra=2e-3)
     r = g.r.astype(float)
@@ -58,7 +59,8 @@ def test_fit_leading_covector_matches_lstsq(n, grid2048):
     fit = fit_leading(u, n)
     beta = oscillation_parameter(n)
     window, _ = fit_window(g.r_max, beta)
-    want = _fit_boundary(g.r, u.values, window, (n - 1) / 2.0, beta)
+    want = lstsq_coefficients(g.r, np.asarray(u.values, float), window,
+                              (n - 1) / 2.0, beta)
     scale = math.hypot(*want)
     assert abs(fit.a - want[0]) <= 1e-12 * scale
     assert abs(fit.b - want[1]) <= 1e-12 * scale

@@ -16,7 +16,8 @@ from qcurve.geometry import laplacian_values
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
 from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
-                           _close_band, _equation_band, apply_L, assemble,
+                           _close_band, _equation_band, _fit_boundary,
+                           apply_L, assemble,
                            decay_diagnostics, factor_banded,
                            generalized_inverse, kernel_element,
                            make_projection, project_P1, solve_banded,
@@ -190,46 +191,59 @@ def test_cli_solve_leaves_scipy_linalg_unimported(tmp_path):
     assert (tmp_path / "solve.json").exists()
 
 
-def _lstsq_coefficients(r, values, window, mu, beta=None):
-    """Leading boundary coefficients by np.linalg.lstsq on the design with
-    the six nuisance powers, columns normalized: the route the projection
-    covector replaces."""
-    mask = (r >= window[0]) & (r <= window[1])
-    rr = r[mask].astype(float)
-    env = np.exp(-mu * rr)
-    lead = ([env] if beta is None
-            else [env * np.cos(beta * rr), -env * np.sin(beta * rr)])
-    design = np.column_stack(lead + [env * np.exp(-0.5 * j * rr)
-                                     for j in range(1, 7)])
-    norms = np.linalg.norm(design, axis=0)
-    sol = np.linalg.lstsq(design / norms, values[mask], rcond=None)[0]
-    return sol[:len(lead)] / norms[:len(lead)]
-
-
-@pytest.mark.parametrize("kind", ["n=4", "n=5", "n=6", "U real (A)"])
-def test_projection_covector_matches_lstsq(kind, grid2048):
+@pytest.mark.parametrize("kind", ["n=4", "n=5", "n=6", "U real (A)",
+                                  "x^4 (excised P)"])
+def test_projection_covector_matches_lstsq(kind, grid2048,
+                                           lstsq_coefficients):
     """project_P1, a dot product with a covector computed once, equals the
     least-squares fit of the leading coefficients (normalized by those of
-    the reference kernel) to 1e-12 relative."""
+    the reference kernel) to 1e-12 relative; so does the excised U solve's
+    fit of its x^4 datum on the segment r >= 1, to 1e-10: its design has
+    condition number 1.3e7 (the kernel fits' 1e5 to 2e6), and the two
+    routes agree there to about 1e-11."""
     g = grid2048
-    if kind.startswith("n="):
-        kernel = build_machinery(int(kind[2:]), g).kernel
-        mu = (kernel.n - 1.0) / 2.0
-        beta = kernel.diagnostics["beta_exact"]
-    else:
-        kernel = u_kernel_element(DetParams.preset("conformal_laplacian"), g)
-        mu, beta = kernel.diagnostics["decay_exact"], None
-    proj = make_projection(kernel)
     r = g.r.astype(float)
+    rel = 1e-12
+    if kind.startswith("x^4"):
+        rel = 1e-10
+        i0 = g.index_of(1.0)
+        mu, beta, base, lead_fit = 4.0, None, np.exp(-4.0 * r), (1.0,)
+        window = (max(r[i0] + 1.0, g.r_max - 10.0), g.r_max - 0.25)
+
+        def fitted(values):
+            return _fit_boundary(g, values[i0:], window, mu, i0=i0)[0]
+    else:
+        if kind.startswith("n="):
+            kernel = build_machinery(int(kind[2:]), g).kernel
+            mu = (kernel.n - 1.0) / 2.0
+            beta = kernel.diagnostics["beta_exact"]
+        else:
+            kernel = u_kernel_element(DetParams.preset("conformal_laplacian"),
+                                      g)
+            mu, beta = kernel.diagnostics["decay_exact"], None
+        proj = make_projection(kernel)
+        window, base = proj.window_r, np.asarray(kernel.base.values, float)
+        lead_fit = kernel.leading_fit
+
+        def fitted(values):
+            return project_P1(proj, RadialFunction(g, values)).amplitude
     for c in (0.37, -2e-3):
-        values = (c * np.asarray(kernel.base.values, float)
+        values = (c * base
                   + 0.2 * np.exp(-(mu + 0.8) * r) * np.cos(3.0 * r)
                   + 1e-3 * np.exp(-(mu + 1.5) * r))
-        coef = _lstsq_coefficients(g.r, values, proj.window_r, mu, beta)
-        lead = np.array(kernel.leading_fit[:len(coef)])
+        coef = lstsq_coefficients(g.r, values, window, mu, beta)
+        lead = np.array(lead_fit[:len(coef)])
         want = coef @ lead / (lead @ lead)
-        got = project_P1(proj, RadialFunction(g, values)).amplitude
-        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(fitted(values) - want) <= rel * abs(want)
+
+
+def test_zero_amplitude_kernel_keeps_its_direction(grid2048):
+    """A kernel built at amplitude 0 rescales to the leading fit of one
+    built at the new amplitude, and its projection covector is finite."""
+    zero = kernel_element(5, grid2048, amplitude=0.0)
+    assert (zero.with_amplitude(1e-3).leading_fit
+            == kernel_element(5, grid2048, amplitude=1e-3).leading_fit)
+    assert np.isfinite(make_projection(zero).covector).all()
 
 
 def test_banded_factor_scale_and_constant(grid1024):

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from qcurve.geometry import (ConformalFactor, PositivityError,
                              hyperbolic_curvature_report, q_of_conformal)
-from qcurve import expansion, indicial, linear, nonlinear
+from qcurve import expansion, indicial, linear, nonlinear, ucurve
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.linear import apply_L
 from qcurve.nonlinear import (AdmissibilityError, IterationConfig,
@@ -273,6 +274,37 @@ def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
     report, _ = fixed_point_solve(-3e-4, f, IterationConfig(), m)
     assert report.converged
     assert calls == {}
+
+
+def test_boundary_fits_read_one_covector(monkeypatch):
+    """Every leading boundary coefficient comes from the memoized covector:
+    `build_machinery` and `u_fixed_point_solve` (presets A, D2, P) call
+    np.linalg.lstsq only in `_boundary_design`'s identifiability check,
+    and each computes one `_boundary_rows` entry, which its kernel build
+    and projection (or the excised solve's renormalization passes) share."""
+    callers = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    # a grid no other case uses, so every build finds a cold cache
+    grid = RadialGrid(12.0, 1030)
+    rows = linear._boundary_rows.cache_info
+
+    def entries(build, *args):
+        misses = rows().misses
+        build(*args)
+        return rows().misses - misses
+
+    assert entries(build_machinery, 5, grid) == 1
+    for tag in ("conformal_laplacian", "spin_laplacian", "paneitz"):
+        assert entries(lambda: ucurve.u_fixed_point_solve(
+            1e-3, ucurve.DetParams.preset(tag), IterationConfig(),
+            grid)) == 1, tag
+    assert callers and set(callers) == {"_boundary_design"}
 
 
 def test_caching_cannot_change_results(machinery5):
