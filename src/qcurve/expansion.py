@@ -6,10 +6,10 @@ oscillation
     u ~ x^{(n-1)/2} (a cos(beta ln x) + b sin(beta ln x)),
 
 equivalently u00 x^{(n-1)/2 + i beta} + conj with u00 = (a - i b)/2.  This
-module extracts the pair (a, b) with a controlled remainder estimate, turns
-sampled profiles into discrete weighted-norm numbers (with a divergence
-sentinel), and extrapolates the linear response coefficient of the scalar
-curvature along the kernel branch.
+module extracts the pair (a, b) with the sup of the fit's residual on its
+window, turns sampled profiles into discrete weighted-norm numbers (with a
+divergence sentinel), and extrapolates the linear response coefficient of
+the scalar curvature along the kernel branch.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class ExpansionFit:
     b: float
     window_x: tuple[float, float]
     residual: float
-    remainder_exponent: float
     log_terms_flag: bool
 
     @property
@@ -83,23 +82,8 @@ class ExpansionFit:
             "u00": [self.u00.real, self.u00.imag],
             "window_x": list(self.window_x),
             "residual": self.residual,
-            "remainder_exponent": self.remainder_exponent,
             "log_terms_flag": self.log_terms_flag,
         }
-
-
-def _remainder_slope(grid, residual, window):
-    """Decay exponent (in x) of |residual| over the window, from the slope
-    of ln|residual| against r = -ln x."""
-    mask = grid.window_mask(*window)
-    r = grid.r[mask].astype(float)
-    res = np.abs(np.asarray(residual, float)[mask])
-    floor = max(res.max() * 1e-10, 1e-300)
-    keep = res > floor
-    if keep.sum() < 8:
-        return math.inf  # residual at rounding level: no measurable remainder
-    slope = np.polyfit(r[keep], np.log(res[keep]), 1)[0]
-    return -slope
 
 
 @functools.cache
@@ -125,18 +109,17 @@ def fit_leading(u, dim, window=None):
     lo, hi = window
     lam = (n - 1) / 2.0
     mask, rows = _boundary_rows(grid, (lo, hi), lam, beta)
-    a, b = map(float, rows @ np.asarray(u.values, float)[mask])
-    r = grid.r.astype(float)
+    values = np.asarray(u.values, float)[mask]
+    a, b = map(float, rows @ values)
+    r = grid.r[mask].astype(float)
     fitted = np.exp(-lam * r) * (a * np.cos(beta * r) - b * np.sin(beta * r))
-    resid = np.asarray(u.values, float) - fitted
     return ExpansionFit(
         leading_exponent=lam,
         frequency=beta,
         a=a,
         b=b,
         window_x=(float(math.exp(-hi)), float(math.exp(-lo))),
-        residual=float(np.abs(resid[mask]).max()),
-        remainder_exponent=float(_remainder_slope(grid, resid, window)),
+        residual=float(np.abs(values - fitted).max()),
         log_terms_flag=_log_terms_possible(n),
     )
 

@@ -300,19 +300,13 @@ def check_amplitude(amplitude, cfg):
             % (amplitude, cfg.epsilon))
 
 
-def drift_bound(amplitude):
-    """How far a converged solve's re-fitted kernel datum may sit from the
-    prescribed `amplitude`."""
-    return 1e-6 * abs(amplitude) + 1e-10
-
-
 def solve_report(cfg, converged, amplitude, fitted, **fields):
     """SolveReport of a solve under `cfg` with the shared verdict: a
     converged solve whose re-fitted datum `fitted` misses `amplitude` by
-    more than `drift_bound` has failed."""
+    more than 1e-6 |amplitude| + 1e-10 has failed."""
     message = "" if converged else (
         "no convergence in %d iterations" % cfg.max_iter)
-    if converged and abs(fitted - amplitude) > drift_bound(amplitude):
+    if converged and abs(fitted - amplitude) > 1e-6 * abs(amplitude) + 1e-10:
         converged = False
         message = ("kernel projection drifted: fitted amplitude %g vs "
                    "prescribed %g" % (fitted, amplitude))

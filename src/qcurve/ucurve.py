@@ -42,8 +42,8 @@ from .linear import (BandedFactor, WindowError, _close_band, _equation_band,
                      _fit_boundary, _hc_sums, _regular_kernel, apply_L,
                      assemble, factor_banded, make_projection, solve_banded)
 from .nonlinear import (IterationConfig, Machinery, check_amplitude,
-                        drift_bound, iterate_fixed_point,
-                        projected_contraction, solve_report)
+                        iterate_fixed_point, projected_contraction,
+                        solve_report)
 
 __all__ = [
     "DetParams",
@@ -271,7 +271,8 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
     x^{3/2 - alpha~}, normalized by its fitted leading coefficient.  In the
     split regime 3/2 - alpha~ < 0 (e.g. alpha = -7/16) the regular T3
     branch grows and no regular decaying kernel exists; the x^4 branch of
-    Lap - 4 is used instead, see u_fixed_point_solve.
+    Lap - 4, normalized the same way, carries the datum instead (see
+    `_solve_excised`).
     """
     a = float(params.alpha)
     regime, beta = u_kernel_regime(a)
@@ -337,6 +338,11 @@ def _even_extension(grid, i0, seg_values, seg_h):
 
 
 def _solve_excised(amplitude, params, cfg, grid, target, at):
+    """(report, w) of the split-regime solve on [1, r_max]: w = w1 + w2 with
+    w1 = amplitude k^4, k^4 the x^4 branch scaled to unit fitted
+    coefficient, and w2 <- G T(w1 + w2), where G inverts the two factors
+    and subtracts the x^4 component of the result, as the full ball's G
+    subtracts P1."""
     a = params.alpha
     i0 = grid.index_of(1.0)
     r_seg = grid.r[i0:].astype(float)
@@ -346,6 +352,17 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
     k4, k4s = (np.exp(-4 * grid.r[i0:]) * _hc_sums(
         grid.r[i0:], -4, (1, -4), 4)).real.astype(float)
     fit_window = (max(r_seg[0] + 1.0, grid.r_max - 10.0), grid.r_max - 0.25)
+
+    def fit_x4(values):
+        return _fit_boundary(grid, values, fit_window, 4.0, i0=i0)[0]
+
+    # scaled to unit fitted coefficient, as `_regular_kernel` scales a
+    # kernel: the window fit reads about 1 + 8e-4, and the amplitude names
+    # the fitted datum
+    unit = fit_x4(k4)
+    k4 = k4 / unit
+    w1 = amplitude * k4
+    robin_rhs = amplitude * (k4s[-1] / unit + 4.0 * k4[-1])
     mu3 = 1.5 + at                       # decaying T3 root
     # inner Dirichlet rows; outer Robin rows on the decaying roots; both
     # bands are factored once for every iteration of the solve
@@ -359,32 +376,17 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
         rhs[0] = rhs[-1] = 0.0
         y = solve_banded(band3, rhs)
         y[0], y[-1] = w1[0], robin_rhs
-        return solve_banded(band1, y) - w1   # the solve gives w1 + w2
+        w2 = solve_banded(band1, y) - w1     # the solve gives w1 + w2
+        return w2 - fit_x4(w2) * k4
 
-    a_eff = float(amplitude)
-    ratios, iterations_total = [], 0
-    w2 = np.zeros(len(r_seg))
-    fitted = math.nan
-    for _ in range(5):
-        w1 = a_eff * k4
-        robin_rhs = a_eff * (k4s[-1] + 4.0 * k4[-1])
-        w2, converged, iterations, trace = iterate_fixed_point(update, w2,
-                                                               cfg)
-        iterations_total += iterations
-        ratios += trace
-        if not converged:
-            break
-        fitted, = _fit_boundary(grid, w1 + w2, fit_window, 4.0, i0=i0)
-        miss = fitted - amplitude
-        if abs(miss) <= 0.25 * drift_bound(amplitude):
-            break
-        a_eff -= miss                     # renormalize the kernel datum
-    w_seg = a_eff * k4 + w2
+    w2, converged, iterations, ratios = iterate_fixed_point(
+        update, np.zeros(len(r_seg)), cfg)
+    w_seg = w1 + w2
     filler = _even_extension(grid, i0, w_seg, h)
     w = RadialFunction(grid, np.concatenate([filler, w_seg]))
     r0 = float(grid.r[i0])
     return solve_report(
-        cfg, converged, amplitude, fitted, iterations=iterations_total,
+        cfg, converged, amplitude, fit_x4(w_seg), iterations=iterations,
         contraction_ratios=ratios, excised_r0=r0,
         residual=u_e_residual(w, params, target,
                               window=(r0 + 0.5, grid.r_max - 0.5))), w
@@ -394,12 +396,15 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
                         target_u=None):
     """Constant-U-curvature metric with kernel datum `amplitude`.
 
+    Every regime runs one projected contraction w2 <- G T(w1 + w2), w1 the
+    unit kernel times `amplitude` and G subtracting the kernel component.
     Dispatch on the kernel regime of alpha: oscillatory (the constant-Q
     scheme verbatim), real integer-root (rank-one leading-coefficient
     projection; possible log terms are reported, not asserted), or real
     split (alpha = -7/16 class: the x^4 branch of Lap - 4 carries the
     datum and the problem is solved on an origin-excised domain, since the
-    branch blows up like r^{-2} there).  Returns (SolveReport, w).
+    branch blows up like r^{-2} there; see `_solve_excised`).  Returns
+    (SolveReport, w).
     """
     if params.alpha == -1:
         raise DegenerateOperatorError(

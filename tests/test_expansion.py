@@ -66,13 +66,6 @@ def test_fit_leading_covector_matches_lstsq(n, grid2048,
     assert abs(fit.b - want[1]) <= 1e-12 * scale
 
 
-def test_fit_leading_remainder_exponent(grid2048):
-    fit = fit_leading(
-        synthetic_oscillation(grid2048, 5, 1e-3, 0.0, extra=1e-3), 5)
-    # the contaminant decays one power faster than the leading term
-    assert 2.5 < fit.remainder_exponent < 3.5
-
-
 def test_fit_leading_window_guard():
     g = RadialGrid(3.0, 256)
     u = synthetic_oscillation(g, 4, 1.0, 0.0)
@@ -92,8 +85,7 @@ def test_to_dict_schema(grid1024):
     fit = fit_leading(synthetic_oscillation(grid1024, 4, 1e-3, 0.0), 4)
     d = fit.to_dict()
     for key in ("leading_exponent", "frequency", "a", "b", "u00",
-                "window_x", "residual", "remainder_exponent",
-                "log_terms_flag"):
+                "window_x", "residual", "log_terms_flag"):
         assert key in d
 
 

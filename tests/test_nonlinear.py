@@ -281,7 +281,8 @@ def test_boundary_fits_read_one_covector(monkeypatch):
     `build_machinery` and `u_fixed_point_solve` (presets A, D2, P) call
     np.linalg.lstsq only in `_boundary_design`'s identifiability check,
     and each computes one `_boundary_rows` entry, which its kernel build
-    and projection (or the excised solve's renormalization passes) share."""
+    and projection (or the excised solve's x^4 normalization, projection
+    and re-fit) share."""
     callers = []
     lstsq = np.linalg.lstsq
 

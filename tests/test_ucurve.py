@@ -217,6 +217,21 @@ def test_u_solve_reports_exhausted_iterations(tag, grid2048):
     assert report.message == "no convergence in 1 iterations"
 
 
+@pytest.mark.parametrize("amplitude", [1e-4, -1e-4, 5e-4, -5e-4, 1e-3,
+                                       -1e-3])
+@pytest.mark.parametrize("tag", sorted(PRESETS))
+def test_u_solve_is_one_projected_pass(tag, amplitude, grid2048):
+    """Every U solve, the excised P solve included, is one projected
+    contraction: the re-fitted kernel datum is the prescribed one to
+    rounding, and the report holds one contraction ratio per step after
+    the first."""
+    report, _ = u_fixed_point_solve(amplitude, DetParams.preset(tag),
+                                    IterationConfig(), grid=grid2048)
+    assert report.converged
+    assert abs(report.fitted_amplitude - amplitude) <= 1e-10 * abs(amplitude)
+    assert len(report.contraction_ratios) == report.iterations - 1
+
+
 def test_split_solution_envelope(grid2048):
     """alpha = -7/16: the solution's boundary decay is the x^4 branch."""
     p = DetParams.preset("paneitz")
