@@ -127,18 +127,20 @@ def _coth(grid, dtype):
     return out
 
 
-def laplacian_values(values, grid, n, parity=1):
+def laplacian_values(values, grid, n, parity=1, extended=True):
     """Lap f = f'' + (n-1) coth(r) f' on raw sample arrays.
 
     At r = 0 the regular limit n f''(0) is used (valid for even profiles).
-    Works in the dtype of `values`, which lets residual diagnostics run in
-    extended precision.
+    Returns the dtype of `values` (double for non-float input), with the
+    derivatives accumulated in longdouble unless `extended=False` (see
+    `differentiate`); longdouble input keeps residual diagnostics in
+    extended precision throughout.
     """
     values = np.asarray(values)
     dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.dtype(float)
     values = values.astype(dtype)
-    d1 = differentiate(values, grid.h, 1, parity=parity)
-    d2 = differentiate(values, grid.h, 2, parity=parity)
+    d1 = differentiate(values, grid.h, 1, parity=parity, extended=extended)
+    d2 = differentiate(values, grid.h, 2, parity=parity, extended=extended)
     coth = _coth(grid, dtype)
     out = np.empty_like(values)
     out[1:] = d2[1:] + (n - 1) * coth[1:] * d1[1:]
@@ -179,13 +181,14 @@ def paneitz_gradient_coefficient(n):
     return cc.a_n * cc.R_hyp + cc.b_n * (n - 1)
 
 
-def paneitz_values(values, grid, n, parity=1):
-    """P_g applied to a raw sample array on the hyperbolic base."""
+def paneitz_values(values, grid, n, parity=1, extended=True):
+    """P_g applied to a raw sample array on the hyperbolic base, in the
+    dtype and with the accumulation of `laplacian_values`."""
     n = check_dimension(n)
     cc = hyperbolic_curvature_report(n)
     c_n = paneitz_gradient_coefficient(n)
-    lap = laplacian_values(values, grid, n, parity=parity)
-    lap2 = laplacian_values(lap, grid, n, parity=parity)
+    lap = laplacian_values(values, grid, n, parity=parity, extended=extended)
+    lap2 = laplacian_values(lap, grid, n, parity=parity, extended=extended)
     out = lap2 - c_n * lap
     if n > 4:
         out = out + 0.5 * (n - 4) * cc.Q_hyp * np.asarray(values, dtype=out.dtype)

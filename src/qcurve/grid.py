@@ -73,12 +73,32 @@ def stencil_weights(lo, hi, m):
     return w
 
 
-def differentiate(values, h, m, parity=1):
-    """m-th derivative of a sampled profile, 4th-order accurate.
+@functools.cache
+def _stencils(m, dtype):
+    """(central, outer) weights of `differentiate` in `dtype`, the biased
+    stencils of the outer rows stacked (each reads the last m+4 samples);
+    read-only, since every caller shares them."""
+    k = _HALF_WIDTH[m]
+    out = (stencil_weights(-k, k, m).astype(dtype),
+           np.array([stencil_weights(lead - m - 3, lead, m)
+                     for lead in range(k - 1, -1, -1)], dtype))
+    for w in out:
+        w.flags.writeable = False
+    return out
+
+
+def differentiate(values, h, m, parity=1, extended=True):
+    """m-th derivative of a sampled profile, 4th-order accurate, in the
+    dtype of `values`.
 
     parity = +1 treats the sample as an even function of r about the origin
     (ghost values f[-i] = f[i]); parity = -1 as odd.  The outer end uses
-    biased stencils of the same order.
+    biased stencils of the same order.  By default the extended-precision
+    weights accumulate in longdouble: weights rounded to double no longer
+    annihilate constants exactly, and a composed operator amplifies that
+    residue by 1/h^2.  `extended=False` accumulates in the dtype of
+    `values`, ~8x faster for double input at an error of up to about a
+    hundred eps max|f| / h^m: for small fields only.
     """
     values = np.asarray(values)
     if not (np.issubdtype(values.dtype, np.floating)
@@ -90,30 +110,17 @@ def differentiate(values, h, m, parity=1):
     k = _HALF_WIDTH[m]
     if n < m + 5:
         raise ValueError("grid too short for a 4th-order order-%d stencil" % m)
-    # accumulate with the extended-precision weights (numpy upcasts the
-    # products): rounding the weights to double first leaves a residue that
-    # no longer annihilates constants exactly, and a second composed
-    # operator amplifies that residue by 1/h^2
-    w = stencil_weights(-k, k, m)
-    acc_dtype = np.result_type(values.dtype, w.dtype)
-    out = np.zeros(n, dtype=acc_dtype)
-    # interior (vectorized)
-    for j, off in enumerate(range(-k, k + 1)):
-        out[k:n - k] += w[j] * values[k + off:n - k + off]
-    # origin side: parity ghosts f[-i] = parity * f[i]
-    for i in range(k):
-        acc = acc_dtype.type(0)
-        for j, off in enumerate(range(-k, k + 1)):
-            idx = i + off
-            acc += w[j] * (values[idx] if idx >= 0 else parity * values[-idx])
-        out[i] = acc
-    # outer side: biased stencils
-    for i in range(n - k, n):
-        # biased stencil of m+4 points, `lead` of them right of node i
-        lead = n - 1 - i
-        lo = lead - m - 3
-        out[i] = stencil_weights(lo, lead, m) @ values[i + lo:i + lead + 1]
-    return (out / np.longdouble(h) ** m).astype(values.dtype)
+    w, w_outer = _stencils(m, np.longdouble if extended else values.dtype)
+    out = np.empty(n, dtype=np.result_type(values.dtype, w.dtype))
+    # central rows, the origin's through parity ghosts f[-i] = parity f[i]
+    padded = np.concatenate((parity * values[k:0:-1], values))
+    central = out[:n - k]
+    central[...] = w[0] * padded[:n - k]
+    for j in range(1, 2 * k + 1):
+        central += w[j] * padded[j:j + n - k]
+    out[n - k:] = w_outer @ values[n - m - 4:]
+    scale = np.longdouble(h) ** m
+    return (out / (scale if extended else float(scale))).astype(values.dtype)
 
 
 class RadialGrid:

@@ -54,7 +54,8 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class Machinery:
     """The assembled linear machinery a solve runs on; `smallness` memoizes
-    `_measured_smallness` per (target, epsilon)."""
+    `_measured_smallness` per (target, epsilon), and `paneitz_kernel` holds
+    P k-hat in longdouble for the constant-Q residual (None in U solves)."""
 
     grid: object
     n: int
@@ -62,6 +63,7 @@ class Machinery:
     kernel: KernelElement
     projection: ProjectionP1
     smallness: dict = field(default_factory=dict, compare=False, repr=False)
+    paneitz_kernel: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 def build_machinery(n, grid):
@@ -71,7 +73,8 @@ def build_machinery(n, grid):
     # noise that the composed operator amplifies ~1/h^4 into every residual
     k = kernel_element(n, grid, dtype=np.longdouble)
     return Machinery(grid=grid, n=n, operator=op, kernel=k,
-                     projection=make_projection(k))
+                     projection=make_projection(k),
+                     paneitz_kernel=paneitz_values(k.base.values, grid, n))
 
 
 def constant_q_problem(n, r_max, points, target=None):
@@ -229,27 +232,32 @@ def _power1p(u, p):
     return np.exp(p * np.log1p(u))
 
 
-def e_residual(u, f, dim, margin=0.5):
+def e_residual(u, f, dim, margin=0.5, split=None):
     """Sup of the curvature equation residual on the interior window.
 
     n = 4:   E(u) = P u + 2 Q - 2 f e^{4u}
     n >= 5:  E(u) = P(1+u) - (n-4)/2 f (1+u)^{(n+4)/(n-4)}
 
     The outer `margin` of the grid (biased-stencil rows) is excluded.
+    E is evaluated in the dtype of u, or in double given `split` = (P v, w)
+    for u = v + w: P u = P v + P w, P w accumulated in double (for w small
+    enough that its rounding, amplified by 1/h^4, is negligible).
     """
     n = check_dimension(dim)
     grid = u.grid
     fv = np.asarray(f.f.values, float)
     uv = np.asarray(u.values)
-    if not np.issubdtype(uv.dtype, np.floating):
-        uv = uv.astype(float)
-    if n == 4:
+    if split is None:
         pu = paneitz_values(uv, grid, n, parity=u.parity)
+    else:
+        pu = np.asarray(split[0], float) + paneitz_values(
+            split[1], grid, n, parity=u.parity, extended=False)
+    uv = np.asarray(uv, pu.dtype)
+    if n == 4:
         res = pu + 2.0 * f.q_base - 2.0 * fv * np.exp(4.0 * uv)
     else:
         # P(1+u) = P u + (n-4)/2 Q, split analytically (see q_of_conformal)
-        pw = paneitz_values(uv, grid, n, parity=u.parity) \
-            + 0.5 * (n - 4.0) * f.q_base
+        pw = pu + 0.5 * (n - 4.0) * f.q_base
         res = pw - 0.5 * (n - 4.0) * fv * _power1p(uv, (n + 4.0) / (n - 4.0))
     mask = grid.r <= grid.r_max - margin
     return float(np.abs(np.asarray(res, float)[mask]).max())
@@ -319,12 +327,13 @@ def projected_contraction(amplitude, cfg, machinery, rhs, residual):
     """(report, u): iterate u2 <- G T(u1 + u2) from u2 = 0, u1 = amplitude
     k-hat, on the machinery's operator, kernel and projection.
 
-    `rhs(u1, u2)` is T(u1 + u2) from the value arrays of u1 (extended
-    precision) and u2 (double), so each family picks where the sum is
-    rounded; `residual(u)` is the family's equation residual.  u = u1 + u2
-    stays in extended precision: rounding u1 seeds noise that residuals
-    amplify by 1/h^4.  The report holds the re-fitted kernel datum and the
-    `decay_diagnostics` of the last right-hand side G was applied to."""
+    `rhs(u1, u2)` and `residual(u1, u2)` are T(u1 + u2) and the family's
+    equation residual from the value arrays of u1 (extended precision) and
+    u2 (double), so each family picks where the sum is rounded or splits a
+    linear term.  u = u1 + u2 stays in extended precision: rounding u1
+    seeds noise that residuals amplify by 1/h^4.  The report holds the
+    re-fitted kernel datum and the `decay_diagnostics` of the last
+    right-hand side G was applied to."""
     check_amplitude(amplitude, cfg)
     grid = machinery.grid
     u1 = np.asarray(machinery.kernel.with_amplitude(amplitude).profile.values)
@@ -343,7 +352,7 @@ def projected_contraction(amplitude, cfg, machinery, rhs, residual):
         cfg, converged, amplitude,
         project_P1(machinery.projection, u).amplitude,
         iterations=iterations, contraction_ratios=ratios,
-        residual=residual(u),
+        residual=residual(u1, u2),
         diagnostics=decay_diagnostics(grid, data.values)), u
 
 
@@ -356,11 +365,14 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     grid = machinery.grid
     if f.grid != grid:
         raise ValueError("target curvature lives on a different grid")
+    # E(u) in double, with P u = a P k-hat + P u2: u2 = O(a^2)
     report, u = projected_contraction(
         amplitude, cfg, machinery,
         lambda u1, u2: nonlinear_rhs(RadialFunction(grid, u1),
                                      RadialFunction(grid, u2), f, n),
-        lambda u: e_residual(u, f, n))
+        lambda u1, u2: e_residual(
+            RadialFunction(grid, np.asarray(u1, float) + u2), f, n,
+            split=(amplitude * machinery.paneitz_kernel, u2)))
     memo, key = machinery.smallness, (f, cfg.epsilon)
     if key not in memo:
         memo[key] = _measured_smallness(machinery, *key)

@@ -430,7 +430,8 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
         amplitude, cfg, machinery,
         lambda w1, w2: u_nonlinear_rhs(RadialFunction(grid, w1 + w2),
                                        params, target),
-        lambda w: u_e_residual(w, params, target))
+        lambda w1, w2: u_e_residual(RadialFunction(grid, w1 + w2), params,
+                                    target))
     if kernel.diagnostics.get("log_terms_possible") and not report.message:
         report.message = ("integer-separated indicial roots: log(x) terms "
                           "possible in the boundary expansion")

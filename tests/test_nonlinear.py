@@ -191,7 +191,7 @@ def test_solve_constant_curvature(fixture, request):
 
 @pytest.fixture(scope="module")
 def machinery_4096(grid4096):
-    return {n: build_machinery(n, grid4096) for n in (5, 6)}
+    return {n: build_machinery(n, grid4096) for n in (4, 5, 6)}
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -215,6 +215,71 @@ def test_small_amplitude_solve_reports_no_diagnostics(n, machinery_4096):
                                   IterationConfig(), machinery_4096[n])
     assert report.diagnostics == []
     assert "diagnostics" not in report.to_dict()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("amplitude", [0.0, 1e-4, -1e-4, 1e-3, -1e-3])
+def test_split_residual_matches_extended_oracle(n, amplitude,
+                                                machinery_4096):
+    """A solve's residual, a P k-hat (memoized in longdouble) plus P u2
+    and the nonlinear terms in double, reads what the all-longdouble
+    e_residual(u, f, n) reads on the returned u.  The measured gap (at
+    most 1.4e-10, for n = 6) is the longdouble rounding of P(a k-hat + u2)
+    against a P k-hat + P u2.  Leaving out either term, or applying P to
+    a k-hat + u2 in double, misses by 5e-9 or more at |a| >= 1e-4."""
+    m = machinery_4096[n]
+    f = constant_target(m)
+    report, u = fixed_point_solve(amplitude, f, IterationConfig(), m)
+    assert report.converged
+    assert u.values.dtype == np.longdouble
+    assert abs(report.residual - e_residual(u, f, n)) <= 2e-10
+
+
+def test_paneitz_kernel_is_memoized_in_extended_precision(monkeypatch):
+    """P k-hat is longdouble, bit-equal to paneitz_values of the kernel
+    base, and computed once, by build_machinery: each solve applies P to
+    u2 only, in double."""
+    dtypes = []
+    paneitz = nonlinear.paneitz_values
+
+    def counted(values, *args, **kwargs):
+        dtypes.append(np.asarray(values).dtype)
+        return paneitz(values, *args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "paneitz_values", counted)
+    m = build_machinery(5, RadialGrid(12.0, 1200))
+    assert dtypes == [np.longdouble]
+    memo = m.paneitz_kernel
+    assert memo.dtype == np.longdouble
+    assert np.array_equal(memo, paneitz(m.kernel.base.values, m.grid, 5))
+    f = constant_target(m)
+    for amplitude in (7e-4, -4e-4):
+        dtypes.clear()
+        report, _ = fixed_point_solve(amplitude, f, IterationConfig(), m)
+        assert report.converged
+        assert dtypes == [np.float64]
+        assert m.paneitz_kernel is memo
+
+
+@pytest.mark.parametrize("amplitude", [5e-4, -1e-3, 0.0])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_solve_report_flags_kernel_drift(amplitude, sign):
+    """A converged call whose re-fitted datum misses the amplitude by more
+    than 1e-6 |a| + 1e-10 is failed with the drift message; a miss just
+    inside the bound stays converged."""
+    cfg = IterationConfig()
+    bound = 1e-6 * abs(amplitude) + 1e-10
+    drifted = nonlinear.solve_report(cfg, True, amplitude,
+                                     amplitude + sign * 1.01 * bound,
+                                     iterations=3)
+    assert drifted.converged is False
+    assert drifted.message.startswith("kernel projection drifted")
+    kept = nonlinear.solve_report(cfg, True, amplitude,
+                                  amplitude + sign * 0.99 * bound,
+                                  iterations=3)
+    assert kept.converged is True
+    assert kept.message == ""
+    assert kept.fitted_amplitude == amplitude + sign * 0.99 * bound
 
 
 def test_bands_factored_once_per_machinery(monkeypatch, grid2048):
