@@ -8,8 +8,8 @@ a series kernel, a generalized inverse, and a contraction iteration.
 from .grid import RadialFunction, RadialGrid, differentiate, fd_weights
 from .geometry import (CurvatureConstants, DimensionError, PositivityError,
                        check_dimension, hyperbolic_curvature_report,
-                       ConformalFactor, laplacian_radial, paneitz_apply,
-                       q_of_conformal, scalar_of_conformal)
+                       laplacian_radial, paneitz_apply, q_of_conformal,
+                       scalar_of_conformal)
 from .indicial import (BoundarySpectrum, DegenerateOperatorError,
                        IndicialPolynomial, adjoint_spectra,
                        q_indicial_polynomial, q_indicial_spectrum,

@@ -7,9 +7,13 @@ The production evaluator is the ascending series
 summed with compensated (Kahan) accumulation and differentiated term by
 term, so value, first and second derivative come from independent sums
 rather than from the ODE itself.  K is formed from the reflection formula
-K_a = (pi/2)(I_{-a} - I_a)/sin(a pi); orders too close to an integer are
-handled by Richardson extrapolation in the order parameter, which sidesteps
-the sin(a pi) cancellation without a separate digamma series.
+K_a = (pi/2)(I_{-a} - I_a)/sin(a pi).  Orders within 1e-3 of an integer m
+sidestep the sin(a pi) cancellation: K_m comes from the integer-order
+log-series with its digamma tail, shifted to order a by a second-order
+Taylor step in the order: the first order-derivative is a
+Richardson-extrapolated central difference of reflection-formula values
+at m +- 0.01 and m +- 0.02, the second a central second difference at
+m +- 0.02.
 
 Beyond t = 30 every value carries an explicit exponential scaling flag
 (I-types reported times e^{-t}, K-types times e^{+t}) to stay inside double
@@ -291,9 +295,7 @@ def _k_triple(alpha, t):
     else:
         # the reflection formula divides by sin(pi a), hopeless this close
         # to an integer; evaluate the integer-order log-series (K is even
-        # in the order, so the nonnegative integer suffices) and shift back
-        # by a first-order secant in the order, whose O(dist^2) remainder
-        # is below the series noise floor for dist < 1e-3.
+        # in the order, so the nonnegative integer suffices)
         triple = _k_triple_int(abs(m), t)
         if dist > 0:
             # shift back by a second-order Taylor step in the order;
@@ -435,8 +437,9 @@ def model_operator(factor_id, n=None, alpha=None):
     return apply
 
 
-def model_residual(sol, t_window, n_samples=200):
-    """Scale-invariant sup residual of the model ODE over a window.
+def model_residual(sol, t_window):
+    """Scale-invariant sup residual of the model ODE at 200 points of a
+    window.
 
     Pointwise |L u| is compared against |u| + |t u'| + |t^2 u''|, the natural
     size of the operator's ingredients, so oscillatory zeros of u do not
@@ -445,7 +448,7 @@ def model_residual(sol, t_window, n_samples=200):
     lo, hi = t_window
     op = model_operator(sol.factor_id, n=sol.params.get("n"),
                         alpha=sol.params.get("alpha"))
-    ts = np.linspace(lo, hi, n_samples)
+    ts = np.linspace(lo, hi, 200)
     worst = 0.0
     for t in ts:
         u, du, d2u = sol.eval_with_derivatives(float(t))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .expansion import (fit_leading, scalar_asymptotic_coefficient,
                         scalar_linearization_coefficient, weighted_norm)
-from .geometry import ConformalFactor, q_of_conformal, scalar_of_conformal
+from .geometry import q_of_conformal, scalar_of_conformal
 from .grid import RadialGrid
 from .indicial import (DegenerateOperatorError, oscillation_parameter,
                        q_indicial_spectrum, u_indicial_spectrum)
@@ -438,10 +438,10 @@ def _run_kernel(cfg):
     return report, table, EXIT_OK
 
 
-def _solve_profile_table(u, grid, n):
-    factor = ConformalFactor(u, n)
-    q = q_of_conformal(factor, grid)
-    s = scalar_of_conformal(factor, grid)
+def _solve_profile_table(u, n):
+    grid = u.grid
+    q = q_of_conformal(u, n)
+    s = scalar_of_conformal(u, n)
     return (("r", "x", "u", "Q", "R"),
             (grid.r.astype(float), grid.x.astype(float),
              np.asarray(u.values, float), np.asarray(q.values, float),
@@ -451,12 +451,11 @@ def _solve_profile_table(u, grid, n):
 def _run_solve(cfg):
     machinery, target = constant_q_problem(cfg.n, cfg.r_max, cfg.points,
                                            cfg.target)
-    grid = machinery.grid
     report, u = guarded_solve(fixed_point_solve, cfg.amplitude, target,
                               _iteration_config(cfg), machinery)
     if u is None:
         return {"n": cfg.n, **report.to_dict()}, None, EXIT_SOLVER
-    table = _solve_profile_table(u, grid, cfg.n)
+    table = _solve_profile_table(u, cfg.n)
     code = EXIT_OK if report.converged else EXIT_SOLVER
     return {"n": cfg.n, "target": float(target.f.values[0]),
             **report.to_dict()}, table, code

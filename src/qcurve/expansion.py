@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ConformalFactor, check_dimension,
+from .geometry import (check_dimension, check_positive,
                        hyperbolic_curvature_report, scalar_of_conformal,
                        warped_product_curvature)
 from .indicial import oscillation_parameter, q_indicial_spectrum
@@ -92,10 +92,10 @@ def _log_terms_possible(n):
     return q_indicial_spectrum(n).log_terms_possible
 
 
-def fit_leading(u, dim, window=None):
+def fit_leading(u, dim):
     """Least-squares leading-term fit of a decaying radial profile.
 
-    The window is an (r_lo, r_hi) pair and must contain at least three
+    The window is `fit_window`'s, which must contain at least three
     periods of the boundary oscillation.  The regression carries a
     nuisance dictionary of faster-decaying powers, so smooth remainders do
     not leak into (a, b).  Like every leading-coefficient fit, (a, b) is
@@ -105,7 +105,7 @@ def fit_leading(u, dim, window=None):
     n = check_dimension(dim)
     grid = u.grid
     beta = oscillation_parameter(n)
-    window, _ = fit_window(grid.r_max, beta, window=window)
+    window, _ = fit_window(grid.r_max, beta)
     lo, hi = window
     lam = (n - 1) / 2.0
     mask, rows = _boundary_rows(grid, (lo, hi), lam, beta)
@@ -194,24 +194,22 @@ def scalar_linearization_coefficient(n):
 def _scalar_deviation(u, n, route):
     """R_new - R on the grid of u, by the conformal law or by the
     warped-product curvature of g~ = e^{2w} g."""
-    grid = u.grid
-    factor = ConformalFactor(u, n)
     if route == "conformal":
         R_hyp = hyperbolic_curvature_report(n).R_hyp
-        return np.asarray(scalar_of_conformal(factor, grid, n).values,
-                          float) - R_hyp
+        return np.asarray(scalar_of_conformal(u, n).values, float) - R_hyp
     if route != "warped":
         raise ValueError("route must be 'conformal' or 'warped', got %r"
                          % (route,))
+    check_positive(u, n)
     # extended precision: the nested stencils amplify the rounding of B by
     # 1/h^2 (in double the n = 5 ratio at 2048 points is off by a relative
     # 3e-6, in longdouble by 1e-7)
     uv = np.asarray(u.values, np.longdouble)
     # e^{2w} = e^{2u} (n = 4) or (1+u)^{4/(n-4)} (n >= 5)
-    w = uv if factor.regime == "exp" else 2.0 / (n - 4.0) * np.log1p(uv)
+    w = uv if n == 4 else 2.0 / (n - 4.0) * np.log1p(uv)
     # the base curvature on the same stencils cancels their truncation error
-    new = warped_product_curvature(w, grid, n).scalar
-    base = warped_product_curvature(np.zeros_like(w), grid, n).scalar
+    new = warped_product_curvature(w, u.grid, n).scalar
+    base = warped_product_curvature(np.zeros_like(w), u.grid, n).scalar
     return np.asarray(new - base, float)
 
 

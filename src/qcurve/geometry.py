@@ -31,7 +31,7 @@ __all__ = [
     "check_dimension",
     "CurvatureConstants",
     "hyperbolic_curvature_report",
-    "ConformalFactor",
+    "check_positive",
     "laplacian_radial",
     "laplacian_values",
     "paneitz_apply",
@@ -94,24 +94,16 @@ def hyperbolic_curvature_report(n):
     )
 
 
-class ConformalFactor:
-    """Conformal deformation of the hyperbolic base.
-
-    regime 'exp'   (n = 4):   g~ = e^{2u} g
-    regime 'power' (n >= 5):  g~ = (1+u)^{4/(n-4)} g, requires 1 + u > 0.
-    """
-
-    def __init__(self, u, n):
-        n = check_dimension(n)
-        self.n = n
-        self.u = u
-        self.regime = "exp" if n == 4 else "power"
-        if self.regime == "power":
-            bad = np.where(1.0 + u.values <= 0.0)[0]
-            if bad.size:
-                raise PositivityError(
-                    "conformal factor needs 1 + u > 0; violated first at r=%g"
-                    % u.grid.r[bad[0]])
+def check_positive(u, n):
+    """PositivityError unless the profile u is a conformal factor of the
+    hyperbolic base: g~ = e^{2u} g (n = 4) takes any u, while
+    g~ = (1+u)^{4/(n-4)} g (n >= 5) requires 1 + u > 0."""
+    if n > 4:
+        bad = np.where(1.0 + u.values <= 0.0)[0]
+        if bad.size:
+            raise PositivityError(
+                "conformal factor needs 1 + u > 0; violated first at r=%g"
+                % u.grid.r[bad[0]])
 
 
 @functools.lru_cache(maxsize=16)
@@ -202,49 +194,52 @@ def paneitz_apply(phi, grid, n):
     return phi.as_function(paneitz_values(phi.values, grid, n, parity=phi.parity))
 
 
-def q_of_conformal(factor, grid, n=None):
-    """Q-curvature of the conformally deformed metric, pointwise.
+def q_of_conformal(u, n):
+    """Q-curvature of the metric with conformal factor u (see
+    `check_positive`), pointwise on the grid of u.
 
     n = 4:   Q~ = e^{-4u} (P u + 2 Q) / 2
     n >= 5:  Q~ = (2/(n-4)) (1+u)^{-(n+4)/(n-4)} P(1+u)
     """
-    n = check_dimension(factor.n if n is None else n)
+    n = check_dimension(n)
+    check_positive(u, n)
     cc = hyperbolic_curvature_report(n)
-    u = factor.u.values
-    if factor.regime == "exp":
-        pu = paneitz_values(u, grid, n, parity=factor.u.parity)
-        vals = np.exp(-4.0 * u.astype(pu.dtype)) * (pu + 2.0 * cc.Q_hyp) / 2.0
+    uv = u.values
+    pu = paneitz_values(uv, u.grid, n, parity=u.parity)
+    if n == 4:
+        vals = np.exp(-4.0 * uv.astype(pu.dtype)) * (pu + 2.0 * cc.Q_hyp) / 2.0
     else:
         # split P(1+u) = P u + (n-4)/2 Q analytically: applying the
         # fourth-order stencils to the O(1) field 1+u would amplify its
         # eps-level representation noise by 1/h^4
-        pu = paneitz_values(u, grid, n, parity=factor.u.parity)
         pw = pu + 0.5 * (n - 4.0) * cc.Q_hyp
         p_exp = (n + 4.0) / (n - 4.0)
-        vals = (2.0 / (n - 4.0)) * np.asarray(1.0 + u, dtype=pw.dtype) ** (-p_exp) * pw
-    return factor.u.as_function(vals)
+        vals = (2.0 / (n - 4.0)) * np.asarray(1.0 + uv, dtype=pw.dtype) ** (-p_exp) * pw
+    return u.as_function(vals)
 
 
-def scalar_of_conformal(factor, grid, n=None):
-    """Scalar curvature of the conformally deformed metric, pointwise.
+def scalar_of_conformal(u, n):
+    """Scalar curvature of the metric with conformal factor u (see
+    `check_positive`), pointwise on the grid of u.
 
     n = 4 uses (1+v)^{-3} (-6 Lap + R)(1+v) with 1+v = e^u; n >= 5 the
     conformal-Laplacian law with phi = (1+u)^{(n-2)/(n-4)}.
     """
-    n = check_dimension(factor.n if n is None else n)
+    n = check_dimension(n)
+    check_positive(u, n)
     cc = hyperbolic_curvature_report(n)
-    u = factor.u.values
-    if factor.regime == "exp":
-        w = np.exp(u)
-        lap_w = laplacian_values(w, grid, n, parity=factor.u.parity)
-        vals = np.exp(-3.0 * u.astype(lap_w.dtype)) * (-6.0 * lap_w + cc.R_hyp * w)
+    uv = u.values
+    if n == 4:
+        w = np.exp(uv)
+        lap_w = laplacian_values(w, u.grid, n, parity=u.parity)
+        vals = np.exp(-3.0 * uv.astype(lap_w.dtype)) * (-6.0 * lap_w + cc.R_hyp * w)
     else:
-        phi = (1.0 + u) ** ((n - 2.0) / (n - 4.0))
-        lap_phi = laplacian_values(phi, grid, n, parity=factor.u.parity)
+        phi = (1.0 + uv) ** ((n - 2.0) / (n - 4.0))
+        lap_phi = laplacian_values(phi, u.grid, n, parity=u.parity)
         c = 4.0 * (n - 1.0) / (n - 2.0)
         vals = np.asarray(phi, dtype=lap_phi.dtype) ** (-(n + 2.0) / (n - 2.0)) \
             * (-c * lap_phi + cc.R_hyp * phi)
-    return factor.u.as_function(vals)
+    return u.as_function(vals)
 
 
 def laplacian_conformal_values(values, w, grid, n, parity=1):
@@ -320,9 +315,9 @@ def warped_product_curvature(w, grid, n):
                            ric_ss + (n - 1) * ric_ang)
 
 
-def paneitz_conformal_values(phi, w, grid, n, parity=1):
-    """Paneitz operator of the radially conformal metric g~ = e^{2w} g,
-    evaluated from warped-product curvature formulas.
+def paneitz_conformal_values(phi, w, grid, n):
+    """Paneitz operator of the radially conformal metric g~ = e^{2w} g on
+    an even profile phi, evaluated from warped-product curvature formulas.
 
     With the curvature of `warped_product_curvature` (A = e^w,
     B = e^w sinh r, d/ds = A^{-1} d/dr),
@@ -351,10 +346,10 @@ def paneitz_conformal_values(phi, w, grid, n, parity=1):
     def lap_conf(vals, par):
         return laplacian_conformal_values(vals, w, grid, n, parity=par)
 
-    lap_phi = lap_conf(phi, parity)
+    lap_phi = lap_conf(phi, 1)
     lap2_phi = lap_conf(lap_phi, 1)
 
-    phi_s = d_r(phi, parity) / A                       # odd
+    phi_s = d_r(phi, 1) / A                            # odd
     T_ss = cc.a_n * R_scal - cc.b_n * ric_ss           # even
     G = T_ss * phi_s                                   # odd
     G_s = d_r(G, -1) / A                               # even

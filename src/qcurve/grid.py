@@ -101,8 +101,7 @@ def differentiate(values, h, m, parity=1, extended=True):
     hundred eps max|f| / h^m: for small fields only.
     """
     values = np.asarray(values)
-    if not (np.issubdtype(values.dtype, np.floating)
-            or np.issubdtype(values.dtype, np.complexfloating)):
+    if not np.issubdtype(values.dtype, np.floating):
         values = values.astype(float)
     if m == 0:
         return values.copy()
@@ -170,9 +169,9 @@ class RadialGrid:
         i = int(round(r_value / self.h))
         return min(max(i, 0), self.n_points - 1)
 
-    def refine(self, factor=2):
-        """A grid with the same extent and `factor` times the resolution."""
-        return RadialGrid(self.r_max, (self.n_points - 1) * factor + 1)
+    def refine(self):
+        """A grid with the same extent and twice the resolution."""
+        return RadialGrid(self.r_max, 2 * self.n_points - 1)
 
 
 class RadialFunction:
@@ -189,11 +188,7 @@ class RadialFunction:
         if values.shape != (grid.n_points,):
             raise ValueError("value array length %s does not match grid size %d"
                              % (values.shape, grid.n_points))
-        if np.iscomplexobj(values):
-            finite = np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))
-        else:
-            finite = np.all(np.isfinite(values))
-        if not finite:
+        if not np.all(np.isfinite(values)):
             raise ValueError("RadialFunction values must be finite")
         if parity not in (1, -1):
             raise ValueError("parity must be +1 or -1")
@@ -210,10 +205,9 @@ class RadialFunction:
             return self.values.copy()
         return differentiate(self.values, self.grid.h, m, parity=self.parity)
 
-    def as_function(self, values, parity=None):
-        """Sibling profile on the same grid."""
-        return RadialFunction(self.grid, values,
-                              self.parity if parity is None else parity)
+    def as_function(self, values):
+        """Sibling profile on the same grid, of the same parity."""
+        return RadialFunction(self.grid, values, self.parity)
 
     def __add__(self, other):
         if isinstance(other, RadialFunction):

@@ -338,12 +338,13 @@ class BandedFactor:
         c2 = np.dot(v, target) / np.dot(v, v)
         return (np.dot(u, target) / nu - proj * c2) / nu, c2
 
-    def shoot_regular(self, dtype=np.float64):
+    def shoot_regular(self):
         """The regular solution of (scale Lap + constant) k = 0 with
         k(0) = 1, k'(0) = 0, and its slope, in closed form: `_inner_series`
         inside r = 1.05, the matched `_outer_solutions` beyond.  Both are
-        summed to longdouble rounding, clean under the 1/h^4 amplification
-        of composed fourth-order residuals; `dtype` only casts the result."""
+        summed to longdouble rounding and returned in longdouble: rounded
+        to double, k seeds noise that the composed fourth-order residuals
+        amplify ~1/h^4."""
         r = np.asarray(self.grid.r, dtype=np.longdouble)
         inner = r < _JOIN_R
         out = np.empty((2, len(r)), dtype=np.longdouble)
@@ -352,7 +353,7 @@ class BandedFactor:
             c1, c2 = self._matched_outer()
             u, v = _outer_solutions(self.n, self._c, r[~inner])
             out[:, ~inner] = c1 * u + c2 * v
-        return out[0].astype(dtype), out[1].astype(dtype)
+        return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -542,12 +543,11 @@ def _default_window(r_max):
     return (max(2.0, r_max - 10.0), r_max - 0.25)
 
 
-def fit_window(r_max, beta, need=3.0, window=None):
-    """(window, periods): the fit window (default: `_default_window`) and
-    the oscillation periods of frequency beta it spans; WindowError below
-    `need` periods.  Needs no grid, so a configuration can be checked
-    before any work."""
-    window = window or _default_window(r_max)
+def fit_window(r_max, beta, need=3.0):
+    """(window, periods): `_default_window` and the oscillation periods of
+    frequency beta it spans; WindowError below `need` periods.  Needs no
+    grid, so a configuration can be checked before any work."""
+    window = _default_window(r_max)
     periods = beta * (window[1] - window[0]) / (2.0 * math.pi)
     if periods < need:
         raise WindowError(
@@ -556,20 +556,20 @@ def fit_window(r_max, beta, need=3.0, window=None):
     return window, periods
 
 
-def _regular_kernel(factor, mu, beta=None, amplitude=1.0, window=None,
-                    need=3.0, dtype=np.float64, **diagnostics):
-    """KernelElement of the regular solution of `factor`, whose leading
-    boundary term x^{mu +- i beta} (x^mu if beta is None) is fitted on
-    `window` -- for an oscillation over at least `need` periods, checked
-    before the solution is summed -- and the profile scaled to unit
-    leading coefficients; `diagnostics` joins the measured frequency and
-    envelope exponent, or the measured decay exponent."""
+def _regular_kernel(factor, mu, beta=None, amplitude=1.0, need=3.0,
+                    **diagnostics):
+    """KernelElement of the regular solution of `factor`, in longdouble,
+    whose leading boundary term x^{mu +- i beta} (x^mu if beta is None) is
+    fitted on `_default_window` -- for an oscillation over at least `need`
+    periods, checked before the solution is summed -- and the profile
+    scaled to unit leading coefficients; `diagnostics` joins the measured
+    frequency and envelope exponent, or the measured decay exponent."""
     grid, n = factor.grid, factor.n
     if beta is None:
-        window = tuple(window or _default_window(grid.r_max))
+        window = _default_window(grid.r_max)
     else:
-        window, periods = fit_window(grid.r_max, beta, need, window)
-    vals, _ = factor.shoot_regular(dtype=dtype)
+        window, periods = fit_window(grid.r_max, beta, need)
+    vals, _ = factor.shoot_regular()
     # a real root has the one coefficient a
     a, b, *_ = _fit_boundary(grid, vals, window, mu, beta) + (0.0,)
     scale = math.hypot(a, b)
@@ -594,7 +594,7 @@ def _regular_kernel(factor, mu, beta=None, amplitude=1.0, window=None,
         diagnostics=diagnostics)
 
 
-def kernel_element(n, grid, amplitude=1.0, window=None, dtype=np.float64):
+def kernel_element(n, grid, amplitude=1.0):
     """The regular decaying kernel element of T2, from the series solution
     k = 1 - (n^2-4)/(4n) r^2 + ... of BandedFactor.shoot_regular, with its
     boundary oscillation fitted over at least 3 periods (see
@@ -602,7 +602,7 @@ def kernel_element(n, grid, amplitude=1.0, window=None, dtype=np.float64):
     n = check_dimension(n)
     factor = BandedFactor(grid, n, 1.0, (n * n - 4.0) / 2.0)
     return _regular_kernel(factor, (n - 1.0) / 2.0, oscillation_parameter(n),
-                           amplitude, window, dtype=dtype)
+                           amplitude)
 
 
 @dataclass(frozen=True)
@@ -628,11 +628,11 @@ class ProjectionP1:
     covector: np.ndarray
 
 
-def make_projection(kernel, window=None):
-    """ProjectionP1 for `kernel` on `window` (default: the kernel's fit
-    window), with the covector and the anchor row it holds."""
-    window = tuple(window or kernel.window_r)
-    mask, rows = _boundary_rows(kernel.grid, window, kernel.mu, kernel.beta)
+def make_projection(kernel):
+    """ProjectionP1 for `kernel` on the kernel's fit window, with the
+    covector and the anchor row it holds."""
+    mask, rows = _boundary_rows(kernel.grid, kernel.window_r, kernel.mu,
+                                kernel.beta)
     lead = np.array(kernel.unit_fit[:len(rows)])
     covector = np.zeros(kernel.grid.n_points)
     covector[mask] = lead @ rows / (lead @ lead)
@@ -641,7 +641,7 @@ def make_projection(kernel, window=None):
     kv = kernel.base.values
     slope = (stencil_weights(-4, 0, 1) @ kv[-5:]
              / np.longdouble(kernel.grid.h))
-    return ProjectionP1(kernel=kernel, window_r=window,
+    return ProjectionP1(kernel=kernel, window_r=kernel.window_r,
                         anchor=(float(kv[-1]), float(slope)),
                         covector=covector)
 
@@ -659,9 +659,10 @@ def project_P1(proj, u):
 # solves
 
 
-def _measured_decay(grid, values, span=3.0):
-    """Least-squares decay exponent mu of |f| ~ x^mu near the boundary."""
-    mask = grid.window_mask(grid.r_max - span, grid.r_max - 0.25)
+def _measured_decay(grid, values):
+    """Least-squares decay exponent mu of |f| ~ x^mu on [r_max - 3,
+    r_max - 0.25]."""
+    mask = grid.window_mask(grid.r_max - 3.0, grid.r_max - 0.25)
     mags = np.abs(np.asarray(values, float)[mask])
     floor = mags.max() * 1e-300 + 1e-300
     return float(-np.polyfit(grid.r[mask].astype(float),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import ExpansionFit, fit_leading
-from .geometry import (PositivityError, check_dimension,
+from .geometry import (PositivityError, check_dimension, check_positive,
                        hyperbolic_curvature_report, paneitz_values)
 from .grid import RadialFunction, RadialGrid
 from .linear import (FactoredOperator, KernelElement, ProjectionP1, assemble,
@@ -69,9 +69,7 @@ class Machinery:
 def build_machinery(n, grid):
     n = check_dimension(n)
     op = assemble(grid, n=n)
-    # keep the series kernel in longdouble: rounding it to double seeds
-    # noise that the composed operator amplifies ~1/h^4 into every residual
-    k = kernel_element(n, grid, dtype=np.longdouble)
+    k = kernel_element(n, grid)
     return Machinery(grid=grid, n=n, operator=op, kernel=k,
                      projection=make_projection(k),
                      paneitz_kernel=paneitz_values(k.base.values, grid, n))
@@ -193,8 +191,8 @@ class SolveReport:
         return d
 
 
-def nonlinear_rhs(u1, u2, f, dim):
-    """T(u1 + u2): every term of the curvature equation beyond L u.
+def nonlinear_rhs(u, f, dim):
+    """T(u): every term of the curvature equation beyond L u, in double.
 
     n = 4:   T(u) = 2 f (e^{4u} - 1 - 4u) + 2 (f - Q) + 8 (f - Q) u
     n >= 5:  T(u) = (n-4)/2 [ f ((1+u)^p - 1 - p u) + (f - Q) ]
@@ -204,20 +202,14 @@ def nonlinear_rhs(u1, u2, f, dim):
     order at u = 0 when f = Q.
     """
     n = check_dimension(dim)
-    u1v = u1.profile.values if isinstance(u1, KernelElement) else u1.values
-    u = np.asarray(u1v, float) + np.asarray(u2.values, float)
+    check_positive(u, n)
+    u = np.asarray(u.values, float)
     fv = np.asarray(f.f.values, float)
     q = f.q_base
     if n == 4:
         vals = (2.0 * fv * (np.expm1(4.0 * u) - 4.0 * u)
                 + 2.0 * (fv - q) + 8.0 * (fv - q) * u)
     else:
-        w = 1.0 + u
-        bad = np.where(w <= 0.0)[0]
-        if bad.size:
-            raise PositivityError(
-                "conformal factor needs 1 + u > 0; violated first at r=%g"
-                % f.grid.r[bad[0]])
         p = (n + 4.0) / (n - 4.0)
         # (1+u)^p - 1 through expm1/log1p: w ** p - 1 leaves rounding noise
         # of absolute size eps that does not shrink with u
@@ -232,13 +224,13 @@ def _power1p(u, p):
     return np.exp(p * np.log1p(u))
 
 
-def e_residual(u, f, dim, margin=0.5, split=None):
+def e_residual(u, f, dim, split=None):
     """Sup of the curvature equation residual on the interior window.
 
     n = 4:   E(u) = P u + 2 Q - 2 f e^{4u}
     n >= 5:  E(u) = P(1+u) - (n-4)/2 f (1+u)^{(n+4)/(n-4)}
 
-    The outer `margin` of the grid (biased-stencil rows) is excluded.
+    The outer 0.5 of radius (biased-stencil rows) is excluded.
     E is evaluated in the dtype of u, or in double given `split` = (P v, w)
     for u = v + w: P u = P v + P w, P w accumulated in double (for w small
     enough that its rounding, amplified by 1/h^4, is negligible).
@@ -259,7 +251,7 @@ def e_residual(u, f, dim, margin=0.5, split=None):
         # P(1+u) = P u + (n-4)/2 Q, split analytically (see q_of_conformal)
         pw = pu + 0.5 * (n - 4.0) * f.q_base
         res = pw - 0.5 * (n - 4.0) * fv * _power1p(uv, (n + 4.0) / (n - 4.0))
-    mask = grid.r <= grid.r_max - margin
+    mask = grid.r <= grid.r_max - 0.5
     return float(np.abs(np.asarray(res, float)[mask]).max())
 
 
@@ -270,10 +262,7 @@ def _measured_smallness(machinery, f, epsilon):
     the norm of f enters through the hyperbolic background value.  A margin
     below 1 is the classical sufficient condition; larger values, common
     for converging solves, only mean the a-priori estimate is inconclusive."""
-    zero = RadialFunction(machinery.grid,
-                          np.zeros(machinery.grid.n_points))
-    t_a = nonlinear_rhs(machinery.kernel.with_amplitude(epsilon), zero, f,
-                        machinery.n)
+    t_a = nonlinear_rhs(machinery.kernel.base * epsilon, f, machinery.n)
     sup_k = float(np.abs(machinery.kernel.profile.values).max())
     c_meas = float(np.abs(t_a.values).max()) / (epsilon * sup_k) ** 2
     return 16.0 * c_meas * epsilon * float(np.abs(f.f.values).max())
@@ -336,7 +325,7 @@ def projected_contraction(amplitude, cfg, machinery, rhs, residual):
     right-hand side G was applied to."""
     check_amplitude(amplitude, cfg)
     grid = machinery.grid
-    u1 = np.asarray(machinery.kernel.with_amplitude(amplitude).profile.values)
+    u1 = machinery.kernel.base.values * float(amplitude)
     data = None
 
     def update(u2):
@@ -368,8 +357,8 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     # E(u) in double, with P u = a P k-hat + P u2: u2 = O(a^2)
     report, u = projected_contraction(
         amplitude, cfg, machinery,
-        lambda u1, u2: nonlinear_rhs(RadialFunction(grid, u1),
-                                     RadialFunction(grid, u2), f, n),
+        lambda u1, u2: nonlinear_rhs(
+            RadialFunction(grid, np.asarray(u1, float) + u2), f, n),
         lambda u1, u2: e_residual(
             RadialFunction(grid, np.asarray(u1, float) + u2), f, n,
             split=(amplitude * machinery.paneitz_kernel, u2)))

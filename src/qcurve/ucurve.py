@@ -34,16 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ConformalFactor, hyperbolic_curvature_report,
-                       laplacian_values, q_of_conformal)
+from .geometry import (hyperbolic_curvature_report, laplacian_values,
+                       q_of_conformal)
 from .grid import RadialFunction, differentiate
 from .indicial import DegenerateOperatorError, u_indicial_spectrum
 from .linear import (BandedFactor, WindowError, _close_band, _equation_band,
                      _fit_boundary, _hc_sums, _regular_kernel, apply_L,
                      assemble, factor_banded, make_projection, solve_banded)
-from .nonlinear import (IterationConfig, Machinery, check_amplitude,
-                        iterate_fixed_point, projected_contraction,
-                        solve_report)
+from .nonlinear import (Machinery, check_amplitude, iterate_fixed_point,
+                        projected_contraction, solve_report)
 
 __all__ = [
     "DetParams",
@@ -118,13 +117,12 @@ def _nonlin_terms(d1, d2, lap, coth_d1):
             - 2.0 * d1 ** 2 * lap)
 
 
-def _nonlinear_values(wv, d1, d2, lap, cd1, params, target):
+def _nonlinear_values(wv, d1, d2, lap, cd1, params):
     """T(w) of `u_nonlinear_rhs` from w, its radial derivatives, Lap w and
     coth(r) w'."""
-    u_base = u_curvature_hyperbolic(params)
     g6 = 6.0 * params.gamma3
-    return ((target / g6) * (np.expm1(4.0 * wv) - 4.0 * wv)
-            + ((target - u_base) / g6) * (1.0 + 4.0 * wv)
+    return ((u_curvature_hyperbolic(params) / g6)
+            * (np.expm1(4.0 * wv) - 4.0 * wv)
             - _nonlin_terms(d1, d2, lap, cd1))
 
 
@@ -136,28 +134,24 @@ def _coth_weighted(d1, d2, r):
     return out
 
 
-def u_nonlinear_rhs(w, params, target_u=None):
-    """T(w): every term of the U-curvature equation beyond L w.
+def u_nonlinear_rhs(w, params):
+    """T(w): every term of the constant-U-curvature equation beyond L w,
 
-    T(w) = (U~/(6 g3))(e^{4w} - 1 - 4w) + ((U~ - U)/(6 g3))(1 + 4w)
-           - Nonlin(w),
+    T(w) = (U/(6 g3))(e^{4w} - 1 - 4w) - Nonlin(w),
 
-    so the equation reads L w = T(w); T vanishes quadratically at w = 0
-    for the constant-U problem (target U~ = U).
+    so the equation reads L w = T(w); T vanishes quadratically at w = 0.
     """
     if params.alpha == -1:
         raise DegenerateOperatorError(
             "alpha = -1 degenerates the fourth-order family")
     grid = w.grid
-    target = (u_curvature_hyperbolic(params) if target_u is None
-              else float(target_u))
     wv = np.asarray(w.values, float)
     d1 = differentiate(wv, grid.h, 1, parity=w.parity)
     d2 = differentiate(wv, grid.h, 2, parity=w.parity)
     lap = laplacian_values(wv, grid, 4, parity=w.parity)
     cd1 = _coth_weighted(d1, d2, grid.r.astype(float))
     return RadialFunction(grid, _nonlinear_values(wv, d1, d2, lap, cd1,
-                                                  params, target))
+                                                  params))
 
 
 def u_linearized_apply(w, params):
@@ -209,8 +203,7 @@ def u_curvature_conformal(w, params):
     wv = np.asarray(w.values, float)
     d1 = differentiate(wv, grid.h, 1, parity=w.parity)
     lap_w = laplacian_values(wv, grid, 4, parity=w.parity)
-    q_t = np.asarray(q_of_conformal(ConformalFactor(w, 4), grid).values,
-                     float)
+    q_t = np.asarray(q_of_conformal(w, 4).values, float)
     r_dev = np.exp(-2.0 * wv) * (-12.0 - 6.0 * lap_w - 6.0 * d1 ** 2) + 12.0
     # Lap~ of a constant vanishes: differentiate the deviation only, so the
     # O(1) background does not feed stencil noise into the result
@@ -261,8 +254,7 @@ def u_kernel_regime(alpha):
     return "real_split", at
 
 
-def u_kernel_element(params, grid, amplitude=1.0, window=None,
-                     dtype=np.float64):
+def u_kernel_element(params, grid, amplitude=1.0):
     """Regular decaying kernel element of T3 = (1+alpha) Lap + 6 alpha.
 
     Oscillatory regime: leading order x^{3/2 +- i |alpha~|}, fitted like
@@ -284,8 +276,8 @@ def u_kernel_element(params, grid, amplitude=1.0, window=None,
     factor = BandedFactor(grid, 4, 1.0 + a, 6.0 * a)
     mu, beta = (1.5, beta) if regime == "oscillatory" else (1.5 - beta, None)
     return _regular_kernel(
-        factor, mu, beta, amplitude, window, OSCILLATORY_PERIODS, dtype,
-        alpha=a, log_terms_possible=u_indicial_spectrum(a).log_terms_possible)
+        factor, mu, beta, amplitude, OSCILLATORY_PERIODS, alpha=a,
+        log_terms_possible=u_indicial_spectrum(a).log_terms_possible)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +297,14 @@ def _segment_diff(values, h, m):
     return d
 
 
-def _segment_rhs(w_seg, r_seg, h, params, target):
-    """T(w) on the excised segment, with one-sided derivatives at its inner
-    edge."""
+def _segment_rhs(w_seg, r_seg, h, params):
+    """T(w) of the constant-U problem on the excised segment, with
+    one-sided derivatives at its inner edge."""
     d1 = _segment_diff(w_seg, h, 1)
     d2 = _segment_diff(w_seg, h, 2)
     lap = d2 + 3.0 / np.tanh(r_seg) * d1
     return _nonlinear_values(w_seg, d1, d2, lap, d1 / np.tanh(r_seg),
-                             params, target)
+                             params)
 
 
 def _even_extension(grid, i0, seg_values, seg_h):
@@ -337,7 +329,7 @@ def _even_extension(grid, i0, seg_values, seg_h):
     return sum(c * r_in ** p for c, p in zip(coeffs, powers))
 
 
-def _solve_excised(amplitude, params, cfg, grid, target, at):
+def _solve_excised(amplitude, params, cfg, grid, at):
     """(report, w) of the split-regime solve on [1, r_max]: w = w1 + w2 with
     w1 = amplitude k^4, k^4 the x^4 branch scaled to unit fitted
     coefficient, and w2 <- G T(w1 + w2), where G inverts the two factors
@@ -372,7 +364,7 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
         _equation_band(grid, 4, 1.0, -4.0, i0), grid.h, 4.0, 1.0))
 
     def update(w2):
-        rhs = _segment_rhs(w1 + w2, r_seg, h, params, target)
+        rhs = _segment_rhs(w1 + w2, r_seg, h, params)
         rhs[0] = rhs[-1] = 0.0
         y = solve_banded(band3, rhs)
         y[0], y[-1] = w1[0], robin_rhs
@@ -388,12 +380,11 @@ def _solve_excised(amplitude, params, cfg, grid, target, at):
     return solve_report(
         cfg, converged, amplitude, fit_x4(w_seg), iterations=iterations,
         contraction_ratios=ratios, excised_r0=r0,
-        residual=u_e_residual(w, params, target,
-                              window=(r0 + 0.5, grid.r_max - 0.5))), w
+        residual=u_e_residual(w, params, window=(r0 + 0.5,
+                                                 grid.r_max - 0.5))), w
 
 
-def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
-                        target_u=None):
+def u_fixed_point_solve(amplitude, params, cfg, grid=None):
     """Constant-U-curvature metric with kernel datum `amplitude`.
 
     Every regime runs one projected contraction w2 <- G T(w1 + w2), w1 the
@@ -409,18 +400,14 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
     if params.alpha == -1:
         raise DegenerateOperatorError(
             "alpha = -1 degenerates the fourth-order family")
-    if cfg is None:
-        cfg = IterationConfig()
     if grid is None:
         raise ValueError("supply the grid to solve on")
     check_amplitude(amplitude, cfg)
-    target = (u_curvature_hyperbolic(params) if target_u is None
-              else float(target_u))
     regime, at = u_kernel_regime(params.alpha)
     if regime == "real_split":
-        return _solve_excised(amplitude, params, cfg, grid, target, at)
+        return _solve_excised(amplitude, params, cfg, grid, at)
 
-    kernel = u_kernel_element(params, grid, dtype=np.longdouble)
+    kernel = u_kernel_element(params, grid)
     # the projection fits the kernel's oscillatory pair, or in the real
     # regime its x^mu coefficient
     machinery = Machinery(grid=grid, n=4,
@@ -428,10 +415,8 @@ def u_fixed_point_solve(amplitude, params, cfg=None, grid=None,
                           kernel=kernel, projection=make_projection(kernel))
     report, w = projected_contraction(
         amplitude, cfg, machinery,
-        lambda w1, w2: u_nonlinear_rhs(RadialFunction(grid, w1 + w2),
-                                       params, target),
-        lambda w1, w2: u_e_residual(RadialFunction(grid, w1 + w2), params,
-                                    target))
+        lambda w1, w2: u_nonlinear_rhs(RadialFunction(grid, w1 + w2), params),
+        lambda w1, w2: u_e_residual(RadialFunction(grid, w1 + w2), params))
     if kernel.diagnostics.get("log_terms_possible") and not report.message:
         report.message = ("integer-separated indicial roots: log(x) terms "
                           "possible in the boundary expansion")

@@ -13,8 +13,7 @@ import pytest
 
 from qcurve.cli import main
 from qcurve.expansion import scalar_asymptotic_coefficient, weighted_norm
-from qcurve.geometry import (ConformalFactor, hyperbolic_curvature_report,
-                             q_of_conformal)
+from qcurve.geometry import hyperbolic_curvature_report, q_of_conformal
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import (q_indicial_polynomial, q_indicial_spectrum,
                              u_indicial_spectrum)
@@ -86,7 +85,7 @@ def test_criterion_2_curvature_constants(grid1024):
     zero = RadialFunction(g, np.zeros(g.n_points))
     mask = g.window_mask(0.0, g.r_max - 0.5)
     for n, q_want in ((4, 3.0), (5, 13.125)):
-        q = q_of_conformal(ConformalFactor(zero, n), g)
+        q = q_of_conformal(zero, n)
         assert np.abs(np.asarray(q.values, float) - q_want)[mask].max() \
             < 1e-8
         assert hyperbolic_curvature_report(n).R_hyp == -n * (n - 1.0)
@@ -196,7 +195,7 @@ def test_criterion_7_constant_q_solve(fixture, request):
     assert report.converged
     assert report.iterations <= 15
     assert all(rho <= 0.5 for rho in report.contraction_ratios)
-    q = q_of_conformal(ConformalFactor(u, m.n), m.grid)
+    q = q_of_conformal(u, m.n)
     mask = m.grid.window_mask(0.0, m.grid.r_max - 0.5)
     assert np.abs(np.asarray(q.values, float) - f.q_base)[mask].max() < 1e-6
     assert abs(report.fitted_amplitude - 1e-3) < 1e-9
@@ -241,7 +240,7 @@ def test_criterion_8_perturbed_target(machinery4):
     target = TargetCurvature(f, 4)
     report, u = fixed_point_solve(1e-3, target, IterationConfig(), m)
     assert report.converged
-    q = q_of_conformal(ConformalFactor(u, 4), g)
+    q = q_of_conformal(u, 4)
     mask = g.window_mask(0.0, g.r_max - 0.5)
     assert np.abs(np.asarray(q.values, float) - f.values)[mask].max() < 1e-6
 

@@ -13,6 +13,8 @@ import qcurve.nonlinear
 from qcurve.cli import (ConfigError, _build_parser, main, parse_config,
                         write_report)
 from qcurve.expansion import fit_leading
+from qcurve.linear import kernel_element
+from qcurve.ucurve import DetParams, u_kernel_element
 
 
 def run(argv, tmp_path, name):
@@ -330,6 +332,21 @@ def test_kernel_csv(tmp_path):
     lines = (tmp_path / "kernel.csv").read_text().strip().split("\n")
     assert lines[0] == "r,x,value"
     assert len(lines) == 1025
+
+
+def test_kernel_longdouble_rounded_once(tmp_path, grid1024):
+    """Every kernel element is kept in longdouble, and the kernel command's
+    value column is its profile rounded once to double."""
+    assert kernel_element(5, grid1024).base.values.dtype == np.longdouble
+    for tag in ("conformal_laplacian", "spin_laplacian"):
+        k = u_kernel_element(DetParams.preset(tag), grid1024)
+        assert k.base.values.dtype == np.longdouble
+    assert main(["kernel", "--n", "5", "--points", "1024", "--format", "csv",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "kernel.csv").read_text().strip().split("\n")[1:]
+    want = np.asarray(kernel_element(5, grid1024, 1e-3).profile.values, float)
+    assert [line.split(",")[2] for line in lines] == \
+        ["%.12e" % v for v in want]
 
 
 def test_solve_report_and_exit_codes(tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from qcurve.geometry import (ConformalFactor, DimensionError, PositivityError,
+from qcurve.geometry import (DimensionError, PositivityError,
                              check_dimension, hyperbolic_curvature_report,
                              laplacian_radial, laplacian_values,
                              paneitz_values, q_of_conformal,
                              scalar_of_conformal)
 from qcurve import geometry
 from qcurve.grid import RadialFunction, RadialGrid, differentiate
+from qcurve.nonlinear import TargetCurvature, nonlinear_rhs
 
 
 def zero_on(grid):
@@ -102,8 +103,7 @@ def test_laplacian_radial_wrapper(grid1024):
 def test_q_of_trivial_factor_is_hyperbolic(n, grid2048):
     """q_of_conformal at u = 0 reproduces n(n^2-4)/8 pointwise."""
     g = grid2048
-    factor = ConformalFactor(zero_on(g), n)
-    q = q_of_conformal(factor, g)
+    q = q_of_conformal(zero_on(g), n)
     cc = hyperbolic_curvature_report(n)
     m = interior(g)
     assert np.abs(np.asarray(q.values, float) - cc.Q_hyp)[m].max() < 1e-8
@@ -112,19 +112,26 @@ def test_q_of_trivial_factor_is_hyperbolic(n, grid2048):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_scalar_of_trivial_factor_is_hyperbolic(n, grid2048):
     g = grid2048
-    factor = ConformalFactor(zero_on(g), n)
-    s = scalar_of_conformal(factor, g)
+    s = scalar_of_conformal(zero_on(g), n)
     m = interior(g)
     assert np.abs(np.asarray(s.values, float) + n * (n - 1.0))[m].max() < 1e-8
 
 
 def test_positivity_guard(grid1024):
+    """The Q and scalar laws and the constant-Q right-hand side refuse a
+    power-regime factor with 1 + u <= 0 through the one `check_positive`,
+    with one message; the exponential regime has no positivity
+    constraint."""
     g = grid1024
     u = RadialFunction(g, np.full(g.n_points, -1.5))
-    with pytest.raises(PositivityError):
-        ConformalFactor(u, 5)
-    # the exponential regime has no positivity constraint
-    ConformalFactor(u, 4)
+    f = TargetCurvature(hyperbolic_curvature_report(5).Q_hyp, 5, grid=g)
+    for law in (q_of_conformal, scalar_of_conformal,
+                lambda u, n: nonlinear_rhs(u, f, n)):
+        with pytest.raises(PositivityError, match=r"^conformal factor needs "
+                           r"1 \+ u > 0; violated first at r=0$"):
+            law(u, 5)
+    for law in (q_of_conformal, scalar_of_conformal):
+        law(u, 4)
 
 
 def test_paneitz_on_constant(grid2048):
@@ -164,7 +171,7 @@ def test_q_of_conformal_round_trip_n4(grid2048):
     r = g.r.astype(float)
     u = 1e-2 * np.exp(-r ** 2 / 8.0)
     uf = RadialFunction(g, u)
-    q = q_of_conformal(ConformalFactor(uf, n), g)
+    q = q_of_conformal(uf, n)
     pu = paneitz_values(u, g, n)
     m = interior(g)
     lhs = np.asarray(q.values, float) * np.exp(4.0 * u)

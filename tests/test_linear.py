@@ -285,7 +285,7 @@ def test_kernel_satisfies_equation(grid1024, grid2048):
     n = 4
     sups = []
     for g in (grid1024, grid2048):
-        k = kernel_element(n, g, dtype=np.longdouble)
+        k = kernel_element(n, g)
         t2 = BandedFactor(g, n, 1.0, (n * n - 4.0) / 2.0)
         res = t2.apply(k.base.values)
         m = g.window_mask(0.25, g.r_max - 0.5)
@@ -304,8 +304,7 @@ def test_kernel_matches_spherical_function(n, grid2048):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     g = grid2048
-    vals, _ = BandedFactor(g, n, 1.0, (n * n - 4.0) / 2.0).shoot_regular(
-        dtype=np.longdouble)
+    vals, _ = BandedFactor(g, n, 1.0, (n * n - 4.0) / 2.0).shoot_regular()
     rho = mp.mpf(n - 1) / 2
     beta = mp.sqrt(mp.mpf(n * n + 2 * n - 9)) / 2
     for r_target in (0.5, 1.5, 3.0, 6.0, 9.0, g.r_max - 0.01):

@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from qcurve.geometry import (ConformalFactor, PositivityError,
-                             hyperbolic_curvature_report, q_of_conformal)
+from qcurve.geometry import (PositivityError, hyperbolic_curvature_report,
+                             q_of_conformal)
 from qcurve import expansion, indicial, linear, nonlinear, ucurve
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.linear import apply_L
@@ -18,10 +18,6 @@ def constant_target(machinery):
     n = machinery.n
     return TargetCurvature(hyperbolic_curvature_report(n).Q_hyp, n,
                            grid=machinery.grid)
-
-
-def zero_fn(grid):
-    return RadialFunction(grid, np.zeros(grid.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +78,11 @@ def test_iteration_config_validation():
 def test_rhs_vanishes_quadratically_at_zero(fixture, request):
     m = request.getfixturevalue(fixture)
     f = constant_target(m)
-    z = zero_fn(m.grid)
-    t0 = nonlinear_rhs(m.kernel.with_amplitude(0.0), z, f, m.n)
+    t0 = nonlinear_rhs(m.kernel.with_amplitude(0.0).profile, f, m.n)
     assert np.abs(t0.values).max() == 0.0
     sups = []
     for a in (1e-3, 5e-4):
-        t = nonlinear_rhs(m.kernel.with_amplitude(a), z, f, m.n)
+        t = nonlinear_rhs(m.kernel.with_amplitude(a).profile, f, m.n)
         sups.append(np.abs(t.values).max())
     # halving the amplitude quarters the response
     assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.05)
@@ -103,7 +98,7 @@ def test_rhs_consistent_with_equation_residual(fixture, request):
     r = g.r.astype(float)
     u = RadialFunction(g, 2e-3 * (1.0 + r ** 2) / np.cosh(r) ** 3)
     lhs = apply_L(m.operator, u).values \
-        - nonlinear_rhs(m.kernel.with_amplitude(0.0), u, f, m.n).values
+        - nonlinear_rhs(u, f, m.n).values
     # recompute E(u) directly for comparison with e_residual's convention
     res = e_residual(u, f, m.n)
     mask = g.window_mask(0.0, g.r_max - 0.5)
@@ -147,7 +142,7 @@ def test_rhs_small_u_matches_exact_power(n, grid512):
     p = (n + 4.0) / (n - 4.0)
     u = np.sign(np.cos(7.0 * np.arange(g.n_points))) * np.logspace(
         -9, -2, g.n_points)
-    got = nonlinear_rhs(RadialFunction(g, u), zero_fn(g), f, n).values
+    got = nonlinear_rhs(RadialFunction(g, u), f, n).values
     with mpmath.workdps(40):
         pm = mpmath.mpf(n + 4) / (n - 4)
         want = np.array([float(mpmath.mpf(n - 4) / 2 * mpmath.mpf(q)
@@ -163,7 +158,7 @@ def test_rhs_positivity_guard(machinery5):
     f = constant_target(machinery5)
     bad = RadialFunction(g, np.full(g.n_points, -1.2))
     with pytest.raises(PositivityError):
-        nonlinear_rhs(machinery5.kernel.with_amplitude(0.0), bad, f, 5)
+        nonlinear_rhs(bad, f, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +176,7 @@ def test_solve_constant_curvature(fixture, request):
     assert report.residual < 1e-6
     assert report.fitted_amplitude == pytest.approx(1e-3, abs=1e-9)
     # independent curvature recomputation: Q~ is the prescribed constant
-    q = q_of_conformal(ConformalFactor(u, m.n), m.grid)
+    q = q_of_conformal(u, m.n)
     mask = m.grid.window_mask(0.0, m.grid.r_max - 0.5)
     qdev = np.abs(np.asarray(q.values, float) - f.q_base)[mask].max()
     assert qdev < 1e-6
@@ -427,7 +422,7 @@ def test_solve_perturbed_target_n4(machinery4):
     target = TargetCurvature(f, 4)
     report, u = fixed_point_solve(1e-3, target, IterationConfig(), m)
     assert report.converged
-    q = q_of_conformal(ConformalFactor(u, 4), g)
+    q = q_of_conformal(u, 4)
     mask = g.window_mask(0.0, g.r_max - 0.5)
     assert np.abs(np.asarray(q.values, float) - f.values)[mask].max() < 1e-6
 

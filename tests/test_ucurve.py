@@ -144,7 +144,7 @@ def test_t3_kernel_matches_spherical_function(alpha, grid2048):
     mp.mp.dps = 40
     g = grid2048
     t3 = BandedFactor(g, 4, 1.0 + alpha, 6.0 * alpha)
-    vals, _ = t3.shoot_regular(dtype=np.longdouble)
+    vals, _ = t3.shoot_regular()
     c = mp.mpf(str(np.longdouble(6.0 * alpha) / np.longdouble(1.0 + alpha)))
     lam = mp.sqrt(c - mp.mpf(9) / 4)
     lead = -1.5 + mp.sqrt(max(mp.mpf(9) / 4 - c, 0))
