@@ -86,10 +86,21 @@ class ExpansionFit:
         }
 
 
-@functools.cache
-def _log_terms_possible(n):
+@functools.lru_cache(maxsize=16)
+def _leading_terms(grid, n):
+    """(lam, beta, window, mask, rows, exp(-lam r), cos(beta r), sin(beta r),
+    log-terms flag) of `fit_leading`; read-only, once per (grid, n)."""
+    beta = oscillation_parameter(n)
+    window, _ = fit_window(grid.r_max, beta)
+    lam = (n - 1) / 2.0
+    mask, rows = _boundary_rows(grid, window, lam, beta)
+    r = grid.r[mask].astype(float)
+    terms = (np.exp(-lam * r), np.cos(beta * r), np.sin(beta * r))
+    for t in terms:
+        t.flags.writeable = False
     # a flag, not the spectrum: BoundarySpectrum.extras is a mutable dict
-    return q_indicial_spectrum(n).log_terms_possible
+    flag = q_indicial_spectrum(n).log_terms_possible
+    return (lam, beta, window, mask, rows) + terms + (flag,)
 
 
 def fit_leading(u, dim):
@@ -103,16 +114,11 @@ def fit_leading(u, dim):
     window it shares one entry with the constant-Q kernel fit and its P1.
     """
     n = check_dimension(dim)
-    grid = u.grid
-    beta = oscillation_parameter(n)
-    window, _ = fit_window(grid.r_max, beta)
-    lo, hi = window
-    lam = (n - 1) / 2.0
-    mask, rows = _boundary_rows(grid, (lo, hi), lam, beta)
+    lam, beta, (lo, hi), mask, rows, env, cos, sin, flag = _leading_terms(
+        u.grid, n)
     values = np.asarray(u.values, float)[mask]
     a, b = map(float, rows @ values)
-    r = grid.r[mask].astype(float)
-    fitted = np.exp(-lam * r) * (a * np.cos(beta * r) - b * np.sin(beta * r))
+    fitted = env * (a * cos - b * sin)
     return ExpansionFit(
         leading_exponent=lam,
         frequency=beta,
@@ -120,7 +126,7 @@ def fit_leading(u, dim):
         b=b,
         window_x=(float(math.exp(-hi)), float(math.exp(-lo))),
         residual=float(np.abs(values - fitted).max()),
-        log_terms_flag=_log_terms_possible(n),
+        log_terms_flag=flag,
     )
 
 

@@ -188,7 +188,7 @@ class RadialFunction:
         if values.shape != (grid.n_points,):
             raise ValueError("value array length %s does not match grid size %d"
                              % (values.shape, grid.n_points))
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("RadialFunction values must be finite")
         if parity not in (1, -1):
             raise ValueError("parity must be +1 or -1")
@@ -236,14 +236,3 @@ class RadialFunction:
     def _check_same_grid(self, other):
         if other.grid != self.grid:
             raise ValueError("operands live on different grids")
-
-    def sup(self, mask=None):
-        v = np.abs(self.values)
-        if mask is not None:
-            v = v[mask]
-        return float(v.max()) if v.size else 0.0
-
-    def to_csv_rows(self):
-        """(r, x, value) triples for serialization."""
-        g = self.grid
-        return zip(g.r, g.x, self.values)

@@ -712,11 +712,14 @@ def generalized_inverse(op, f, proj):
     through the anchor row transversal to the kernel, then subtract P1 w.
     No local boundary row can separate the two homogeneous T2 branches
     (both decay at the same envelope rate), hence the subtraction step.
+    c k^ is subtracted in extended precision and rounded to double once.
     """
     if f.grid != op.grid:
         raise ValueError("data does not live on the operator's grid")
     if np.all(f.values == 0.0):
         return RadialFunction(op.grid, np.zeros(op.grid.n_points))
     v = solve_T1(op, f)
-    w = RadialFunction(op.grid, op.t2.solve_anchored(v.values, *proj.anchor))
-    return w - project_P1(proj, w).profile
+    w = op.t2.solve_anchored(v.values, *proj.anchor)
+    c = float(proj.covector @ w)
+    return RadialFunction(
+        op.grid, np.asarray(w - c * proj.kernel.base.values, float))

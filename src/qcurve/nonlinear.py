@@ -251,8 +251,8 @@ def e_residual(u, f, dim, split=None):
         # P(1+u) = P u + (n-4)/2 Q, split analytically (see q_of_conformal)
         pw = pu + 0.5 * (n - 4.0) * f.q_base
         res = pw - 0.5 * (n - 4.0) * fv * _power1p(uv, (n + 4.0) / (n - 4.0))
-    mask = grid.r <= grid.r_max - 0.5
-    return float(np.abs(np.asarray(res, float)[mask]).max())
+    inner = np.searchsorted(grid.r, grid.r_max - 0.5, side="right")
+    return float(np.abs(np.asarray(res, float)[:inner]).max())
 
 
 def _measured_smallness(machinery, f, epsilon):
@@ -273,17 +273,17 @@ def iterate_fixed_point(update, u2, cfg):
     or cfg.max_iter maps have been applied.
 
     Returns (u2, converged, iterations, contraction_ratios), the ratios
-    being those of successive steps.  The step is measured on update's
-    output as returned (extended precision passes through); u2 is kept in
-    double."""
+    being those of successive steps.  The iterate is kept in double, and
+    each step is measured between the double iterates the loop keeps (the
+    generalized inverse already rounds its result once)."""
     ratios, prev_step = [], None
     for iterations in range(1, cfg.max_iter + 1):
-        new = update(u2)
+        new = np.asarray(update(u2), float)
         step = float(np.abs(new - u2).max())
         if prev_step is not None and prev_step > 0:
             ratios.append(step / prev_step)
         prev_step = step
-        u2 = np.asarray(new, float)
+        u2 = new
         if step < cfg.tol:
             return u2, True, iterations, ratios
     return u2, False, cfg.max_iter, ratios

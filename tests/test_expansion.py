@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qcurve.expansion import (SignalToNoiseError, fit_leading,
+from qcurve.expansion import (ExpansionFit, SignalToNoiseError,
+                              _leading_terms, fit_leading,
                               scalar_asymptotic_coefficient,
                               scalar_linearization_coefficient, weighted_norm)
 from qcurve.grid import RadialFunction, RadialGrid
-from qcurve.indicial import oscillation_parameter
-from qcurve.linear import WindowError, fit_window
+from qcurve.indicial import oscillation_parameter, q_indicial_spectrum
+from qcurve.linear import WindowError, _boundary_rows, fit_window
 from qcurve.nonlinear import (IterationConfig, TargetCurvature,
                               fixed_point_solve)
 from qcurve.geometry import hyperbolic_curvature_report
@@ -64,6 +65,39 @@ def test_fit_leading_covector_matches_lstsq(n, grid2048,
     scale = math.hypot(*want)
     assert abs(fit.a - want[0]) <= 1e-12 * scale
     assert abs(fit.b - want[1]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fit_leading_memo_matches_fresh_terms(n, grid2048):
+    """fit_leading on its memoized exp/cos/sin window terms equals, field
+    for field, the fit recomputed here with fresh ones; the memo is
+    read-only."""
+    g = grid2048
+    r = g.r.astype(float)
+    u = synthetic_oscillation(g, n, 7e-4, -3e-4, extra=2e-3)
+    u = u + 1e-3 * np.exp(-(n + 2.0) / 2.0 * r) * np.cos(0.7 * r)
+    fit = fit_leading(u, n)
+    lam, beta = (n - 1) / 2.0, oscillation_parameter(n)
+    (lo, hi), _ = fit_window(g.r_max, beta)
+    mask, rows = _boundary_rows(g, (lo, hi), lam, beta)
+    values = np.asarray(u.values, float)[mask]
+    a, b = map(float, rows @ values)
+    rw = g.r[mask].astype(float)
+    fitted = np.exp(-lam * rw) * (a * np.cos(beta * rw)
+                                  - b * np.sin(beta * rw))
+    want = ExpansionFit(
+        leading_exponent=lam, frequency=beta, a=a, b=b,
+        window_x=(float(math.exp(-hi)), float(math.exp(-lo))),
+        residual=float(np.abs(values - fitted).max()),
+        log_terms_flag=q_indicial_spectrum(n).log_terms_possible)
+    assert fit == want
+    assert fit.residual > 0.0
+    terms = _leading_terms(g, n)
+    assert terms is _leading_terms(g, n)
+    for arr in terms[3:-1]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_fit_leading_window_guard():

@@ -123,17 +123,6 @@ def test_radial_function_arithmetic_and_grid_check():
         f + other
 
 
-def test_radial_function_sup_and_csv_rows():
-    g = RadialGrid(4.0, 64)
-    f = RadialFunction(g, np.linspace(-2, 1, 64))
-    assert f.sup() == 2.0
-    assert f.sup(mask=g.window_mask(2.0, 4.0)) <= 2.0
-    rows = list(f.to_csv_rows())
-    assert len(rows) == 64
-    r0, x0, v0 = rows[0]
-    assert float(r0) == 0.0 and float(x0) == 1.0 and float(v0) == -2.0
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
 def test_derivative_linearity(coeffs):

@@ -404,6 +404,33 @@ def test_generalized_inverse_left_identity(machinery5, power):
     assert np.abs(got.values - want.values).max() < 1e-5 * scale
 
 
+@pytest.mark.parametrize("case", [4, 5, 6, "conformal_laplacian",
+                                  "spin_laplacian"])
+def test_generalized_inverse_rounds_once(case, grid1024):
+    """G returns double values equal, bit for bit, to the anchored T2
+    solve less its extended-precision P1 profile, rounded once; a kernel
+    rounded to double before the subtraction misses."""
+    g = grid1024
+    if isinstance(case, int):
+        m = build_machinery(case, g)
+        op, proj = m.operator, m.projection
+    else:
+        params = DetParams.preset(case)
+        op = assemble(g, alpha=params.alpha)
+        proj = make_projection(u_kernel_element(params, g))
+    f = RadialFunction(g, even_profile(g, 4))
+    got = generalized_inverse(op, f, proj).values
+    w = op.t2.solve_anchored(solve_T1(op, f).values, *proj.anchor)
+    p1 = project_P1(proj, RadialFunction(g, w))
+    assert p1.profile.values.dtype == np.longdouble
+    want = np.asarray(w - p1.profile.values, float)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    rounded_first = w - p1.amplitude * np.asarray(proj.kernel.base.values,
+                                                  float)
+    assert not np.array_equal(rounded_first, want)
+
+
 def test_generalized_inverse_of_zero(machinery4):
     z = RadialFunction(machinery4.grid,
                        np.zeros(machinery4.grid.n_points))
