@@ -12,6 +12,8 @@ one-sided stencils.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 
 import numpy as np
 
@@ -22,42 +24,29 @@ __all__ = ["RadialGrid", "RadialFunction", "fd_weights", "stencil_weights",
 def fd_weights(offsets, m):
     """Finite-difference weights for the m-th derivative at offset 0.
 
-    Fornberg's recursion, specialized to unit spacing: ``offsets`` are the
-    integer node positions relative to the evaluation point, and the
-    returned weights w satisfy f^(m)(0) ~ sum_j w[j] f(offsets[j]).
+    ``offsets`` are the integer node positions relative to the evaluation
+    point (unit spacing), and the returned weights w satisfy
+    f^(m)(0) ~ sum_j w[j] f(offsets[j]).
 
-    The recursion runs in exact rational arithmetic and the result is
-    rounded once to extended precision: weight-level rounding would
-    otherwise put a ~1e-16 floor under every derivative, which composed
-    operators amplify by 1/h^2 per factor.
+    Each weight is m! [t^m] L_j(t) for the Lagrange basis polynomial
+    L_j(t) = prod_{i != j} (t - x_i) / (x_j - x_i), an exact ratio of
+    Python integers, rounded once to extended precision: weight-level
+    rounding would otherwise put a ~1e-16 floor under every derivative,
+    which composed operators amplify by 1/h^2 per factor.
     """
-    from fractions import Fraction
-    x = [Fraction(o) for o in offsets]
-    n = len(x)
-    if m >= n:
+    x = [operator.index(o) for o in offsets]
+    if m >= len(x):
         raise ValueError("need at least m+1 points for the m-th derivative")
-    c = [[Fraction(0)] * (m + 1) for _ in range(n)]
-    c[0][0] = Fraction(1)
-    c1 = Fraction(1)
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = Fraction(1)
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for k in range(mn, 0, -1):
-                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    return np.array([np.longdouble(row[m].numerator)
-                     / np.longdouble(row[m].denominator) for row in c])
+    weights = []
+    for j, xj in enumerate(x):
+        poly, den = [1], 1      # prod_{i != j} (t - x_i), lowest power first
+        for xi in x[:j] + x[j + 1:]:
+            poly = [a - xi * b for a, b in zip([0] + poly, poly + [0])]
+            den *= xj - xi
+        num = math.factorial(m) * poly[m]
+        g = math.gcd(num, den) * (1 if den > 0 else -1)
+        weights.append(np.longdouble(num // g) / np.longdouble(den // g))
+    return np.array(weights)
 
 
 # Central stencil half-widths giving 4th-order accuracy.
@@ -66,8 +55,8 @@ _HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
 
 @functools.cache
 def stencil_weights(lo, hi, m):
-    """fd_weights(lo..hi, m), the exact-rational recursion run once per
-    stencil and process; read-only, since every caller shares it."""
+    """fd_weights(lo..hi, m), computed once per stencil and process;
+    read-only, since every caller shares it."""
     w = fd_weights(range(lo, hi + 1), m)
     w.flags.writeable = False
     return w

@@ -72,22 +72,45 @@ _NEAR = 0.02        # this close to a confluence the basis uses `_divided`
 
 def _hc_sums(r, s, roots, n):
     """(P, Q) with Phi_s = e^{sr} P, Phi_s' = e^{sr} Q for the Harish-Chandra
-    series Phi_s = e^{sr} sum_k G_k e^{-2kr}, summed by Horner in complex
-    longdouble: G_0 = 1, G_j = -2(n-1) sum_{i<j} (s-2i) G_i / p(s-2j), with
-    p(z) = (z - s+)(z - s-) the indicial polynomial of Lap + c, roots =
-    (s+, s-).  At a root p(s-2j) = 4j(j-s-rho) and (Lap + c) Phi_s = 0;
-    at any other s only the leading term is left: p(s) e^{sr}."""
+    series Phi_s = e^{sr} sum_k G_k e^{-2kr}: G_0 = 1, G_j = -2(n-1)
+    sum_{i<j} (s-2i) G_i / p(s-2j), with p(z) = (z - s+)(z - s-) the
+    indicial polynomial of Lap + c, roots = (s+, s-).  At a root p(s-2j) =
+    4j(j-s-rho) and (Lap + c) Phi_s = 0; at any other s only the leading
+    term is left: p(s) e^{sr}.
+
+    Summed by Horner in longdouble, on the real and imaginary parts apart
+    (y = e^{-2r} is real), each point only up to its last term with
+    |G_k| y^{k-1} >= 2^-72 (|(s-2k) G_k| for Q): Im P starts at y Im G_1,
+    so every term left out lies below the longdouble rounding of every
+    part.  r must ascend, so that term k reaches a prefix of the points."""
+    if (np.diff(r) < 0).any():
+        raise ValueError("Harish-Chandra sums need ascending r")
     s = np.clongdouble(s)
     gam, acc = [np.clongdouble(1)], 0
     for j in range(1, _HC_TERMS):
         acc += (s - 2 * j + 2) * gam[-1]
         gam.append(-2 * (n - 1) * acc
                    / ((s - 2 * j - roots[0]) * (s - 2 * j - roots[1])))
+    coef = np.array([gam, (s - 2 * np.arange(_HC_TERMS)) * gam])
+    # term k >= 2 is summed where r <= ln(2^72 |coef_k|) / (2k - 2) (a zero
+    # coefficient nowhere), and a point takes every term below its last
+    # one: `ends` counts the leading points that take term k, for k from
+    # _HC_TERMS - 1 down to 2
+    k = np.arange(_HC_TERMS - 1, 1, -1)
+    with np.errstate(divide="ignore"):
+        reach = np.log(abs(coef[:, k]).max(axis=0) * 2.0 ** 72) / (2 * k - 2)
+    ends = np.maximum.accumulate(np.searchsorted(r, reach, side="right"))
+    parts = np.stack([coef.real, coef.imag], axis=1)
     y = np.exp(-2 * r)
-    p = q = 0
-    for k in range(_HC_TERMS - 1, -1, -1):
-        p, q = p * y + gam[k], q * y + (s - 2 * k) * gam[k]
-    return np.array([p, q])
+    sums = np.zeros((2, 2, len(r)), dtype=np.longdouble)   # (P, Q) x (re, im)
+    for k, m in zip(range(_HC_TERMS - 1, -1, -1),
+                    np.r_[ends, len(r), len(r)]):
+        head = sums[..., :m]
+        head *= y[:m]
+        head += parts[..., k, None]
+    out = np.empty((2, len(r)), dtype=np.clongdouble)
+    out.real, out.imag = sums[:, 0], sums[:, 1]
+    return out
 
 
 def _divided(r, a, b, roots, n, pole):
@@ -114,7 +137,9 @@ def _outer_solutions(n, c, r):
     is the logarithmic s-derivative at the double root at = 0.  Near a
     positive integer at = m, Phi_s+ has a pole at sp = s- + 2m, and the
     second solution is that of (s - sp) Phi_s over [s+, sp]: Phi_s+ less
-    its pole part, the logarithmic solution at at = m."""
+    its pole part, the logarithmic solution at at = m.  Complex roots are
+    conjugate, and so are their series: Phi_s+ = conj Phi_s-, summed once.
+    r must ascend (`_hc_sums`)."""
     rho = np.longdouble(n - 1) / 2
     disc = rho * rho - c
     at = np.sqrt(abs(disc))
@@ -127,8 +152,9 @@ def _outer_solutions(n, c, r):
         dd = _divided(r, sp, sm + 2 * m if near_pole else sm, roots, n,
                       near_pole)
     else:
-        dd = ((np.exp(sp * r) * _hc_sums(r, sp, roots, n) - phi)
-              / (sp - sm)).real
+        phi_p = (phi.conj() if disc < 0
+                 else np.exp(sp * r) * _hc_sums(r, sp, roots, n))
+        dd = ((phi_p - phi) / (sp - sm)).real
     return phi.real, dd
 
 
@@ -523,14 +549,14 @@ def _measure_oscillation(grid, values, n, window):
     freq = math.nan
     if len(flips) >= 2:
         # linear interpolation of each crossing; mean spacing = pi / beta
-        zs = [r[i] - y[i] * (r[i + 1] - r[i]) / (y[i + 1] - y[i])
-              for i in flips]
+        zs = (r[flips] - y[flips] * (r[flips + 1] - r[flips])
+              / (y[flips + 1] - y[flips]))
         freq = math.pi / float(np.mean(np.diff(zs)))
     # envelope: log |y| at interior extrema of the stripped oscillation,
     # slope relative to r recovers (decay - (n-1)/2) = 0 for the kernel
     mags = np.abs(y)
-    ex = [i for i in range(1, len(y) - 1)
-          if mags[i] >= mags[i - 1] and mags[i] >= mags[i + 1]]
+    mid = mags[1:-1]
+    ex = 1 + np.nonzero((mid >= mags[:-2]) & (mid >= mags[2:]))[0]
     envelope = math.nan
     if len(ex) >= 2:
         slope = np.polyfit(r[ex], np.log(mags[ex]), 1)[0]
@@ -718,8 +744,8 @@ def generalized_inverse(op, f, proj):
         raise ValueError("data does not live on the operator's grid")
     if np.all(f.values == 0.0):
         return RadialFunction(op.grid, np.zeros(op.grid.n_points))
-    v = solve_T1(op, f)
-    w = op.t2.solve_anchored(v.values, *proj.anchor)
+    v = op.t1.solve_robin(f.values, op.robin)   # solve_T1's, unwrapped
+    w = op.t2.solve_anchored(v, *proj.anchor)
     c = float(proj.covector @ w)
     return RadialFunction(
         op.grid, np.asarray(w - c * proj.kernel.base.values, float))

@@ -354,13 +354,14 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     grid = machinery.grid
     if f.grid != grid:
         raise ValueError("target curvature lives on a different grid")
-    # E(u) in double, with P u = a P k-hat + P u2: u2 = O(a^2)
+    # T(u) and E(u) in double, u1 = a k-hat rounded once per solve, with
+    # P u = a P k-hat + P u2 in E: u2 = O(a^2)
+    u1 = np.asarray(machinery.kernel.base.values * float(amplitude), float)
     report, u = projected_contraction(
         amplitude, cfg, machinery,
-        lambda u1, u2: nonlinear_rhs(
-            RadialFunction(grid, np.asarray(u1, float) + u2), f, n),
-        lambda u1, u2: e_residual(
-            RadialFunction(grid, np.asarray(u1, float) + u2), f, n,
+        lambda _, u2: nonlinear_rhs(RadialFunction(grid, u1 + u2), f, n),
+        lambda _, u2: e_residual(
+            RadialFunction(grid, u1 + u2), f, n,
             split=(amplitude * machinery.paneitz_kernel, u2)))
     memo, key = machinery.smallness, (f, cfg.epsilon)
     if key not in memo:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,51 @@ def test_fd_weights_sum_zero_for_derivatives():
 def test_fd_weights_needs_enough_points():
     with pytest.raises(ValueError):
         fd_weights(range(-1, 1), 2)
+
+
+def _fornberg_weights(offsets, m):
+    """Fornberg's recursion (Math. Comp. 51, 1988) in exact rational
+    arithmetic, each weight rounded once to longdouble: the oracle of
+    `fd_weights`."""
+    x = [Fraction(o) for o in offsets]
+    n = len(x)
+    c = [[Fraction(0)] * (m + 1) for _ in range(n)]
+    c[0][0] = Fraction(1)
+    c1 = Fraction(1)
+    c4 = x[0]
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = Fraction(1)
+        c5 = c4
+        c4 = x[i]
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i][k] = (c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k])
+                               / c2)
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
+            for k in range(mn, 0, -1):
+                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
+        c1 = c2
+    return np.array([np.longdouble(row[m].numerator)
+                     / np.longdouble(row[m].denominator) for row in c])
+
+
+@pytest.mark.parametrize("lo", range(-8, 1))
+def test_fd_weights_match_fornberg(lo):
+    """The integer Lagrange weights equal Fornberg's rational recursion bit
+    for bit (signs of zeros included), for every stencil lo .. lo + p - 1
+    of up to 10 points and every derivative order m < p."""
+    for p in range(1, 11):
+        for m in range(p):
+            got = fd_weights(range(lo, lo + p), m)
+            want = _fornberg_weights(range(lo, lo + p), m)
+            assert got.dtype == np.longdouble
+            assert np.array_equal(got, want), (lo, p, m)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

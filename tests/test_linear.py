@@ -17,7 +17,7 @@ from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.indicial import oscillation_parameter
 from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
                            _close_band, _equation_band, _fit_boundary,
-                           apply_L, assemble,
+                           _hc_sums, apply_L, assemble,
                            decay_diagnostics, factor_banded,
                            generalized_inverse, kernel_element,
                            make_projection, project_P1, solve_banded,
@@ -338,6 +338,65 @@ def test_kernel_outer_coefficient_is_c_function(n, grid2048):
     k = kernel_element(n, grid2048)
     fitted = 1.0 / float(np.asarray(k.base.values, float)[0])
     assert fitted == pytest.approx(2.0 * float(abs(want)), rel=1e-2)
+
+
+def _hc_full_horner(r, s, roots, n):
+    """((P, Q), (sum |G_k| y^k, sum |(s-2k) G_k| y^k)) of the Harish-Chandra
+    series by the full 48-term Horner in complex longdouble at every point:
+    the sum `_hc_sums` evaluates, without its cut."""
+    s = np.clongdouble(s)
+    gam, acc = [np.clongdouble(1)], 0
+    for j in range(1, 48):
+        acc += (s - 2 * j + 2) * gam[-1]
+        gam.append(-2 * (n - 1) * acc
+                   / ((s - 2 * j - roots[0]) * (s - 2 * j - roots[1])))
+    y = np.exp(-2 * r)
+    p = q = mp = mq = 0
+    for k in range(47, -1, -1):
+        p, q = p * y + gam[k], q * y + (s - 2 * k) * gam[k]
+        mp, mq = mp * y + abs(gam[k]), mq * y + abs((s - 2 * k) * gam[k])
+    return np.array([p, q]), np.array([mp, mq])
+
+
+@pytest.mark.parametrize("case", [
+    4, 5, 6, "conformal_laplacian", "spin_laplacian", "x4", 5.0 / 19.0, 0.6,
+], ids=["n4", "n5", "n6", "A", "D2", "x4", "5/19", "3/5"])
+def test_hc_sums_match_full_horner(case, grid4096):
+    """`_hc_sums`, which sums each point only to longdouble rounding,
+    against the full Horner sum within 4 longdouble ulps of sum |terms|,
+    pointwise, on the outer grid and on the 16 matching points: at both
+    roots of T2 (n = 4, 5, 6) and of T3 (presets A, D2), at the x^4 branch
+    of the excised U solve, and at the contour nodes of `_divided` next to
+    the confluent points alpha = 5/19 and 3/5."""
+    g = grid4096
+    if case == "x4":
+        n, roots, nodes = 4, (1, -4), [-4]
+    else:
+        if isinstance(case, int):
+            n, scale, constant = case, 1.0, (case * case - 4.0) / 2.0
+        else:
+            alpha = (DetParams.preset(case).alpha if isinstance(case, str)
+                     else case)
+            n, scale, constant = 4, 1.0 + alpha, 6.0 * alpha
+        rho = np.longdouble(n - 1) / 2
+        disc = rho * rho - BandedFactor(g, n, scale, constant)._c
+        at = np.sqrt(abs(disc))
+        roots = nodes = ((-rho + at, -rho - at) if disc >= 0
+                         else (-rho + 1j * at, -rho - 1j * at))
+        if isinstance(case, float):
+            center = (roots[0] + roots[1] + 2 * round(at)) / 2
+            t = np.arctan(np.longdouble(1)) * np.arange(0, 32, 4) / 4
+            nodes = center + (np.cos(t) + 1j * np.sin(t)) / 10
+    for r in (g.r[g.r >= 1.0], np.linspace(np.longdouble(0.9),
+                                           np.longdouble(1.2), 16)):
+        for s in nodes:
+            want, mags = _hc_full_horner(r, s, roots, n)
+            got = _hc_sums(r, s, roots, n)
+            ulps = 4 * np.spacing(mags)
+            assert (abs(got.real - want.real) <= ulps).all(), s
+            assert (abs(got.imag - want.imag) <= ulps).all(), s
+    with pytest.raises(ValueError, match="ascending"):
+        _hc_sums(g.r[::-1], nodes[0], roots, n)
 
 
 def test_kernel_window_guard():
