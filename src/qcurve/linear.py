@@ -688,10 +688,11 @@ def project_P1(proj, u):
 def _measured_decay(grid, values):
     """Least-squares decay exponent mu of |f| ~ x^mu on [r_max - 3,
     r_max - 0.25]."""
-    mask = grid.window_mask(grid.r_max - 3.0, grid.r_max - 0.25)
-    mags = np.abs(np.asarray(values, float)[mask])
+    window = slice(np.searchsorted(grid.r, grid.r_max - 3.0),
+                   np.searchsorted(grid.r, grid.r_max - 0.25, side="right"))
+    mags = np.abs(np.asarray(values, float)[window])
     floor = mags.max() * 1e-300 + 1e-300
-    return float(-np.polyfit(grid.r[mask].astype(float),
+    return float(-np.polyfit(grid.r[window].astype(float),
                              np.log(mags + floor), 1)[0])
 
 
@@ -704,7 +705,7 @@ def decay_diagnostics(grid, values):
     # the gate separates rounding-level tails (iterates of a converged
     # contraction carry ~1e-10 relative noise there) from genuinely slow
     # decay, whose tail/head ratio is at least x^0.5(r_max) ~ 2.5e-3
-    tail = mags[grid.window_mask(grid.r_max - 3.0, grid.r_max)]
+    tail = mags[np.searchsorted(grid.r, grid.r_max - 3.0):]
     if not tail.max() > 1e-8 * mags.max():
         return []
     mu = _measured_decay(grid, values)

@@ -16,6 +16,7 @@ right-hand side: the constant-Q solve here and the U-curvature solve of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,9 +54,11 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Machinery:
-    """The assembled linear machinery a solve runs on; `smallness` memoizes
-    `_measured_smallness` per (target, epsilon), and `paneitz_kernel` holds
-    P k-hat in longdouble for the constant-Q residual (None in U solves)."""
+    """The assembled linear machinery a solve runs on; `smallness` and
+    `first_iterates` memoize `_measured_smallness` and the constant-Q
+    solve's `_first_iterate_series` per (target, epsilon), and
+    `paneitz_kernel` holds P k-hat in longdouble for the constant-Q
+    residual (None in U solves)."""
 
     grid: object
     n: int
@@ -63,6 +66,8 @@ class Machinery:
     kernel: KernelElement
     projection: ProjectionP1
     smallness: dict = field(default_factory=dict, compare=False, repr=False)
+    first_iterates: dict = field(default_factory=dict, compare=False,
+                                 repr=False)
     paneitz_kernel: np.ndarray = field(default=None, compare=False, repr=False)
 
 
@@ -268,9 +273,72 @@ def _measured_smallness(machinery, f, epsilon):
     return 16.0 * c_meas * epsilon * float(np.abs(f.f.values).max())
 
 
-def iterate_fixed_point(update, u2, cfg):
+# Highest power of the amplitude `_first_iterate_series` keeps: T(a k-hat)
+# for n = 5 is a polynomial of degree p = 9.
+_MAX_DEGREE = 9
+
+
+def _first_iterate_series(machinery, f, epsilon):
+    """(j0, V): the first fixed-point iterate G T(a k-hat) of the constant-Q
+    solve is sum_j a^j V[j - j0] for every |a| <= epsilon, V[j - j0] = G of
+    the a^j term of T(a k-hat); V is one contiguous read-only array.  A row
+    whose term epsilon^j max|V_j| falls to 2^-64 of the kept terms' sum,
+    11 bits under the rounding of the sum, ends the series.  None where
+    that takes powers beyond `_MAX_DEGREE`."""
+    n, grid, k = machinery.n, machinery.grid, machinery.kernel.base.values
+    fv = np.asarray(f.f.values, float)
+    dev = fv - f.q_base
+    # the Taylor series of `nonlinear_rhs`: c_0 and c_1 carry f - Q, and
+    # c_j = scale b_j f for j >= 2, b_j = 4^j / j! from e^{4u} (n = 4) or
+    # binom(p, j) from (1+u)^p, which ends at an integer p
+    if n == 4:
+        scale, linear, p = 2.0, 8.0, None
+    else:
+        scale, linear = 0.5 * (n - 4.0), 0.5 * (n + 4.0)
+        p = (n + 4.0) / (n - 4.0)
+    j0 = 0 if np.any(dev) else 2
+    b, power, total = 4.0 if p is None else p, k, 0.0
+    rows = np.empty((_MAX_DEGREE + 1, grid.n_points))
+    for j in itertools.count(j0):
+        if j < 2:
+            data = scale * dev if j == 0 else linear * dev * k
+        else:
+            b *= (4.0 if p is None else p + 1.0 - j) / j
+            if b == 0.0:
+                break
+            power = power * k
+            data = scale * b * fv * power
+        row = generalized_inverse(machinery.operator,
+                                  RadialFunction(grid, data),
+                                  machinery.projection).values
+        term = epsilon ** j * float(np.abs(row).max())
+        if j >= 2 and term <= 2.0 ** -64 * total:
+            break
+        if j > _MAX_DEGREE:
+            return None
+        rows[j] = row
+        total += term
+    rows = rows[j0:j].copy()
+    rows.flags.writeable = False
+    return j0, rows
+
+
+def _first_iterate(series, amplitude):
+    """sum_j a^j V_j of `_first_iterate_series`, by Horner's rule."""
+    j0, rows = series
+    a = float(amplitude)
+    out = rows[-1].copy()
+    for row in rows[-2::-1]:
+        out *= a
+        out += row
+    out *= a ** j0
+    return out
+
+
+def iterate_fixed_point(update, u2, cfg, first=None):
     """Iterate u2 <- update(u2) until the sup-norm step falls below cfg.tol
-    or cfg.max_iter maps have been applied.
+    or cfg.max_iter maps have been applied; `first`, when given, is
+    update(u2) computed beforehand and counts as the first map.
 
     Returns (u2, converged, iterations, contraction_ratios), the ratios
     being those of successive steps.  The iterate is kept in double, and
@@ -278,7 +346,8 @@ def iterate_fixed_point(update, u2, cfg):
     generalized inverse already rounds its result once)."""
     ratios, prev_step = [], None
     for iterations in range(1, cfg.max_iter + 1):
-        new = np.asarray(update(u2), float)
+        new = np.asarray(update(u2) if first is None else first, float)
+        first = None
         step = float(np.abs(new - u2).max())
         if prev_step is not None and prev_step > 0:
             ratios.append(step / prev_step)
@@ -312,9 +381,12 @@ def solve_report(cfg, converged, amplitude, fitted, **fields):
                        **fields)
 
 
-def projected_contraction(amplitude, cfg, machinery, rhs, residual):
+def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
+                          first=None):
     """(report, u): iterate u2 <- G T(u1 + u2) from u2 = 0, u1 = amplitude
-    k-hat, on the machinery's operator, kernel and projection.
+    k-hat in extended precision (an amplitude the caller has checked), on
+    the machinery's operator, kernel and projection; `first`, when given,
+    is the first iterate G T(u1), computed beforehand.
 
     `rhs(u1, u2)` and `residual(u1, u2)` are T(u1 + u2) and the family's
     equation residual from the value arrays of u1 (extended precision) and
@@ -322,10 +394,10 @@ def projected_contraction(amplitude, cfg, machinery, rhs, residual):
     linear term.  u = u1 + u2 stays in extended precision: rounding u1
     seeds noise that residuals amplify by 1/h^4.  The report holds the
     re-fitted kernel datum and the `decay_diagnostics` of the last
-    right-hand side G was applied to."""
-    check_amplitude(amplitude, cfg)
+    right-hand side G was applied to (T(u1) if the loop stops at
+    `first`)."""
     grid = machinery.grid
-    u1 = machinery.kernel.base.values * float(amplitude)
+    zero = np.zeros(grid.n_points)
     data = None
 
     def update(u2):
@@ -335,7 +407,9 @@ def projected_contraction(amplitude, cfg, machinery, rhs, residual):
                                    machinery.projection).values
 
     u2, converged, iterations, ratios = iterate_fixed_point(
-        update, np.zeros(grid.n_points), cfg)
+        update, zero, cfg, first)
+    if data is None:
+        data = rhs(u1, zero)
     u = RadialFunction(grid, u1 + u2)
     return solve_report(
         cfg, converged, amplitude,
@@ -354,19 +428,30 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     grid = machinery.grid
     if f.grid != grid:
         raise ValueError("target curvature lives on a different grid")
-    # T(u) and E(u) in double, u1 = a k-hat rounded once per solve, with
-    # P u = a P k-hat + P u2 in E: u2 = O(a^2)
-    u1 = np.asarray(machinery.kernel.base.values * float(amplitude), float)
+    check_amplitude(amplitude, cfg)
+    key = (f, cfg.epsilon)
+    if key not in machinery.first_iterates:
+        machinery.first_iterates[key] = _first_iterate_series(machinery, *key)
+    series = machinery.first_iterates[key]
+    # T(u) and E(u) in double from u1 = a k-hat rounded once per solve,
+    # with P u = a P k-hat + P u2 in E: u2 = O(a^2)
+    u1 = machinery.kernel.base.values * float(amplitude)
+    u1_double = np.asarray(u1, float)
+    first = None
+    if series is not None:
+        check_positive(RadialFunction(grid, u1_double), n)
+        first = _first_iterate(series, amplitude)
     report, u = projected_contraction(
-        amplitude, cfg, machinery,
-        lambda _, u2: nonlinear_rhs(RadialFunction(grid, u1 + u2), f, n),
+        amplitude, u1, cfg, machinery,
+        lambda _, u2: nonlinear_rhs(RadialFunction(grid, u1_double + u2),
+                                    f, n),
         lambda _, u2: e_residual(
-            RadialFunction(grid, u1 + u2), f, n,
-            split=(amplitude * machinery.paneitz_kernel, u2)))
-    memo, key = machinery.smallness, (f, cfg.epsilon)
-    if key not in memo:
-        memo[key] = _measured_smallness(machinery, *key)
-    report.smallness_margin = memo[key]
+            RadialFunction(grid, u1_double + u2), f, n,
+            split=(amplitude * machinery.paneitz_kernel, u2)),
+        first)
+    if key not in machinery.smallness:
+        machinery.smallness[key] = _measured_smallness(machinery, *key)
+    report.smallness_margin = machinery.smallness[key]
     report.expansion = fit_leading(u, n) if amplitude != 0 else None
     report.diagnostics = f.diagnostics + report.diagnostics
     return report, u

@@ -414,7 +414,7 @@ def u_fixed_point_solve(amplitude, params, cfg, grid=None):
                           operator=assemble(grid, alpha=params.alpha),
                           kernel=kernel, projection=make_projection(kernel))
     report, w = projected_contraction(
-        amplitude, cfg, machinery,
+        amplitude, kernel.base.values * float(amplitude), cfg, machinery,
         lambda w1, w2: u_nonlinear_rhs(RadialFunction(grid, w1 + w2), params),
         lambda w1, w2: u_e_residual(RadialFunction(grid, w1 + w2), params))
     if kernel.diagnostics.get("log_terms_possible") and not report.message:

@@ -186,7 +186,7 @@ def test_solve_constant_curvature(fixture, request):
 
 @pytest.fixture(scope="module")
 def machinery_4096(grid4096):
-    return {n: build_machinery(n, grid4096) for n in (4, 5, 6)}
+    return {n: build_machinery(n, grid4096) for n in (4, 5, 6, 7)}
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -380,6 +380,195 @@ def test_caching_cannot_change_results(machinery5):
     assert first.converged
     assert again.to_dict() == first.to_dict()
     assert np.array_equal(u_again.values, u_first.values)
+
+
+def _direct_contraction(m, f, amplitude, cfg):
+    """(u2, steps) of the loop u2 <- G T(a k-hat + u2) from u2 = 0, every
+    map computed from T: the route the memoized first iterate replaces,
+    written out apart from it."""
+    grid = m.grid
+    u1 = np.asarray(m.kernel.base.values * amplitude, float)
+    u2, steps = np.zeros(grid.n_points), []
+    for _ in range(cfg.max_iter):
+        t = nonlinear_rhs(RadialFunction(grid, u1 + u2), f, m.n)
+        new = linear.generalized_inverse(m.operator, t, m.projection).values
+        steps.append(float(np.abs(new - u2).max()))
+        u2 = new
+        if steps[-1] < cfg.tol:
+            break
+    return u2, steps
+
+
+def _perturbed_target(m):
+    r = m.grid.r.astype(float)
+    q = hyperbolic_curvature_report(m.n).Q_hyp
+    return TargetCurvature(RadialFunction(m.grid, q + 0.02 * np.exp(-2.0 * r)),
+                           m.n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("fraction", [1.0, -1.0, 0.3, -0.3])
+def test_memoized_first_iterate_matches_direct(n, fraction, machinery_4096):
+    """sum_j a^j G(c_j k-hat^j), memoized per target and epsilon, is
+    G T(a k-hat) at every |a| <= epsilon, for a constant target and (n = 4)
+    a prescribed one, whose rows start at j = 0.  The bound is the direct
+    route's own rounding, whose expm1 / log1p terms cancel to a^2 size:
+    measured at most 2.2e-12 relative at 4096 points."""
+    m = machinery_4096[n]
+    cfg = IterationConfig()
+    targets = [constant_target(m)] + ([_perturbed_target(m)] if n == 4
+                                      else [])
+    for f, j0 in zip(targets, (2, 0)):
+        series = nonlinear._first_iterate_series(m, f, cfg.epsilon)
+        assert series[0] == j0
+        a = fraction * cfg.epsilon
+        u1 = np.asarray(m.kernel.base.values * a, float)
+        direct = linear.generalized_inverse(
+            m.operator, nonlinear_rhs(RadialFunction(m.grid, u1), f, n),
+            m.projection).values
+        memo = nonlinear._first_iterate(series, a)
+        assert memo.dtype == np.float64
+        assert (np.abs(memo - direct).max()
+                <= 1e-11 * np.abs(direct).max())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_memoized_first_iterate_keeps_the_contraction(n, machinery_4096):
+    """Solves that take their first iterate from the memo count it as
+    iteration 1: iteration counts, steps and the solution are those of the
+    loop that computes every map from T.  The first contraction ratio
+    agrees to 1e-5 relative (measured at most 7e-9); a second ratio, where
+    n = 5 at |a| >= 0.85e-3 has one, divides steps of about 5e-13 that are
+    measured against the iterates' own rounding (about 1e-18, redrawn by
+    any change to iterate 1's rounding), and agrees to 1e-4 (measured at
+    most 1.0e-5)."""
+    m = machinery_4096[n]
+    cfg = IterationConfig()
+    f = constant_target(m)
+    for a in np.linspace(-1e-3, 1e-3, 9):
+        report, u = fixed_point_solve(a, f, cfg, m)
+        u2, steps = _direct_contraction(m, f, a, cfg)
+        assert report.converged
+        assert report.iterations == len(steps)
+        assert len(report.contraction_ratios) == report.iterations - 1
+        want = [s / p for p, s in zip(steps, steps[1:])]
+        for i, (got, ref) in enumerate(zip(report.contraction_ratios, want)):
+            assert got == pytest.approx(ref, rel=1e-5 if i == 0 else 1e-4)
+        direct = m.kernel.base.values * a + u2
+        assert np.abs(u.values - direct).max() <= 1e-17
+    assert m.first_iterates[(f, cfg.epsilon)] is not None
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_first_iterate_memo_built_once(n, monkeypatch):
+    """The memo is built at the first solve on a (machinery, target,
+    epsilon), as one contiguous read-only float64 array (6 rows, j = 2..7,
+    at epsilon = 1e-3); each later solve on it applies G once per
+    iteration after the first."""
+    built, applied = [], []
+    series, inverse = nonlinear._first_iterate_series, \
+        nonlinear.generalized_inverse
+
+    def counted_series(*args):
+        built.append(args[1:])
+        return series(*args)
+
+    def counted_inverse(*args):
+        applied.append(1)
+        return inverse(*args)
+
+    monkeypatch.setattr(nonlinear, "_first_iterate_series", counted_series)
+    monkeypatch.setattr(nonlinear, "generalized_inverse", counted_inverse)
+    m = build_machinery(n, RadialGrid(12.0, 1100 + n))
+    f = constant_target(m)
+    assert m.first_iterates == {}
+    for a, memo_rows in ((7e-4, 7), (-4e-4, 0), (1e-3, 0)):
+        applied.clear()
+        report, _ = fixed_point_solve(a, f, IterationConfig(), m)
+        assert report.converged
+        # the build applies G to 6 kept rows and to the j = 8 row it drops
+        assert len(applied) == memo_rows + report.iterations - 1
+    assert built == [(f, 1e-3)]
+    j0, rows = m.first_iterates[(f, 1e-3)]
+    assert j0 == 2 and rows.shape == (6, m.grid.n_points)
+    assert rows.dtype == np.float64
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    fixed_point_solve(1e-4, f, IterationConfig(epsilon=5e-4), m)
+    fixed_point_solve(-1e-4, f, IterationConfig(epsilon=5e-4), m)
+    assert built == [(f, 1e-3), (f, 5e-4)]
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_large_epsilon_falls_back_to_the_direct_loop(n, machinery4):
+    """At epsilon = 0.5 the kernel series of n = 4 (exponential) and n = 7
+    (non-integer p) needs more than _MAX_DEGREE powers: the memo records
+    None, and the solve computes iteration 1 from T as the loop without a
+    memo does, bit for bit."""
+    m = machinery4 if n == 4 else build_machinery(7, machinery4.grid)
+    f = constant_target(m)
+    cfg = IterationConfig(epsilon=0.5)
+    for a in (1e-3, -2e-2):
+        report, u = fixed_point_solve(a, f, cfg, m)
+        u2, steps = _direct_contraction(m, f, a, cfg)
+        assert m.first_iterates[(f, 0.5)] is None
+        assert report.converged
+        assert report.iterations == len(steps)
+        assert report.contraction_ratios == [
+            s / p for p, s in zip(steps, steps[1:])]
+        assert np.array_equal(u.values, m.kernel.base.values * a + u2)
+
+
+def test_memoized_solve_checks_positivity_of_the_datum(machinery5,
+                                                       monkeypatch):
+    """The memo path still refuses a datum with 1 + a k-hat <= 0, with the
+    message nonlinear_rhs gives on it, before G is applied: at a = -1.9
+    the memoized iterate would lift 1 + u1 + u2 above 0 everywhere."""
+    m = machinery5
+    f = constant_target(m)
+    cfg = IterationConfig(epsilon=2.0)
+    assert fixed_point_solve(1e-3, f, cfg, m)[0].converged
+    # the p = 9 polynomial ends within the cap at any epsilon
+    assert m.first_iterates[(f, 2.0)] is not None
+    u1 = RadialFunction(m.grid, np.asarray(m.kernel.base.values * -1.9,
+                                           float))
+    with pytest.raises(PositivityError) as direct:
+        nonlinear_rhs(u1, f, 5)
+    applied = []
+    inverse = nonlinear.generalized_inverse
+    monkeypatch.setattr(nonlinear, "generalized_inverse",
+                        lambda *args: applied.append(1) or inverse(*args))
+    with pytest.raises(PositivityError) as solved:
+        fixed_point_solve(-1.9, f, cfg, m)
+    assert str(solved.value) == str(direct.value)
+    assert applied == []
+    report, _ = nonlinear.guarded_solve(fixed_point_solve, -1.9, f, cfg, m)
+    assert not report.converged and "1 + u > 0" in report.message
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-3])
+def test_memoized_solve_reports_decay_of_its_first_data(amplitude,
+                                                        machinery4):
+    """A solve that stops at the memoized iterate (max_iter = 1, or a = 0
+    on a constant target) still reports the decay notes of T(u1), the
+    data G was applied to."""
+    m = machinery4
+    r = m.grid.r.astype(float)
+    slow = TargetCurvature(RadialFunction(m.grid,
+                                          3.0 + 0.1 * np.exp(-0.3 * r)), 4)
+    u1 = RadialFunction(m.grid, np.asarray(m.kernel.base.values * amplitude,
+                                           float))
+    notes = linear.decay_diagnostics(m.grid,
+                                     nonlinear_rhs(u1, slow, 4).values)
+    assert any("T1 data decays like x^0.300" in note for note in notes)
+    report, _ = fixed_point_solve(amplitude, slow, IterationConfig(max_iter=1),
+                                  m)
+    assert m.first_iterates[(slow, 1e-3)] is not None
+    assert report.iterations == 1
+    assert report.diagnostics == slow.diagnostics + notes
+    report, _ = fixed_point_solve(0.0, constant_target(m), IterationConfig(),
+                                  m)
+    assert report.iterations == 1 and report.converged
+    assert report.diagnostics == []
 
 
 def test_solve_reports_exhausted_iterations(machinery4):
