@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import differentiate
+from .grid import RadialFunction, differentiate
 
 __all__ = [
     "check_dimension",
@@ -119,7 +119,7 @@ def _coth(grid, dtype):
     return out
 
 
-def laplacian_values(values, grid, n, parity=1, extended=True):
+def laplacian_values(values, grid, n, extended=True):
     """Lap f = f'' + (n-1) coth(r) f' on raw sample arrays.
 
     At r = 0 the regular limit n f''(0) is used (valid for even profiles).
@@ -131,27 +131,19 @@ def laplacian_values(values, grid, n, parity=1, extended=True):
     values = np.asarray(values)
     dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.dtype(float)
     values = values.astype(dtype)
-    d1 = differentiate(values, grid.h, 1, parity=parity, extended=extended)
-    d2 = differentiate(values, grid.h, 2, parity=parity, extended=extended)
+    d1 = differentiate(values, grid.h, 1, extended=extended)
+    d2 = differentiate(values, grid.h, 2, extended=extended)
     coth = _coth(grid, dtype)
     out = np.empty_like(values)
     out[1:] = d2[1:] + (n - 1) * coth[1:] * d1[1:]
-    if parity == 1:
-        # regular limit n f''(0), plus a sixth-difference compensation that
-        # matches this row's truncation error to the r -> 0 limit of the
-        # interior rows' (the coth-weighted first-derivative truncation
-        # survives the limit); without it the error field has an O(h^4)
-        # kink at the origin that composed second-order factors amplify
-        # by 1/h^2
-        d6 = (-20 * values[0] + 30 * values[1]
-              - 12 * values[2] + 2 * values[3])
-        out[0] = n * d2[0] - (n - 1) * d6 / (dtype.type(45) * grid.h ** 2)
-    else:
-        # odd profiles have f'(0) finite and f''(0) = 0; coth(r) f' diverges
-        # unless f'(0) = 0, so fall back to the two-sided limit of the
-        # regular part.  Odd samples only occur as intermediate derivative
-        # carriers, never as operator inputs, so keep it simple.
-        out[0] = d2[0]
+    # regular limit n f''(0), plus a sixth-difference compensation that
+    # matches this row's truncation error to the r -> 0 limit of the
+    # interior rows' (the coth-weighted first-derivative truncation
+    # survives the limit); without it the error field has an O(h^4) kink
+    # at the origin that composed second-order factors amplify by 1/h^2
+    d6 = (-20 * values[0] + 30 * values[1]
+          - 12 * values[2] + 2 * values[3])
+    out[0] = n * d2[0] - (n - 1) * d6 / (dtype.type(45) * grid.h ** 2)
     return out
 
 
@@ -160,7 +152,7 @@ def laplacian_radial(f, grid, n):
     n = check_dimension(n)
     if f.grid != grid:
         raise ValueError("function does not live on the supplied grid")
-    return f.as_function(laplacian_values(f.values, grid, n, parity=f.parity))
+    return RadialFunction(grid, laplacian_values(f.values, grid, n))
 
 
 def paneitz_gradient_coefficient(n):
@@ -173,14 +165,14 @@ def paneitz_gradient_coefficient(n):
     return cc.a_n * cc.R_hyp + cc.b_n * (n - 1)
 
 
-def paneitz_values(values, grid, n, parity=1, extended=True):
+def paneitz_values(values, grid, n, extended=True):
     """P_g applied to a raw sample array on the hyperbolic base, in the
     dtype and with the accumulation of `laplacian_values`."""
     n = check_dimension(n)
     cc = hyperbolic_curvature_report(n)
     c_n = paneitz_gradient_coefficient(n)
-    lap = laplacian_values(values, grid, n, parity=parity, extended=extended)
-    lap2 = laplacian_values(lap, grid, n, parity=parity, extended=extended)
+    lap = laplacian_values(values, grid, n, extended=extended)
+    lap2 = laplacian_values(lap, grid, n, extended=extended)
     out = lap2 - c_n * lap
     if n > 4:
         out = out + 0.5 * (n - 4) * cc.Q_hyp * np.asarray(values, dtype=out.dtype)
@@ -191,7 +183,7 @@ def paneitz_apply(phi, grid, n):
     """Paneitz operator of the hyperbolic base applied to a RadialFunction."""
     if phi.grid != grid:
         raise ValueError("function does not live on the supplied grid")
-    return phi.as_function(paneitz_values(phi.values, grid, n, parity=phi.parity))
+    return RadialFunction(grid, paneitz_values(phi.values, grid, n))
 
 
 def q_of_conformal(u, n):
@@ -205,7 +197,7 @@ def q_of_conformal(u, n):
     check_positive(u, n)
     cc = hyperbolic_curvature_report(n)
     uv = u.values
-    pu = paneitz_values(uv, u.grid, n, parity=u.parity)
+    pu = paneitz_values(uv, u.grid, n)
     if n == 4:
         vals = np.exp(-4.0 * uv.astype(pu.dtype)) * (pu + 2.0 * cc.Q_hyp) / 2.0
     else:
@@ -215,7 +207,7 @@ def q_of_conformal(u, n):
         pw = pu + 0.5 * (n - 4.0) * cc.Q_hyp
         p_exp = (n + 4.0) / (n - 4.0)
         vals = (2.0 / (n - 4.0)) * np.asarray(1.0 + uv, dtype=pw.dtype) ** (-p_exp) * pw
-    return u.as_function(vals)
+    return RadialFunction(u.grid, vals)
 
 
 def scalar_of_conformal(u, n):
@@ -231,26 +223,26 @@ def scalar_of_conformal(u, n):
     uv = u.values
     if n == 4:
         w = np.exp(uv)
-        lap_w = laplacian_values(w, u.grid, n, parity=u.parity)
+        lap_w = laplacian_values(w, u.grid, n)
         vals = np.exp(-3.0 * uv.astype(lap_w.dtype)) * (-6.0 * lap_w + cc.R_hyp * w)
     else:
         phi = (1.0 + uv) ** ((n - 2.0) / (n - 4.0))
-        lap_phi = laplacian_values(phi, u.grid, n, parity=u.parity)
+        lap_phi = laplacian_values(phi, u.grid, n)
         c = 4.0 * (n - 1.0) / (n - 2.0)
         vals = np.asarray(phi, dtype=lap_phi.dtype) ** (-(n + 2.0) / (n - 2.0)) \
             * (-c * lap_phi + cc.R_hyp * phi)
-    return u.as_function(vals)
+    return RadialFunction(u.grid, vals)
 
 
-def laplacian_conformal_values(values, w, grid, n, parity=1):
+def laplacian_conformal_values(values, w, grid, n):
     """Laplacian of g~ = e^{2w} g on a radial sample:
     Lap~ f = e^{-2w} (Lap f + (n-2) w' f')."""
     values = np.asarray(values)
     dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.dtype(float)
-    lap = laplacian_values(values, grid, n, parity=parity)
+    lap = laplacian_values(values, grid, n)
     w = np.asarray(w, dtype=dtype)
-    wp = differentiate(w, grid.h, 1, parity=1)
-    fp = differentiate(values.astype(dtype), grid.h, 1, parity=parity)
+    wp = differentiate(w, grid.h, 1)
+    fp = differentiate(values.astype(dtype), grid.h, 1)
     return np.exp(-2.0 * w) * (lap + (n - 2.0) * wp * fp)
 
 
@@ -300,7 +292,7 @@ def warped_product_curvature(w, grid, n):
     B = A * np.sinh(r)                                 # odd
     B_r = differentiate(B, h, 1, parity=-1)            # even
     B_s = B_r / A                                      # even
-    B_s_r = differentiate(B_s, h, 1, parity=1)         # odd
+    B_s_r = differentiate(B_s, h, 1)                   # odd
     B_ss = B_s_r / A                                   # odd
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,21 +330,18 @@ def paneitz_conformal_values(phi, w, grid, n):
     w = np.asarray(w, dtype=dtype)
     h = grid.h
 
-    def d_r(vals, par):
-        return differentiate(vals, h, 1, parity=par)
-
     A, B, B_s, ric_ss, ric_ang, R_scal = warped_product_curvature(w, grid, n)
 
-    def lap_conf(vals, par):
-        return laplacian_conformal_values(vals, w, grid, n, parity=par)
+    def lap_conf(vals):
+        return laplacian_conformal_values(vals, w, grid, n)
 
-    lap_phi = lap_conf(phi, 1)
-    lap2_phi = lap_conf(lap_phi, 1)
+    lap_phi = lap_conf(phi)
+    lap2_phi = lap_conf(lap_phi)
 
-    phi_s = d_r(phi, 1) / A                            # odd
+    phi_s = differentiate(phi, h, 1) / A               # odd
     T_ss = cc.a_n * R_scal - cc.b_n * ric_ss           # even
     G = T_ss * phi_s                                   # odd
-    G_s = d_r(G, -1) / A                               # even
+    G_s = differentiate(G, h, 1, parity=-1) / A        # even
     with np.errstate(divide="ignore", invalid="ignore"):
         div_term = G_s + (n - 1) * (B_s / B) * G
     # the r = 0 entry is 0/0; interior windows never read it
@@ -361,7 +350,7 @@ def paneitz_conformal_values(phi, w, grid, n):
     out = lap2_phi - div_term
     if n > 4:
         ric_sq = ric_ss ** 2 + (n - 1) * ric_ang ** 2
-        lap_R = lap_conf(R_scal, 1)
+        lap_R = lap_conf(R_scal)
         q_conf = (-2.0 / (n - 2) ** 2 * ric_sq
                   + (n ** 3 - 4 * n ** 2 + 16 * n - 16)
                   / (8.0 * (n - 1) ** 2 * (n - 2) ** 2) * R_scal ** 2

@@ -5,8 +5,8 @@ variable is x = exp(-r), strictly decreasing from 1 at the origin toward 0
 at the outer radius.  All differential operators in this package act on
 profiles sampled on a uniform r-grid, with derivatives supplied by
 fourth-order finite-difference stencils.  Smooth radial profiles are even
-functions of r, so the origin is closed with parity ghost points instead of
-one-sided stencils.
+functions of r, so the origin is closed with mirrored ghost points instead
+of one-sided stencils.
 """
 
 from __future__ import annotations
@@ -162,27 +162,23 @@ class RadialGrid:
 
 
 class RadialFunction:
-    """A radial profile sampled on a RadialGrid.
+    """A radial profile sampled on a RadialGrid: an even function of r, the
+    generic case for regular radial data.
 
     The universal value carrier: construction rejects NaN/Inf, derivative
-    access goes through the shared 4th-order stencils.  `parity` marks the
-    behaviour under r -> -r of the smooth extension (+1 for even profiles,
-    which is the generic case for regular radial data).
+    access goes through the shared 4th-order stencils.
     """
 
-    def __init__(self, grid, values, parity=1):
+    def __init__(self, grid, values):
         values = np.asarray(values)
         if values.shape != (grid.n_points,):
             raise ValueError("value array length %s does not match grid size %d"
                              % (values.shape, grid.n_points))
         if not np.isfinite(values).all():
             raise ValueError("RadialFunction values must be finite")
-        if parity not in (1, -1):
-            raise ValueError("parity must be +1 or -1")
         self.grid = grid
         self.values = values.copy()
         self.values.setflags(write=False)
-        self.parity = parity
 
     def d(self, m):
         """m-th r-derivative (m = 0..4)."""
@@ -190,35 +186,29 @@ class RadialFunction:
             raise ValueError("derivative order must be 0..4")
         if m == 0:
             return self.values.copy()
-        return differentiate(self.values, self.grid.h, m, parity=self.parity)
-
-    def as_function(self, values):
-        """Sibling profile on the same grid, of the same parity."""
-        return RadialFunction(self.grid, values, self.parity)
+        return differentiate(self.values, self.grid.h, m)
 
     def __add__(self, other):
         if isinstance(other, RadialFunction):
             self._check_same_grid(other)
-            par = self.parity if self.parity == other.parity else 1
-            return RadialFunction(self.grid, self.values + other.values, par)
-        return RadialFunction(self.grid, self.values + other, self.parity)
+            other = other.values
+        return RadialFunction(self.grid, self.values + other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, RadialFunction):
             self._check_same_grid(other)
-            par = self.parity if self.parity == other.parity else 1
-            return RadialFunction(self.grid, self.values - other.values, par)
-        return RadialFunction(self.grid, self.values - other, self.parity)
+            other = other.values
+        return RadialFunction(self.grid, self.values - other)
 
     def __mul__(self, c):
-        return RadialFunction(self.grid, self.values * c, self.parity)
+        return RadialFunction(self.grid, self.values * c)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RadialFunction(self.grid, -self.values, self.parity)
+        return RadialFunction(self.grid, -self.values)
 
     def _check_same_grid(self, other):
         if other.grid != self.grid:

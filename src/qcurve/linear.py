@@ -23,7 +23,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def _equation_band(grid, n, scale, constant, i0=0):
     nodes i0 .. N-1; row m-1 is left to the closure (`_close_band`).
 
     i0 = 0, the full ball: row 0 is the regular limit Lap u(0) = n u''(0)
-    with the even-parity fold, plus the same sixth-difference truncation
+    with the mirrored fold, plus the same sixth-difference truncation
     compensation as laplacian_values -- solves and residual evaluations
     must share one discretization of this row or solutions carry an O(h^2)
     origin error under composed fourth-order diagnostics -- and row 1's
@@ -308,9 +308,9 @@ class BandedFactor:
         self._c = np.longdouble(self.constant) / np.longdouble(self.scale)
         self._factors = {}      # closure row (value, slope) -> LU factors
 
-    def apply(self, values, parity=1):
+    def apply(self, values):
         values = np.asarray(values)
-        lap = laplacian_values(values, self.grid, self.n, parity=parity)
+        lap = laplacian_values(values, self.grid, self.n)
         return self.scale * lap + self.constant * values
 
     def _solve(self, f, value, slope, closure_rhs):
@@ -424,9 +424,7 @@ def apply_L(op, u):
     returns one (dtype preserving, so extended-precision input stays so)."""
     if u.grid != op.grid:
         raise ValueError("function does not live on the operator's grid")
-    inner = op.t2.apply(u.values, parity=u.parity)
-    outer = op.t1.apply(inner, parity=u.parity)
-    return RadialFunction(op.grid, outer, u.parity)
+    return RadialFunction(op.grid, op.t1.apply(op.t2.apply(u.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +466,7 @@ class KernelElement:
         return tuple(c * self.amplitude for c in self.unit_fit)
 
     def with_amplitude(self, amplitude):
-        # the constructor, not dataclasses.replace: P1 calls this on every
-        # iteration of a solve, and replace costs twice as much
-        return KernelElement(self.grid, self.n, float(amplitude), self.base,
-                             self.unit_fit, self.mu, self.beta,
-                             self.window_r, self.diagnostics)
+        return replace(self, amplitude=float(amplitude))
 
 
 _NUISANCE_POWERS = 6
@@ -636,11 +630,12 @@ class ProjectionP1:
     """Boundary-coefficient projection onto the radial kernel span.
 
     P1 u fits u's leading coefficients (a, b) of x^mu (cos, sin)(beta ln x)
-    on `window_r` and returns c k^ with c = (a a0 + b b0) / (a0^2 + b0^2),
-    (a0, b0) the kernel's `unit_fit` (a real-regime kernel, beta None, has
-    the one coefficient a of x^mu).  Exact annihilation of the complement
-    requires the remainder to decay strictly faster than the kernel, which
-    the nonlinear scheme guarantees by its choice of solution weight.
+    on the kernel's `window_r` and returns c k^ with
+    c = (a a0 + b b0) / (a0^2 + b0^2), (a0, b0) the kernel's `unit_fit` (a
+    real-regime kernel, beta None, has the one coefficient a of x^mu).
+    Exact annihilation of the complement requires the remainder to decay
+    strictly faster than the kernel, which the nonlinear scheme guarantees
+    by its choice of solution weight.
 
     The fit is linear in u and its design is fixed, so c = covector . u
     with the covector built from the memoized `_boundary_rows` (on the
@@ -649,7 +644,6 @@ class ProjectionP1:
     """
 
     kernel: KernelElement
-    window_r: tuple[float, float]
     anchor: tuple[float, float]
     covector: np.ndarray
 
@@ -667,8 +661,7 @@ def make_projection(kernel):
     kv = kernel.base.values
     slope = (stencil_weights(-4, 0, 1) @ kv[-5:]
              / np.longdouble(kernel.grid.h))
-    return ProjectionP1(kernel=kernel, window_r=kernel.window_r,
-                        anchor=(float(kv[-1]), float(slope)),
+    return ProjectionP1(kernel=kernel, anchor=(float(kv[-1]), float(slope)),
                         covector=covector)
 
 

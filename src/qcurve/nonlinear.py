@@ -54,18 +54,16 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Machinery:
-    """The assembled linear machinery a solve runs on; `smallness` and
-    `first_iterates` memoize `_measured_smallness` and the constant-Q
-    solve's `_first_iterate_series` per (target, epsilon), and
-    `paneitz_kernel` holds P k-hat in longdouble for the constant-Q
-    residual (None in U solves)."""
+    """The assembled linear machinery a solve runs on; `first_iterates`
+    memoizes the constant-Q solve's `_first_iterate_series` per (target,
+    epsilon), and `paneitz_kernel` holds P k-hat in longdouble for the
+    constant-Q residual (None in U solves)."""
 
     grid: object
     n: int
     operator: FactoredOperator
     kernel: KernelElement
     projection: ProjectionP1
-    smallness: dict = field(default_factory=dict, compare=False, repr=False)
     first_iterates: dict = field(default_factory=dict, compare=False,
                                  repr=False)
     paneitz_kernel: np.ndarray = field(default=None, compare=False, repr=False)
@@ -151,11 +149,7 @@ class IterationConfig:
     """Contraction-iteration knobs.
 
     epsilon bounds the kernel amplitude, tol stops the iteration on the
-    sup-norm of increments, max_iter on the number of maps.  The classical
-    smallness inequality (a constant times epsilon times the target norm
-    below 1) is evaluated with measured constants and reported as the
-    report's `smallness_margin`, not enforced: the measured constants are
-    sharper than the a-priori ones.
+    sup-norm of increments, max_iter on the number of maps.
     """
 
     epsilon: float = 1e-3
@@ -181,7 +175,7 @@ class SolveReport:
     fitted_amplitude: float = math.nan
     expansion: ExpansionFit | None = None
     message: str = ""
-    smallness_margin: float = math.nan
+    error_bound: float = math.nan
     pairwise_distances: list[float] | None = None
     excised_r0: float | None = None
     diagnostics: list[str] = field(default_factory=list)
@@ -245,10 +239,10 @@ def e_residual(u, f, dim, split=None):
     fv = np.asarray(f.f.values, float)
     uv = np.asarray(u.values)
     if split is None:
-        pu = paneitz_values(uv, grid, n, parity=u.parity)
+        pu = paneitz_values(uv, grid, n)
     else:
         pu = np.asarray(split[0], float) + paneitz_values(
-            split[1], grid, n, parity=u.parity, extended=False)
+            split[1], grid, n, extended=False)
     uv = np.asarray(uv, pu.dtype)
     if n == 4:
         res = pu + 2.0 * f.q_base - 2.0 * fv * np.exp(4.0 * uv)
@@ -258,19 +252,6 @@ def e_residual(u, f, dim, split=None):
         res = pw - 0.5 * (n - 4.0) * fv * _power1p(uv, (n + 4.0) / (n - 4.0))
     inner = np.searchsorted(grid.r, grid.r_max - 0.5, side="right")
     return float(np.abs(np.asarray(res, float)[:inner]).max())
-
-
-def _measured_smallness(machinery, f, epsilon):
-    """Advisory contraction margin 16 C epsilon ||f|| with measured C.
-
-    C is fitted from the quadratic response of T along the kernel datum;
-    the norm of f enters through the hyperbolic background value.  A margin
-    below 1 is the classical sufficient condition; larger values, common
-    for converging solves, only mean the a-priori estimate is inconclusive."""
-    t_a = nonlinear_rhs(machinery.kernel.base * epsilon, f, machinery.n)
-    sup_k = float(np.abs(machinery.kernel.profile.values).max())
-    c_meas = float(np.abs(t_a.values).max()) / (epsilon * sup_k) ** 2
-    return 16.0 * c_meas * epsilon * float(np.abs(f.f.values).max())
 
 
 # Highest power of the amplitude `_first_iterate_series` keeps: T(a k-hat)
@@ -340,22 +321,22 @@ def iterate_fixed_point(update, u2, cfg, first=None):
     or cfg.max_iter maps have been applied; `first`, when given, is
     update(u2) computed beforehand and counts as the first map.
 
-    Returns (u2, converged, iterations, contraction_ratios), the ratios
-    being those of successive steps.  The iterate is kept in double, and
-    each step is measured between the double iterates the loop keeps (the
-    generalized inverse already rounds its result once)."""
-    ratios, prev_step = [], None
+    Returns (u2, converged, iterations, contraction_ratios, step), the
+    ratios being those of successive steps and step the last one.  The
+    iterate is kept in double, and each step is measured between the
+    double iterates the loop keeps (the generalized inverse already rounds
+    its result once)."""
+    ratios, step = [], None
     for iterations in range(1, cfg.max_iter + 1):
         new = np.asarray(update(u2) if first is None else first, float)
         first = None
-        step = float(np.abs(new - u2).max())
-        if prev_step is not None and prev_step > 0:
+        prev_step, step = step, float(np.abs(new - u2).max())
+        if prev_step:
             ratios.append(step / prev_step)
-        prev_step = step
         u2 = new
         if step < cfg.tol:
-            return u2, True, iterations, ratios
-    return u2, False, cfg.max_iter, ratios
+            return u2, True, iterations, ratios, step
+    return u2, False, cfg.max_iter, ratios, step
 
 
 def check_amplitude(amplitude, cfg):
@@ -366,18 +347,29 @@ def check_amplitude(amplitude, cfg):
             % (amplitude, cfg.epsilon))
 
 
-def solve_report(cfg, converged, amplitude, fitted, **fields):
+def solve_report(cfg, converged, amplitude, fitted, ratios, step, **fields):
     """SolveReport of a solve under `cfg` with the shared verdict: a
     converged solve whose re-fitted datum `fitted` misses `amplitude` by
-    more than 1e-6 |amplitude| + 1e-10 has failed."""
+    more than 1e-6 |amplitude| + 1e-10 has failed.
+
+    `error_bound` is the a-posteriori contraction estimate q/(1-q) step of
+    the sup distance from the last iterate to the fixed point, q the last
+    of the contraction `ratios` and step the last step: 0 after a zero
+    step, NaN with no ratio measured, inf when q >= 1."""
     message = "" if converged else (
         "no convergence in %d iterations" % cfg.max_iter)
     if converged and abs(fitted - amplitude) > 1e-6 * abs(amplitude) + 1e-10:
         converged = False
         message = ("kernel projection drifted: fitted amplitude %g vs "
                    "prescribed %g" % (fitted, amplitude))
+    if step == 0.0 or not ratios:
+        bound = 0.0 if step == 0.0 else math.nan
+    else:
+        q = ratios[-1]
+        bound = q / (1.0 - q) * step if q < 1.0 else math.inf
     return SolveReport(converged=converged, amplitude=float(amplitude),
                        fitted_amplitude=float(fitted), message=message,
+                       contraction_ratios=ratios, error_bound=bound,
                        **fields)
 
 
@@ -406,23 +398,22 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
         return generalized_inverse(machinery.operator, data,
                                    machinery.projection).values
 
-    u2, converged, iterations, ratios = iterate_fixed_point(
+    u2, converged, iterations, ratios, step = iterate_fixed_point(
         update, zero, cfg, first)
     if data is None:
         data = rhs(u1, zero)
     u = RadialFunction(grid, u1 + u2)
     return solve_report(
         cfg, converged, amplitude,
-        project_P1(machinery.projection, u).amplitude,
-        iterations=iterations, contraction_ratios=ratios,
-        residual=residual(u1, u2),
+        project_P1(machinery.projection, u).amplitude, ratios, step,
+        iterations=iterations, residual=residual(u1, u2),
         diagnostics=decay_diagnostics(grid, data.values)), u
 
 
 def fixed_point_solve(amplitude, f, cfg, machinery):
     """(report, u) of the constant / prescribed Q-curvature metric with
     kernel datum `amplitude` (`projected_contraction`); the report adds the
-    smallness margin, the boundary expansion and the target's diagnostics.
+    boundary expansion and the target's diagnostics.
     """
     n = machinery.n
     grid = machinery.grid
@@ -449,9 +440,6 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
             RadialFunction(grid, u1_double + u2), f, n,
             split=(amplitude * machinery.paneitz_kernel, u2)),
         first)
-    if key not in machinery.smallness:
-        machinery.smallness[key] = _measured_smallness(machinery, *key)
-    report.smallness_margin = machinery.smallness[key]
     report.expansion = fit_leading(u, n) if amplitude != 0 else None
     report.diagnostics = f.diagnostics + report.diagnostics
     return report, u

@@ -146,9 +146,9 @@ def u_nonlinear_rhs(w, params):
             "alpha = -1 degenerates the fourth-order family")
     grid = w.grid
     wv = np.asarray(w.values, float)
-    d1 = differentiate(wv, grid.h, 1, parity=w.parity)
-    d2 = differentiate(wv, grid.h, 2, parity=w.parity)
-    lap = laplacian_values(wv, grid, 4, parity=w.parity)
+    d1 = differentiate(wv, grid.h, 1)
+    d2 = differentiate(wv, grid.h, 2)
+    lap = laplacian_values(wv, grid, 4)
     cd1 = _coth_weighted(d1, d2, grid.r.astype(float))
     return RadialFunction(grid, _nonlinear_values(wv, d1, d2, lap, cd1,
                                                   params))
@@ -182,11 +182,10 @@ def u_e_residual(w, params, target_u=None, window=None):
     u_base = u_curvature_hyperbolic(params)
     target = u_base if target_u is None else float(target_u)
     wv = np.asarray(w.values, float)
-    d1 = differentiate(wv, grid.h, 1, parity=w.parity)
-    d2 = differentiate(wv, grid.h, 2, parity=w.parity)
-    rhs = _el_rhs_values(
-        wv, lambda v: laplacian_values(v, grid, 4, parity=w.parity),
-        d1, d2, grid.r.astype(float), params)
+    d1 = differentiate(wv, grid.h, 1)
+    d2 = differentiate(wv, grid.h, 2)
+    rhs = _el_rhs_values(wv, lambda v: laplacian_values(v, grid, 4),
+                         d1, d2, grid.r.astype(float), params)
     implied = 6.0 * params.gamma3 * np.exp(-4.0 * wv) * rhs
     if window is None:
         window = (0.0, grid.r_max - 0.5)
@@ -201,14 +200,14 @@ def u_curvature_conformal(w, params):
     Euler-Lagrange route (|W| = 0 on the conformally flat model)."""
     grid = w.grid
     wv = np.asarray(w.values, float)
-    d1 = differentiate(wv, grid.h, 1, parity=w.parity)
-    lap_w = laplacian_values(wv, grid, 4, parity=w.parity)
+    d1 = differentiate(wv, grid.h, 1)
+    lap_w = laplacian_values(wv, grid, 4)
     q_t = np.asarray(q_of_conformal(w, 4).values, float)
     r_dev = np.exp(-2.0 * wv) * (-12.0 - 6.0 * lap_w - 6.0 * d1 ** 2) + 12.0
     # Lap~ of a constant vanishes: differentiate the deviation only, so the
     # O(1) background does not feed stencil noise into the result
-    d1_r = differentiate(r_dev, grid.h, 1, parity=w.parity)
-    lap_r = laplacian_values(r_dev, grid, 4, parity=w.parity)
+    d1_r = differentiate(r_dev, grid.h, 1)
+    lap_r = laplacian_values(r_dev, grid, 4)
     lap_conf = np.exp(-2.0 * wv) * (lap_r + 2.0 * d1 * d1_r)
     vals = params.gamma2 * q_t - params.gamma3 * lap_conf
     return RadialFunction(grid, vals)
@@ -287,9 +286,9 @@ def u_kernel_element(params, grid, amplitude=1.0):
 def _segment_diff(values, h, m):
     """m-th derivative on a segment away from the origin: the shared
     stencils, with the first rows recomputed from the reversed array so no
-    parity fold reaches across the inner edge."""
-    d = differentiate(values, h, m, parity=1)
-    rev = differentiate(np.asarray(values)[::-1], h, m, parity=1)
+    mirrored fold reaches across the inner edge."""
+    d = differentiate(values, h, m)
+    rev = differentiate(np.asarray(values)[::-1], h, m)
     nn = len(d)
     sign = (-1) ** m
     for i in range(3):
@@ -371,21 +370,21 @@ def _solve_excised(amplitude, params, cfg, grid, at):
         w2 = solve_banded(band1, y) - w1     # the solve gives w1 + w2
         return w2 - fit_x4(w2) * k4
 
-    w2, converged, iterations, ratios = iterate_fixed_point(
+    w2, converged, iterations, ratios, step = iterate_fixed_point(
         update, np.zeros(len(r_seg)), cfg)
     w_seg = w1 + w2
     filler = _even_extension(grid, i0, w_seg, h)
     w = RadialFunction(grid, np.concatenate([filler, w_seg]))
     r0 = float(grid.r[i0])
     return solve_report(
-        cfg, converged, amplitude, fit_x4(w_seg), iterations=iterations,
-        contraction_ratios=ratios, excised_r0=r0,
+        cfg, converged, amplitude, fit_x4(w_seg), ratios, step,
+        iterations=iterations, excised_r0=r0,
         residual=u_e_residual(w, params, window=(r0 + 0.5,
                                                  grid.r_max - 0.5))), w
 
 
-def u_fixed_point_solve(amplitude, params, cfg, grid=None):
-    """Constant-U-curvature metric with kernel datum `amplitude`.
+def u_fixed_point_solve(amplitude, params, cfg, grid):
+    """Constant-U-curvature metric on `grid` with kernel datum `amplitude`.
 
     Every regime runs one projected contraction w2 <- G T(w1 + w2), w1 the
     unit kernel times `amplitude` and G subtracting the kernel component.
@@ -400,8 +399,6 @@ def u_fixed_point_solve(amplitude, params, cfg, grid=None):
     if params.alpha == -1:
         raise DegenerateOperatorError(
             "alpha = -1 degenerates the fourth-order family")
-    if grid is None:
-        raise ValueError("supply the grid to solve on")
     check_amplitude(amplitude, cfg)
     regime, at = u_kernel_regime(params.alpha)
     if regime == "real_split":

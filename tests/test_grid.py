@@ -152,8 +152,6 @@ def test_radial_function_rejects_nan_and_shape():
         RadialFunction(g, np.full(64, np.nan))
     with pytest.raises(ValueError):
         RadialFunction(g, np.zeros(63))
-    with pytest.raises(ValueError):
-        RadialFunction(g, np.zeros(64), parity=2)
 
 
 def test_radial_function_arithmetic_and_grid_check():

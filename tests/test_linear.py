@@ -222,7 +222,8 @@ def test_projection_covector_matches_lstsq(kind, grid2048,
                                       g)
             mu, beta = kernel.diagnostics["decay_exact"], None
         proj = make_projection(kernel)
-        window, base = proj.window_r, np.asarray(kernel.base.values, float)
+        window = proj.kernel.window_r
+        base = np.asarray(kernel.base.values, float)
         lead_fit = kernel.leading_fit
 
         def fitted(values):

@@ -266,15 +266,48 @@ def test_solve_report_flags_kernel_drift(amplitude, sign):
     bound = 1e-6 * abs(amplitude) + 1e-10
     drifted = nonlinear.solve_report(cfg, True, amplitude,
                                      amplitude + sign * 1.01 * bound,
-                                     iterations=3)
+                                     [], 0.0, iterations=3)
     assert drifted.converged is False
     assert drifted.message.startswith("kernel projection drifted")
     kept = nonlinear.solve_report(cfg, True, amplitude,
                                   amplitude + sign * 0.99 * bound,
-                                  iterations=3)
+                                  [], 0.0, iterations=3)
     assert kept.converged is True
     assert kept.message == ""
     assert kept.fitted_amplitude == amplitude + sign * 0.99 * bound
+
+
+@pytest.mark.parametrize("ratios, step, bound", [
+    ([0.5], 1e-11, 1e-11), ([0.2, 1.0], 1e-3, math.inf),
+    ([2.5], 1e-3, math.inf), ([2.5], 0.0, 0.0), ([], 1e-12, math.nan)])
+def test_error_bound_edge_cases(ratios, step, bound):
+    """error_bound = q/(1-q) step for the last ratio q < 1; 0 after a zero
+    step, inf for q >= 1 and NaN (null in JSON) with no ratio measured."""
+    report = nonlinear.solve_report(IterationConfig(), True, 0.0, 0.0,
+                                    ratios, step, iterations=len(ratios) + 1)
+    assert report.error_bound == pytest.approx(bound, nan_ok=True)
+
+
+@pytest.mark.parametrize("amplitude, iterations", [(0.05, 6), (0.4, 47)])
+def test_error_bound_matches_distance_to_fixed_point(amplitude, iterations,
+                                                     machinery5):
+    """The reported error_bound against max|u - u_ref|, u_ref the same
+    solve run to tol 1e-14 (the iteration's rounding floor is lower).  The
+    bound is asymptotically sharp, not a strict upper bound: at 2048
+    points bound / distance reads 1.0037 at q = 0.036 (a = 0.05) and
+    0.9989 at q = 0.65 (a = 0.4), where the last ratio still moves in its
+    fourth digit from step to step."""
+    f = constant_target(machinery5)
+    report, u = fixed_point_solve(amplitude, f, IterationConfig(epsilon=0.5),
+                                  machinery5)
+    ref, u_ref = fixed_point_solve(
+        amplitude, f, IterationConfig(epsilon=0.5, tol=1e-14, max_iter=200),
+        machinery5)
+    assert report.converged and ref.converged
+    assert report.iterations == iterations
+    distance = np.abs(np.asarray(u.values, float)
+                      - np.asarray(u_ref.values, float)).max()
+    assert 0.99 * distance <= report.error_bound <= 1.01 * distance
 
 
 def test_bands_factored_once_per_machinery(monkeypatch, grid2048):
@@ -299,10 +332,10 @@ def test_bands_factored_once_per_machinery(monkeypatch, grid2048):
 @pytest.mark.parametrize("n", [4, 5])
 def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
     """The coth table, the boundary-fit design and its SVD, the indicial
-    spectrum and the smallness margin are fixed per grid, n or (machinery,
-    target, epsilon): a second solve on the same machinery and target
-    computes none of them.  The coth table is counted by its cosh calls,
-    which no other step of a solve makes."""
+    spectrum and the first-iterate series are fixed per grid, n or
+    (machinery, target, epsilon): a second solve on the same machinery and
+    target computes none of them.  The coth table is counted by its cosh
+    calls, which no other step of a solve makes."""
     calls = {}
 
     def count(owner, name):
@@ -317,7 +350,7 @@ def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
     count(np, "cosh")
     count(linear, "_boundary_design")
     count(np.linalg, "svd")
-    count(nonlinear, "_measured_smallness")
+    count(nonlinear, "_first_iterate_series")
     for owner in (expansion, indicial):
         count(owner, "q_indicial_spectrum")
     # a grid no other case uses, so the first solve finds cold caches
@@ -328,7 +361,7 @@ def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
     calls.clear()
     report, _ = fixed_point_solve(7e-4, f, IterationConfig(), m)
     assert report.converged
-    for name in ("cosh", "_measured_smallness"):
+    for name in ("cosh", "_first_iterate_series"):
         assert calls.get(name, 0) >= 1, name
     calls.clear()
     report, _ = fixed_point_solve(-3e-4, f, IterationConfig(), m)
@@ -580,6 +613,7 @@ def test_solve_reports_exhausted_iterations(machinery4):
     assert report.iterations == 1
     assert "no convergence in 1 iterations" in report.message
     assert u is not None
+    assert math.isnan(report.error_bound)   # no contraction ratio yet
 
 
 def test_solve_zero_amplitude_returns_trivial(machinery4):
@@ -587,6 +621,7 @@ def test_solve_zero_amplitude_returns_trivial(machinery4):
     report, u = fixed_point_solve(0.0, f, IterationConfig(), machinery4)
     assert report.converged
     assert np.abs(u.values).max() < 1e-12
+    assert report.error_bound == 0.0
 
 
 def test_solve_rejects_large_amplitude(machinery4):
@@ -660,5 +695,5 @@ def test_report_serialization(machinery4):
     d = report.to_dict()
     for key in ("converged", "iterations", "contraction_ratios", "residual",
                 "amplitude", "fitted_amplitude", "message",
-                "smallness_margin", "expansion"):
+                "error_bound", "expansion"):
         assert key in d

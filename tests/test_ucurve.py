@@ -251,14 +251,13 @@ def test_solve_zero_amplitude(grid1024):
     report, w = u_fixed_point_solve(0.0, p, IterationConfig(), grid=grid1024)
     assert report.converged
     assert np.abs(w.values).max() == 0.0
+    assert report.error_bound == 0.0
 
 
 def test_solve_guards(grid1024):
     p = DetParams.preset("conformal_laplacian")
     with pytest.raises(AdmissibilityError):
         u_fixed_point_solve(0.5, p, IterationConfig(), grid=grid1024)
-    with pytest.raises(ValueError):
-        u_fixed_point_solve(1e-3, p, IterationConfig())
     with pytest.raises(DegenerateOperatorError):
         u_fixed_point_solve(1e-3, DetParams(0.0, -12.0, 1.0),
                             IterationConfig(), grid=grid1024)
