@@ -8,15 +8,14 @@ a series kernel, a generalized inverse, and a contraction iteration.
 from .grid import RadialFunction, RadialGrid, differentiate, fd_weights
 from .geometry import (CurvatureConstants, DimensionError, PositivityError,
                        check_dimension, hyperbolic_curvature_report,
-                       laplacian_radial, paneitz_apply, q_of_conformal,
-                       scalar_of_conformal)
+                       paneitz_apply, q_of_conformal, scalar_of_conformal)
 from .indicial import (BoundarySpectrum, DegenerateOperatorError,
-                       IndicialPolynomial, adjoint_spectra,
-                       q_indicial_polynomial, q_indicial_spectrum,
-                       u_indicial_polynomial, u_indicial_spectrum)
-from .bessel import (BesselValue, ModelSolution, bessel_I, bessel_K,
-                     bessel_I_derivatives, bessel_K_derivatives,
-                     model_operator, model_residual, model_solutions)
+                       IndicialPolynomial, q_indicial_polynomial,
+                       q_indicial_spectrum, u_indicial_polynomial,
+                       u_indicial_spectrum)
+from .bessel import (BesselValue, ModelSolution, bessel_I_derivatives,
+                     bessel_K_derivatives, model_operator, model_residual,
+                     model_solutions)
 from .linear import (BandedFactor, FactoredOperator, IllConditionedFitError,
                      KernelElement, ProjectionP1, WindowError, apply_L,
                      assemble, generalized_inverse, kernel_element,

@@ -33,8 +33,6 @@ from .indicial import DegenerateOperatorError
 
 __all__ = [
     "BesselValue",
-    "bessel_I",
-    "bessel_K",
     "bessel_I_derivatives",
     "bessel_K_derivatives",
     "ModelSolution",
@@ -321,18 +319,6 @@ def _k_triple(alpha, t):
     return tuple(complex(v) for v in triple), False, 0.0
 
 
-def bessel_I(alpha, t):
-    """Modified Bessel I of complex order; scaled by e^{-t} past t = 30."""
-    triple, scaled, ls = _i_triple(alpha, t)
-    return BesselValue(triple[0], scaled, ls)
-
-
-def bessel_K(alpha, t):
-    """Modified Bessel K of complex order; scaled by e^{+t} past t = 30."""
-    triple, scaled, ls = _k_triple(alpha, t)
-    return BesselValue(triple[0], scaled, ls)
-
-
 def bessel_I_derivatives(alpha, t):
     """(I, I', I'') as BesselValues sharing one scaling flag."""
     triple, scaled, ls = _i_triple(alpha, t)
@@ -373,13 +359,6 @@ class ModelSolution:
 
     def __call__(self, t):
         return self.eval_with_derivatives(t)[0]
-
-    @property
-    def small_t_exponent(self):
-        """Leading power of t as t -> 0 (real part for oscillatory orders)."""
-        if self.kind == "I":
-            return self.prefactor_exponent + self.order.real
-        return self.prefactor_exponent - abs(self.order.real)
 
 
 def _factor_params(factor_id, n=None, alpha=None):

@@ -32,7 +32,6 @@ __all__ = [
     "CurvatureConstants",
     "hyperbolic_curvature_report",
     "check_positive",
-    "laplacian_radial",
     "laplacian_values",
     "paneitz_apply",
     "paneitz_values",
@@ -145,14 +144,6 @@ def laplacian_values(values, grid, n, extended=True):
           - 12 * values[2] + 2 * values[3])
     out[0] = n * d2[0] - (n - 1) * d6 / (dtype.type(45) * grid.h ** 2)
     return out
-
-
-def laplacian_radial(f, grid, n):
-    """Hyperbolic Laplacian of a RadialFunction (see laplacian_values)."""
-    n = check_dimension(n)
-    if f.grid != grid:
-        raise ValueError("function does not live on the supplied grid")
-    return RadialFunction(grid, laplacian_values(f.values, grid, n))
 
 
 def paneitz_gradient_coefficient(n):

@@ -6,7 +6,8 @@ at the outer radius.  All differential operators in this package act on
 profiles sampled on a uniform r-grid, with derivatives supplied by
 fourth-order finite-difference stencils.  Smooth radial profiles are even
 functions of r, so the origin is closed with mirrored ghost points instead
-of one-sided stencils.
+of one-sided stencils; a segment that starts away from the origin is
+closed by the outer end's biased stencils, mirrored.
 """
 
 from __future__ import annotations
@@ -81,13 +82,15 @@ def differentiate(values, h, m, parity=1, extended=True):
     dtype of `values`.
 
     parity = +1 treats the sample as an even function of r about the origin
-    (ghost values f[-i] = f[i]); parity = -1 as odd.  The outer end uses
-    biased stencils of the same order.  By default the extended-precision
-    weights accumulate in longdouble: weights rounded to double no longer
-    annihilate constants exactly, and a composed operator amplifies that
-    residue by 1/h^2.  `extended=False` accumulates in the dtype of
-    `values`, ~8x faster for double input at an error of up to about a
-    hundred eps max|f| / h^m: for small fields only.
+    (ghost values f[-i] = f[i]); parity = -1 as odd; parity = None as a
+    segment that starts at an edge away from the origin, closed like the
+    outer end.  The outer end uses biased stencils of the same order.  By
+    default the extended-precision weights accumulate in longdouble:
+    weights rounded to double no longer annihilate constants exactly, and a
+    composed operator amplifies that residue by 1/h^2.  `extended=False`
+    accumulates in the dtype of `values`, 4-5x faster for double input at
+    an error of up to about a hundred eps max|f| / h^m: for small fields
+    only.
     """
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.floating):
@@ -100,10 +103,15 @@ def differentiate(values, h, m, parity=1, extended=True):
         raise ValueError("grid too short for a 4th-order order-%d stencil" % m)
     w, w_outer = _stencils(m, np.longdouble if extended else values.dtype)
     out = np.empty(n, dtype=np.result_type(values.dtype, w.dtype))
-    # central rows, the origin's through parity ghosts f[-i] = parity f[i];
     # correlate sums each row's taps in stencil order, as a loop would
-    padded = np.concatenate((parity * values[k:0:-1], values))
-    out[:n - k] = np.correlate(padded, w)
+    if parity is None:
+        # the inner edge: the outer rows' biased stencils, mirrored
+        out[k:n - k] = np.correlate(values, w)
+        out[:k] = (-1) ** m * (w_outer[::-1] @ values[m + 3::-1])
+    else:
+        # the origin's rows through parity ghosts f[-i] = parity f[i]
+        padded = np.concatenate((parity * values[k:0:-1], values))
+        out[:n - k] = np.correlate(padded, w)
     out[n - k:] = w_outer @ values[n - m - 4:]
     scale = np.longdouble(h) ** m
     return (out / (scale if extended else float(scale))).astype(values.dtype)

@@ -31,7 +31,6 @@ __all__ = [
     "q_indicial_spectrum",
     "u_indicial_polynomial",
     "u_indicial_spectrum",
-    "adjoint_spectra",
 ]
 
 _ROOT_GUARD = 1e-10
@@ -211,26 +210,3 @@ def u_indicial_spectrum(alpha):
         "family": "u",
     }
     return _build(poly, roots, delta_bar, delta_under, extras)
-
-
-def adjoint_spectra(spec, delta):
-    """Boundary spectra of the transpose and the delta-weighted adjoint:
-    {-z - 1} and {-z + 2 delta - 1}."""
-    t_roots = [-z - 1.0 for z in spec.roots]
-    a_roots = [-z + 2.0 * delta - 1.0 for z in spec.roots]
-
-    def derived(roots):
-        roots = _sorted_roots(roots)
-        lam = tuple(sorted({round(0.5 + z.real, 12) for z in roots}))
-        osc = tuple(abs(z.imag) > 1e-12 for z in roots)
-        return BoundarySpectrum(
-            roots=roots, lambda_set=lam,
-            delta_bar=spec.delta_bar, delta_under=spec.delta_under,
-            oscillatory=osc,
-            log_terms_possible=_log_terms_flag(roots),
-            polynomial=spec.polynomial,
-            extras={"derived_from": spec.extras.get("family", "?"),
-                    "delta": float(delta)},
-        )
-
-    return derived(t_roots), derived(a_roots)

@@ -138,11 +138,6 @@ class TargetCurvature:
                     "measured weighted norm %.3g keeps growing toward the "
                     "boundary" % (self.nu, self.deviation_norm))
 
-    @property
-    def is_constant_target(self):
-        v = self.f.values
-        return bool(np.all(v == v[0]))
-
 
 @dataclass(frozen=True)
 class IterationConfig:
@@ -321,18 +316,25 @@ def iterate_fixed_point(update, u2, cfg, first=None):
     or cfg.max_iter maps have been applied; `first`, when given, is
     update(u2) computed beforehand and counts as the first map.
 
+    A step that is not <= the first one (NaN included) ends the loop as
+    diverging, since a contraction never takes one; u2 is then the last
+    iterate before that step.
+
     Returns (u2, converged, iterations, contraction_ratios, step), the
     ratios being those of successive steps and step the last one.  The
     iterate is kept in double, and each step is measured between the
     double iterates the loop keeps (the generalized inverse already rounds
     its result once)."""
-    ratios, step = [], None
+    ratios, step, first_step = [], None, None
     for iterations in range(1, cfg.max_iter + 1):
         new = np.asarray(update(u2) if first is None else first, float)
         first = None
         prev_step, step = step, float(np.abs(new - u2).max())
         if prev_step:
             ratios.append(step / prev_step)
+        first_step = step if first_step is None else first_step
+        if not step <= first_step:
+            return u2, False, iterations, ratios, step
         u2 = new
         if step < cfg.tol:
             return u2, True, iterations, ratios, step
@@ -355,9 +357,13 @@ def solve_report(cfg, converged, amplitude, fitted, ratios, step, **fields):
     `error_bound` is the a-posteriori contraction estimate q/(1-q) step of
     the sup distance from the last iterate to the fixed point, q the last
     of the contraction `ratios` and step the last step: 0 after a zero
-    step, NaN with no ratio measured, inf when q >= 1."""
+    step, NaN with no ratio measured, inf when q >= 1.  An unconverged
+    solve that stopped before cfg.max_iter maps was diverging."""
     message = "" if converged else (
-        "no convergence in %d iterations" % cfg.max_iter)
+        "no convergence in %d iterations" % cfg.max_iter
+        if fields["iterations"] == cfg.max_iter else
+        "diverging: the step of iteration %d exceeds the first step"
+        % fields["iterations"])
     if converged and abs(fitted - amplitude) > 1e-6 * abs(amplitude) + 1e-10:
         converged = False
         message = ("kernel projection drifted: fitted amplitude %g vs "

@@ -283,24 +283,11 @@ def u_kernel_element(params, grid, amplitude=1.0):
 # split regime: origin-excised solve on the x^4 branch
 
 
-def _segment_diff(values, h, m):
-    """m-th derivative on a segment away from the origin: the shared
-    stencils, with the first rows recomputed from the reversed array so no
-    mirrored fold reaches across the inner edge."""
-    d = differentiate(values, h, m)
-    rev = differentiate(np.asarray(values)[::-1], h, m)
-    nn = len(d)
-    sign = (-1) ** m
-    for i in range(3):
-        d[i] = sign * rev[nn - 1 - i]
-    return d
-
-
 def _segment_rhs(w_seg, r_seg, h, params):
     """T(w) of the constant-U problem on the excised segment, with
     one-sided derivatives at its inner edge."""
-    d1 = _segment_diff(w_seg, h, 1)
-    d2 = _segment_diff(w_seg, h, 2)
+    d1 = differentiate(w_seg, h, 1, parity=None)
+    d2 = differentiate(w_seg, h, 2, parity=None)
     lap = d2 + 3.0 / np.tanh(r_seg) * d1
     return _nonlinear_values(w_seg, d1, d2, lap, d1 / np.tanh(r_seg),
                              params)
@@ -313,7 +300,8 @@ def _even_extension(grid, i0, seg_values, seg_h):
     and is excluded from every residual window."""
     r0 = float(grid.r[i0])
     derivs = [seg_values[0]] + [
-        _segment_diff(seg_values[:12], seg_h, m)[0] for m in range(1, 5)]
+        differentiate(seg_values[:12], seg_h, m, parity=None)[0]
+        for m in range(1, 5)]
     powers = [0, 2, 4, 6, 8]
     mat = np.zeros((5, 5))
     for i in range(5):           # i-th derivative at r0

@@ -3,9 +3,8 @@ import pytest
 
 from qcurve.geometry import (DimensionError, PositivityError,
                              check_dimension, hyperbolic_curvature_report,
-                             laplacian_radial, laplacian_values,
-                             paneitz_values, q_of_conformal,
-                             scalar_of_conformal)
+                             laplacian_values, paneitz_values,
+                             q_of_conformal, scalar_of_conformal)
 from qcurve import geometry
 from qcurve.grid import RadialFunction, RadialGrid, differentiate
 from qcurve.nonlinear import TargetCurvature, nonlinear_rhs
@@ -89,14 +88,6 @@ def test_laplacian_cached_coth_is_bit_identical(grid, dtype):
     coth = geometry._coth(grid, np.dtype(dtype))
     assert coth.dtype == dtype
     assert not coth.flags.writeable
-
-
-def test_laplacian_radial_wrapper(grid1024):
-    g = grid1024
-    f = RadialFunction(g, np.exp(-g.r.astype(float) ** 2))
-    out = laplacian_radial(f, g, 4)
-    assert isinstance(out, RadialFunction)
-    assert np.allclose(out.values, laplacian_values(f.values, g, 4))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

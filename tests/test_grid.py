@@ -198,7 +198,9 @@ def test_even_profile_derivative_parity(m):
 
 def _differentiate_edge_loops(values, h, m, parity=1):
     """Reference: differentiate with its edge rows as Python-scalar loops
-    (origin ghosts one term at a time, one biased stencil per outer row)."""
+    (origin ghosts one term at a time, one biased stencil per outer row;
+    with parity=None, inner row i takes the biased stencil on -i..m+3-i,
+    summed from its far tap as the mirrored outer rows are)."""
     from qcurve.grid import _HALF_WIDTH, stencil_weights
     values = np.asarray(values)
     n = values.shape[0]
@@ -210,9 +212,15 @@ def _differentiate_edge_loops(values, h, m, parity=1):
         out[k:n - k] += w[j] * values[k + off:n - k + off]
     for i in range(k):
         acc = acc_dtype.type(0)
-        for j, off in enumerate(range(-k, k + 1)):
-            idx = i + off
-            acc += w[j] * (values[idx] if idx >= 0 else parity * values[-idx])
+        if parity is None:
+            wi = stencil_weights(-i, m + 3 - i, m)
+            for j in range(m + 3, -1, -1):
+                acc += wi[j] * values[j]
+        else:
+            for j, off in enumerate(range(-k, k + 1)):
+                idx = i + off
+                acc += w[j] * (values[idx] if idx >= 0
+                               else parity * values[-idx])
         out[i] = acc
     for i in range(n - k, n):
         lead = n - 1 - i
@@ -222,12 +230,13 @@ def _differentiate_edge_loops(values, h, m, parity=1):
 
 
 @pytest.mark.parametrize("points", [64, 4096])
-@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("parity", [1, -1, None])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_vectorized_edge_rows_match_loops(m, parity, points):
-    """The padded origin rows and the stacked outer stencils give exactly
-    the scalar loops' values, for longdouble and double input; accumulating
-    in double agrees with them to rounding."""
+    """The padded origin rows, the mirrored inner-edge stencils and the
+    stacked outer stencils give exactly the scalar loops' values, for
+    longdouble and double input; accumulating in double agrees with them to
+    rounding."""
     g = RadialGrid(12.0, points)
     r = g.r
     vals = np.cos(3 * r) * np.exp(-r) + np.sin(r) * np.exp(-r / 2) / 7
@@ -241,3 +250,49 @@ def test_vectorized_edge_rows_match_loops(m, parity, points):
     # measured: at most 10.4 eps max|f| / h^m over these cases
     bound = 64 * np.finfo(float).eps * float(np.abs(vals).max() / g.h ** m)
     assert np.abs(fast - want).max() <= bound
+
+
+def _segment_diff(values, h, m):
+    """The excised segment's former derivative: the origin-closed stencils,
+    with the first three rows recomputed from the reversed array."""
+    d = differentiate(values, h, m)
+    rev = differentiate(np.asarray(values)[::-1], h, m)
+    nn = len(d)
+    sign = (-1) ** m
+    for i in range(3):
+        d[i] = sign * rev[nn - 1 - i]
+    return d
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_inner_edge_matches_reversed_outer_rows(m):
+    """parity=None equals the two-call reversal on random data bit for bit,
+    except row 2 for m = 1, 2: that row is central there, and the reversal
+    summed its taps in the opposite order, so the two may differ in the
+    last bit (3 of 6,000 random 16-point cases did)."""
+    rng = np.random.default_rng(m)
+    for n in (9 + m, 16, 257):
+        for _ in range(50):
+            v = rng.standard_normal(n)
+            h = float(rng.uniform(1e-3, 0.1))
+            got = differentiate(v, h, m, parity=None)
+            want = _segment_diff(v, h, m)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
+            assert abs(got[2] - want[2]) <= np.spacing(abs(want[2]))
+            if m > 2:
+                assert got[2] == want[2]
+
+
+def test_inner_edge_is_one_sided():
+    """parity=None reads no mirror across the first sample: the cubic
+    f(r) = r^3 sampled from r = 5 on, where the mirrored ghosts would fold
+    in a kink, is differentiated exactly to rounding up to its edge."""
+    r = np.arange(5.0, 40.0)
+    f = r ** 3
+    for m, want in ((1, 3 * r ** 2), (2, 6 * r), (3, np.full_like(r, 6.0)),
+                    (4, np.zeros_like(r))):
+        got = differentiate(f, 1.0, m, parity=None)
+        assert np.abs(got - want).max() < 1e-12 * f.max()
+        ghost = differentiate(f, 1.0, m)
+        assert np.abs(ghost - want)[:3].max() > 1.0

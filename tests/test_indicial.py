@@ -4,10 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from qcurve.indicial import (DegenerateOperatorError, adjoint_spectra,
-                             oscillation_parameter, q_indicial_polynomial,
-                             q_indicial_spectrum, u_indicial_polynomial,
-                             u_indicial_spectrum)
+from qcurve.indicial import (DegenerateOperatorError, oscillation_parameter,
+                             q_indicial_polynomial, q_indicial_spectrum,
+                             u_indicial_polynomial, u_indicial_spectrum)
 
 
 def roots_set(spec):
@@ -107,14 +106,6 @@ def test_degenerate_alpha_rejected():
         u_indicial_spectrum(-1)
     with pytest.raises(DegenerateOperatorError):
         u_indicial_polynomial(-1)
-
-
-def test_adjoint_spectra_shift():
-    spec = q_indicial_spectrum(4)
-    t, a = adjoint_spectra(spec, delta=2.0)
-    for z in spec.roots:
-        assert any(abs(w - (-z - 1.0)) < 1e-12 for w in t.roots)
-        assert any(abs(w - (-z + 3.0)) < 1e-12 for w in a.roots)
 
 
 def test_spectra_runtime_budget():

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from qcurve.geometry import laplacian_values
-from qcurve.grid import RadialFunction, RadialGrid
+from qcurve.grid import RadialFunction, RadialGrid, differentiate
 from qcurve.indicial import oscillation_parameter
 from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
                            _close_band, _equation_band, _fit_boundary,
@@ -23,8 +23,7 @@ from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
                            make_projection, project_P1, solve_banded,
                            solve_T1)
 from qcurve.nonlinear import build_machinery
-from qcurve.ucurve import (DetParams, _segment_diff, u_kernel_element,
-                           u_kernel_regime)
+from qcurve.ucurve import DetParams, u_kernel_element, u_kernel_regime
 
 
 def even_profile(grid, power=3):
@@ -68,9 +67,9 @@ def test_band_matches_stencils(n, scale, constant, grid2048):
     """The assembled band times a profile equals the stencil application
     on the rows the two discretizations share: BandedFactor.apply on the
     full ball (rows 0..N-3, origin row included), and the excised
-    segment's operator built from _segment_diff (rows i0+2..N-3), whose
-    inner row 0 is the Dirichlet identity.  Entries are O(scale/h^2), so
-    agreement is to a rounding-level multiple of that."""
+    segment's operator built from `differentiate(..., parity=None)` (rows
+    i0+2..N-3), whose inner row 0 is the Dirichlet identity.  Entries are
+    O(scale/h^2), so agreement is to a rounding-level multiple of that."""
     g = grid2048
     r = g.r.astype(float)
     v = np.cos(3.0 * r) / np.cosh(r)
@@ -82,8 +81,9 @@ def test_band_matches_stencils(n, scale, constant, grid2048):
     i0 = g.index_of(1.0)
     seg, vs = band_matvec(_equation_band(g, n, scale, constant, i0),
                           v[i0:]), v[i0:]
-    want = scale * (_segment_diff(vs, h, 2) + (n - 1) / np.tanh(r[i0:])
-                    * _segment_diff(vs, h, 1)) + constant * vs
+    want = scale * (differentiate(vs, h, 2, parity=None)
+                    + (n - 1) / np.tanh(r[i0:])
+                    * differentiate(vs, h, 1, parity=None)) + constant * vs
     assert seg[0] == vs[0]
     assert np.abs(seg - want)[2:-2].max() < tol
 

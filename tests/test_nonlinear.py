@@ -42,10 +42,8 @@ def test_target_deviation_norm(grid1024):
     r = g.r.astype(float)
     f = RadialFunction(g, 3.0 + 0.5 * np.exp(-2.0 * r))
     t = TargetCurvature(f, 4)
-    assert t.is_constant_target is False
     assert t.deviation_norm > 0
     const = TargetCurvature(3.0, 4, grid=g)
-    assert const.is_constant_target
     assert const.deviation_norm == 0.0
 
 
@@ -614,6 +612,30 @@ def test_solve_reports_exhausted_iterations(machinery4):
     assert "no convergence in 1 iterations" in report.message
     assert u is not None
     assert math.isnan(report.error_bound)   # no contraction ratio yet
+
+
+@pytest.mark.parametrize("name, amplitude, iterations", [
+    ("machinery4", 0.8, 11), ("machinery5", 0.5, 5)])
+def test_diverging_solve_ends_unconverged(name, amplitude, iterations,
+                                          request):
+    """Past the family's reach (epsilon 2, 2048 points) the loop stops at
+    the first step that exceeds the first one, before expm1 overflows
+    (n = 4) or 1 + u loses positivity (n = 5): a failed sweep entry with
+    its maps counted, a last ratio > 1 and an inf bound, next to an entry
+    that converges as before."""
+    machinery = request.getfixturevalue(name)
+    cfg = IterationConfig(epsilon=2.0, max_iter=200)
+    (ok, bad), solutions = sweep_family(
+        [0.1, amplitude], constant_target(machinery), cfg, machinery)
+    assert ok.converged and ok.error_bound < 1e-10
+    assert bad.converged is False
+    assert bad.iterations == iterations            # measured
+    assert bad.message == ("diverging: the step of iteration %d exceeds "
+                           "the first step" % iterations)
+    assert bad.contraction_ratios[-1] > 1.0
+    assert bad.error_bound == math.inf
+    assert math.isfinite(bad.residual)
+    assert solutions[1] is not None
 
 
 def test_solve_zero_amplitude_returns_trivial(machinery4):

@@ -1,7 +1,9 @@
 """Source hygiene that needs no linter: every name a qcurve or test module
 imports is used in that module, every function, class and method qcurve
-defines is named somewhere else in the repository, and the library neither
-warns nor prints (diagnostics go into reports, output through the CLI)."""
+defines is named somewhere else in the repository and, but for a short
+allow-list, by the library or the benchmark rather than by tests alone, and
+the library neither warns nor prints (diagnostics go into reports, output
+through the CLI)."""
 
 import ast
 import pathlib
@@ -145,3 +147,42 @@ def test_no_dead_code():
     sources = [p.read_text() for d in ("src", "tests", "bench")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced([p.read_text() for p in MODULES], sources) == []
+
+
+def named_by_tests_only(defined_in, library, tests):
+    """Names defined in the `defined_in` sources that the `tests` sources
+    name and none of the `library` sources does."""
+    return sorted(set(unreferenced(defined_in, library))
+                  - set(unreferenced(defined_in, tests)))
+
+
+def test_test_only_scan_finds_them():
+    lib = ("def api(): pass\ndef checked(): pass\ndef dead(): pass\n"
+           "class Grid:\n    def refine(self): pass\n"
+           "def _helper(): api()\n")
+    user = "from lib import Grid\nTARGETS = ('lib._helper',)\n"
+    tests = "from lib import checked\nchecked()\nGrid().refine()\n"
+    assert named_by_tests_only([lib], [lib, user], [tests]) == [
+        "checked", "refine"]
+
+
+# test-only definitions that stay, each an oracle a test needs
+TEST_ONLY = {
+    "sigma2_identity_check": "acceptance criterion 10: the sigma_2 "
+                             "identity behind the U family",
+    "u_linearized_apply": "the linearization criterion: the Frechet "
+                          "derivative of the U equation",
+    "refine": "RadialGrid.refine: the nested grids of refinement oracles",
+}
+
+
+def test_no_test_only_definitions():
+    """Every function, class and method of src/qcurve that tests name is
+    also named by src/ (the re-exporting __init__.py left out) or bench/,
+    except exactly the TEST_ONLY allow-list."""
+    library = [p.read_text() for p in MODULES] + [
+        p.read_text() for p in sorted((ROOT / "bench").rglob("*.py"))]
+    tests = [p.read_text() for p in TESTS]
+    assert named_by_tests_only([p.read_text() for p in MODULES], library,
+                               tests) == sorted(TEST_ONLY)
+
