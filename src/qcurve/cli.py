@@ -378,12 +378,10 @@ def write_report(report, fmt, path):
             text = _canonical(report) + "\n"
         elif fmt == "csv":
             header, columns = report
-            rows = ["%s" % ",".join(header)]
-            length = len(columns[0])
-            for i in range(length):
-                rows.append(",".join("%.12e" % float(col[i])
-                                     for col in columns))
-            text = "\n".join(rows) + "\n"
+            row = ",".join(["%.12e"] * len(columns))
+            cells = zip(*(np.asarray(col, float).tolist() for col in columns))
+            text = "\n".join([",".join(header)]
+                              + [row % cell for cell in cells]) + "\n"
         else:
             raise ValueError("unknown format %r" % fmt)
         with open(path, "w") as fh:

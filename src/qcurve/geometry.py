@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import RadialFunction, differentiate
+from .grid import RadialFunction, _stencils, differentiate
 
 __all__ = [
     "check_dimension",
@@ -118,20 +118,19 @@ def _coth(grid, dtype):
     return out
 
 
-def laplacian_values(values, grid, n, extended=True):
+def laplacian_values(values, grid, n):
     """Lap f = f'' + (n-1) coth(r) f' on raw sample arrays.
 
     At r = 0 the regular limit n f''(0) is used (valid for even profiles).
     Returns the dtype of `values` (double for non-float input), with the
-    derivatives accumulated in longdouble unless `extended=False` (see
-    `differentiate`); longdouble input keeps residual diagnostics in
-    extended precision throughout.
+    derivatives accumulated in longdouble (see `differentiate`); longdouble
+    input keeps residual diagnostics in extended precision throughout.
     """
     values = np.asarray(values)
     dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.dtype(float)
     values = values.astype(dtype)
-    d1 = differentiate(values, grid.h, 1, extended=extended)
-    d2 = differentiate(values, grid.h, 2, extended=extended)
+    d1 = differentiate(values, grid.h, 1)
+    d2 = differentiate(values, grid.h, 2)
     coth = _coth(grid, dtype)
     out = np.empty_like(values)
     out[1:] = d2[1:] + (n - 1) * coth[1:] * d1[1:]
@@ -156,14 +155,64 @@ def paneitz_gradient_coefficient(n):
     return cc.a_n * cc.R_hyp + cc.b_n * (n - 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _small_stencils(grid, n):
+    """(w1, w2, origin, outer): the weights of `_small_laplacian` on `grid`,
+    each formed in longdouble and rounded once to double, read-only.  w1
+    and w2 are the central stencils of (n-1) d/dr and d^2/dr^2, origin the
+    r = 0 row on f[0..3] (n f''(0) less `laplacian_values`' sixth-difference
+    term), outer the two last rows of f'' + (n-1) coth(r) f' on the last
+    six samples, from `differentiate`'s biased stencils and the double
+    coth table."""
+    h = grid.h
+    (w1, o1), (w2, o2) = _stencils(1), _stencils(2)
+    origin = (n * np.array([w2[2], w2[1] + w2[3], w2[0] + w2[4], 0])
+              - (n - 1) * np.array([-20, 30, -12, 2]) / np.longdouble(45))
+    coth = _coth(grid, np.dtype(float))[-2:, None]
+    outer = o2 + (n - 1) * h * coth * np.pad(o1, ((0, 0), (1, 0)))
+    out = ((n - 1) * w1 / h, w2 / h ** 2, origin / h ** 2, outer / h ** 2)
+    out = tuple(w.astype(float) for w in out)
+    for w in out:
+        w.flags.writeable = False
+    return out
+
+
+def _small_laplacian(values, grid, n):
+    """`laplacian_values` of a double array, accumulated in double: one
+    multiply-add of two correlations with pre-scaled weights on the
+    even-ghost-padded samples.  Weights rounded to double no longer
+    annihilate constants exactly, an error of order eps max|f| / h^2 that
+    the next factor amplifies by 1/h^2: for small fields only."""
+    w1, w2, origin, outer = _small_stencils(grid, n)
+    size = values.shape[0]
+    # rows 1..size-3 read f[-1] = f[1] at most
+    padded = np.concatenate((values[1:2], values))
+    out = np.empty(size)
+    inner = out[1:size - 2]
+    # coth(0) is inf: row 0 is the origin row alone
+    coth = _coth(grid, np.dtype(float))
+    np.multiply(np.correlate(padded, w1), coth[1:size - 2], out=inner)
+    inner += np.correlate(padded, w2)
+    out[0] = origin @ values[:4]
+    out[size - 2:] = outer @ values[size - 6:]
+    return out
+
+
 def paneitz_values(values, grid, n, extended=True):
     """P_g applied to a raw sample array on the hyperbolic base, in the
-    dtype and with the accumulation of `laplacian_values`."""
+    dtype and with the accumulation of `laplacian_values`.  `extended=False`
+    applies each Laplacian by `_small_laplacian`, in double: for small
+    fields only (the double part of a split residual)."""
     n = check_dimension(n)
     cc = hyperbolic_curvature_report(n)
     c_n = paneitz_gradient_coefficient(n)
-    lap = laplacian_values(values, grid, n, extended=extended)
-    lap2 = laplacian_values(lap, grid, n, extended=extended)
+    if extended:
+        lap = laplacian_values(values, grid, n)
+        lap2 = laplacian_values(lap, grid, n)
+    else:
+        values = np.asarray(values, float)
+        lap = _small_laplacian(values, grid, n)
+        lap2 = _small_laplacian(lap, grid, n)
     out = lap2 - c_n * lap
     if n > 4:
         out = out + 0.5 * (n - 4) * cc.Q_hyp * np.asarray(values, dtype=out.dtype)

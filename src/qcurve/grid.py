@@ -64,33 +64,29 @@ def stencil_weights(lo, hi, m):
 
 
 @functools.cache
-def _stencils(m, dtype):
-    """(central, outer) weights of `differentiate` in `dtype`, the biased
+def _stencils(m):
+    """(central, outer) longdouble weights of `differentiate`, the biased
     stencils of the outer rows stacked (each reads the last m+4 samples);
     read-only, since every caller shares them."""
     k = _HALF_WIDTH[m]
-    out = (stencil_weights(-k, k, m).astype(dtype),
+    out = (stencil_weights(-k, k, m),
            np.array([stencil_weights(lead - m - 3, lead, m)
-                     for lead in range(k - 1, -1, -1)], dtype))
-    for w in out:
-        w.flags.writeable = False
+                     for lead in range(k - 1, -1, -1)]))
+    out[1].flags.writeable = False
     return out
 
 
-def differentiate(values, h, m, parity=1, extended=True):
+def differentiate(values, h, m, parity=1):
     """m-th derivative of a sampled profile, 4th-order accurate, in the
     dtype of `values`.
 
     parity = +1 treats the sample as an even function of r about the origin
     (ghost values f[-i] = f[i]); parity = -1 as odd; parity = None as a
     segment that starts at an edge away from the origin, closed like the
-    outer end.  The outer end uses biased stencils of the same order.  By
-    default the extended-precision weights accumulate in longdouble:
-    weights rounded to double no longer annihilate constants exactly, and a
-    composed operator amplifies that residue by 1/h^2.  `extended=False`
-    accumulates in the dtype of `values`, 4-5x faster for double input at
-    an error of up to about a hundred eps max|f| / h^m: for small fields
-    only.
+    outer end.  The outer end uses biased stencils of the same order.  The
+    extended-precision weights accumulate in longdouble whatever the input
+    dtype: weights rounded to double no longer annihilate constants
+    exactly, and a composed operator amplifies that residue by 1/h^2.
     """
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.floating):
@@ -101,8 +97,8 @@ def differentiate(values, h, m, parity=1, extended=True):
     k = _HALF_WIDTH[m]
     if n < m + 5:
         raise ValueError("grid too short for a 4th-order order-%d stencil" % m)
-    w, w_outer = _stencils(m, np.longdouble if extended else values.dtype)
-    out = np.empty(n, dtype=np.result_type(values.dtype, w.dtype))
+    w, w_outer = _stencils(m)
+    out = np.empty(n, dtype=np.longdouble)
     # correlate sums each row's taps in stencil order, as a loop would
     if parity is None:
         # the inner edge: the outer rows' biased stencils, mirrored
@@ -113,8 +109,7 @@ def differentiate(values, h, m, parity=1, extended=True):
         padded = np.concatenate((parity * values[k:0:-1], values))
         out[:n - k] = np.correlate(padded, w)
     out[n - k:] = w_outer @ values[n - m - 4:]
-    scale = np.longdouble(h) ** m
-    return (out / (scale if extended else float(scale))).astype(values.dtype)
+    return (out / np.longdouble(h) ** m).astype(values.dtype)
 
 
 class RadialGrid:

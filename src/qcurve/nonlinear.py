@@ -226,8 +226,9 @@ def e_residual(u, f, dim, split=None):
 
     The outer 0.5 of radius (biased-stencil rows) is excluded.
     E is evaluated in the dtype of u, or in double given `split` = (P v, w)
-    for u = v + w: P u = P v + P w, P w accumulated in double (for w small
-    enough that its rounding, amplified by 1/h^4, is negligible).
+    for u = v + w: P u = P v + P w, P w by the fused double kernel of
+    `paneitz_values(..., extended=False)` (for w small enough that its
+    rounding, of order eps max|w| / h^4, is negligible).
     """
     n = check_dimension(dim)
     grid = u.grid

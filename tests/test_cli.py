@@ -305,6 +305,28 @@ def test_csv_schema(tmp_path):
     assert len(lines) == 3
 
 
+def test_csv_rows_match_per_cell_format(tmp_path):
+    """One format string per row writes the bytes of formatting each cell
+    by itself, for nan, +-inf, tiny and huge values and a longdouble
+    column (each cell rounded to double first)."""
+    rng = np.random.default_rng(7)
+    r = np.linspace(np.longdouble(0), np.longdouble(12), 257)
+    special = np.array([math.nan, math.inf, -math.inf, 5e-324, -1.7e308, -0.0])
+    value = rng.standard_normal(257) * 10.0 ** rng.integers(-30, 30, 257)
+    value[:special.size] = special
+    columns = (r, np.exp(-r), value, [float(i) for i in range(257)])
+    header = ("r", "x", "value", "i")
+    path = tmp_path / "t.csv"
+    write_report((header, columns), "csv", str(path))
+    rows = [",".join(header)] + [
+        ",".join("%.12e" % float(col[i]) for col in columns)
+        for i in range(257)]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+    lines = path.read_text().split("\n")
+    assert ([line.split(",")[2] for line in lines[1:4]]
+            == ["nan", "inf", "-inf"])
+
+
 # ---------------------------------------------------------------------------
 # command execution on small grids
 

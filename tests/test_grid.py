@@ -235,8 +235,7 @@ def _differentiate_edge_loops(values, h, m, parity=1):
 def test_vectorized_edge_rows_match_loops(m, parity, points):
     """The padded origin rows, the mirrored inner-edge stencils and the
     stacked outer stencils give exactly the scalar loops' values, for
-    longdouble and double input; accumulating in double agrees with them to
-    rounding."""
+    longdouble and double input."""
     g = RadialGrid(12.0, points)
     r = g.r
     vals = np.cos(3 * r) * np.exp(-r) + np.sin(r) * np.exp(-r / 2) / 7
@@ -244,12 +243,6 @@ def test_vectorized_edge_rows_match_loops(m, parity, points):
         got = differentiate(v, g.h, m, parity)
         assert got.dtype == v.dtype
         assert np.array_equal(got, _differentiate_edge_loops(v, g.h, m, parity))
-    want = _differentiate_edge_loops(vals, g.h, m, parity)
-    fast = differentiate(vals.astype(float), g.h, m, parity, extended=False)
-    assert fast.dtype == np.float64
-    # measured: at most 10.4 eps max|f| / h^m over these cases
-    bound = 64 * np.finfo(float).eps * float(np.abs(vals).max() / g.h ** m)
-    assert np.abs(fast - want).max() <= bound
 
 
 def _segment_diff(values, h, m):
