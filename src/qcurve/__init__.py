@@ -13,9 +13,8 @@ from .indicial import (BoundarySpectrum, DegenerateOperatorError,
                        IndicialPolynomial, q_indicial_polynomial,
                        q_indicial_spectrum, u_indicial_polynomial,
                        u_indicial_spectrum)
-from .bessel import (BesselValue, ModelSolution, bessel_I_derivatives,
-                     bessel_K_derivatives, model_operator, model_residual,
-                     model_solutions)
+from .bessel import (ModelSolution, bessel_I_derivatives, bessel_K_derivatives,
+                     model_operator, model_residual, model_solutions)
 from .linear import (BandedFactor, FactoredOperator, IllConditionedFitError,
                      KernelElement, ProjectionP1, WindowError, apply_L,
                      assemble, generalized_inverse, kernel_element,

@@ -135,39 +135,27 @@ def fit_leading(u, dim):
 _GROWTH_FACTOR = 1.05
 
 
-def weighted_norm(u, nu, order=0):
-    """Discrete sup-norm surrogate of the weighted space x^nu with `order`
-    edge derivatives: max over j <= order of sup |x^{-nu} (x d/dx)^j u|.
+def weighted_norm(u, nu):
+    """Discrete sup-norm surrogate of the weighted space x^nu:
+    sup |x^{-nu} u|.
 
-    Since x = e^{-r}, the edge derivative (x d/dx)^j is (-d/dr)^j, supplied
-    by the shared stencils.  If the running sup still grows monotonically
-    through the outer segments of the grid (no saturation before the
-    boundary), the norm is reported as the +inf sentinel.
+    If the running sup still grows monotonically through the outer segments
+    of the grid (no saturation before the boundary), the norm is reported
+    as the +inf sentinel.
     """
-    if not 0 <= order <= 4:
-        raise ValueError("order must be 0..4")
     grid = u.grid
     r = grid.r.astype(float)
-    weight = np.exp(float(nu) * r)  # x^{-nu}
-    best = 0.0
-    diverges = False
+    prof = np.abs(np.asarray(u.values, float)) * np.exp(float(nu) * r)
     # outer half, split into four segments; each spans at least a third of
     # an oscillation period for every operator family in scope, so segment
     # maxima track the envelope
     seg_edges = np.linspace(grid.r_max / 2.0, grid.r_max, 5)
-    for j in range(order + 1):
-        prof = np.abs(np.asarray(u.d(j), float)) * weight
-        best = max(best, float(prof.max()))
-        seg_max = []
-        for lo, hi in zip(seg_edges[:-1], seg_edges[1:]):
-            m = (r >= lo) & (r <= hi)
-            seg_max.append(prof[m].max())
-        if all(nxt > _GROWTH_FACTOR * cur
-               for cur, nxt in zip(seg_max[:-1], seg_max[1:])):
-            diverges = True
-    if diverges:
+    seg_max = [prof[(r >= lo) & (r <= hi)].max()
+               for lo, hi in zip(seg_edges[:-1], seg_edges[1:])]
+    if all(nxt > _GROWTH_FACTOR * cur
+           for cur, nxt in zip(seg_max[:-1], seg_max[1:])):
         return math.inf
-    return best
+    return float(prof.max())
 
 
 def scalar_linearization_coefficient(n):

@@ -168,8 +168,8 @@ class RadialFunction:
     """A radial profile sampled on a RadialGrid: an even function of r, the
     generic case for regular radial data.
 
-    The universal value carrier: construction rejects NaN/Inf, derivative
-    access goes through the shared 4th-order stencils.
+    The universal value carrier: construction rejects NaN/Inf; derivatives
+    come from `differentiate` on its values.
     """
 
     def __init__(self, grid, values):
@@ -182,14 +182,6 @@ class RadialFunction:
         self.grid = grid
         self.values = values.copy()
         self.values.setflags(write=False)
-
-    def d(self, m):
-        """m-th r-derivative (m = 0..4)."""
-        if not 0 <= m <= 4:
-            raise ValueError("derivative order must be 0..4")
-        if m == 0:
-            return self.values.copy()
-        return differentiate(self.values, self.grid.h, m)
 
     def __add__(self, other):
         if isinstance(other, RadialFunction):

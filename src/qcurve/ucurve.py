@@ -174,13 +174,12 @@ def _el_rhs_values(wv, lap_fn, d1, d2, r, params):
     return (1.0 + a) * lap2 + linear_geo + nonlin + u_over
 
 
-def u_e_residual(w, params, target_u=None, window=None):
+def u_e_residual(w, params, window=None):
     """Sup over the interior window of |U_implied(w) - target|, where
     U_implied = 6 gamma3 e^{-4w} (EL right-hand side): the deformed metric
     has constant U-curvature exactly when this vanishes."""
     grid = w.grid
-    u_base = u_curvature_hyperbolic(params)
-    target = u_base if target_u is None else float(target_u)
+    target = u_curvature_hyperbolic(params)
     wv = np.asarray(w.values, float)
     d1 = differentiate(wv, grid.h, 1)
     d2 = differentiate(wv, grid.h, 2)

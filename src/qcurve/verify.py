@@ -42,24 +42,17 @@ def verify_bessel(n):
         res = {s.kind: model_residual(s, window) for s in sols}
         order = sols[0].order
         # Wronskian of the modified Bessel pair: I K' - I' K = -1/t
-        worst_w = 0.0
-        for t in np.linspace(window[0], window[1], 40):
-            t = float(t)
-            i0, i1, _ = bessel_I_derivatives(order, t)
-            k0, k1, _ = bessel_K_derivatives(order, t)
-            wr = complex(i0) * complex(k1) - complex(i1) * complex(k0)
-            worst_w = max(worst_w, abs(wr + 1.0 / t))
+        ts = np.linspace(window[0], window[1], 40)
+        i0, i1, _, _ = bessel_I_derivatives(order, ts)
+        k0, k1, _, _ = bessel_K_derivatives(order, ts)
+        worst_w = float(np.abs(i0 * k1 - i1 * k0 + 1.0 / ts).max())
         # exponential dichotomy on [5, 20]: log-magnitude slope of the
         # I-branch stays positive, of the K-branch negative
         ts = np.linspace(5.0, 20.0, 31)
-        li, lk = [], []
-        for t in ts:
-            vi = bessel_I_derivatives(order, float(t))[0]
-            vk = bessel_K_derivatives(order, float(t))[0]
-            li.append(math.log(abs(vi)) + vi.log_scale)
-            lk.append(math.log(abs(vk)) - vk.log_scale)
-        si = np.diff(li) / np.diff(ts)
-        sk = np.diff(lk) / np.diff(ts)
+        vi, _, _, ls_i = bessel_I_derivatives(order, ts)
+        vk, _, _, ls_k = bessel_K_derivatives(order, ts)
+        si = np.diff(np.log(np.abs(vi)) + ls_i) / np.diff(ts)
+        sk = np.diff(np.log(np.abs(vk)) - ls_k) / np.diff(ts)
         out["factors"][fid] = {
             "order": [order.real, order.imag],
             "residual_I": res["I"],

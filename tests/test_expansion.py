@@ -135,14 +135,6 @@ def test_weighted_norm_finiteness_flip(grid2048):
     assert math.isinf(divergent)
 
 
-def test_weighted_norm_orders(grid2048):
-    u = synthetic_oscillation(grid2048, 4, 1e-3, 0.0)
-    n0 = weighted_norm(u, 1.0, order=0)
-    n1 = weighted_norm(u, 1.0, order=1)
-    assert math.isfinite(n0) and math.isfinite(n1)
-    assert n1 > 0
-
-
 def test_scalar_linearization_coefficient_values():
     assert scalar_linearization_coefficient(4) == pytest.approx(60.0)
     assert scalar_linearization_coefficient(5) == pytest.approx(248.0)

@@ -267,6 +267,3 @@ def test_e_residual_zero_profile(grid1024):
     p = DetParams.preset("spin_laplacian")
     z = RadialFunction(grid1024, np.zeros(grid1024.n_points))
     assert u_e_residual(z, p) < 1e-10
-    # wrong target shows up as a constant defect
-    assert u_e_residual(z, p, target_u=-260.0) == pytest.approx(4.0,
-                                                                abs=1e-8)
