@@ -10,9 +10,9 @@ from .geometry import (CurvatureConstants, DimensionError, PositivityError,
                        check_dimension, hyperbolic_curvature_report,
                        paneitz_apply, q_of_conformal, scalar_of_conformal)
 from .indicial import (BoundarySpectrum, DegenerateOperatorError,
-                       IndicialPolynomial, q_indicial_polynomial,
-                       q_indicial_spectrum, u_indicial_polynomial,
-                       u_indicial_spectrum)
+                       IndicialPolynomial, RootCheckError,
+                       q_indicial_polynomial, q_indicial_spectrum,
+                       u_indicial_polynomial, u_indicial_spectrum)
 from .bessel import (ModelSolution, bessel_I_derivatives, bessel_K_derivatives,
                      model_operator, model_residual, model_solutions)
 from .linear import (BandedFactor, FactoredOperator, IllConditionedFitError,

@@ -128,36 +128,56 @@ def _parse_floats(text, count=None, what="list"):
     return vals
 
 
-def _check_finite(key, values):
-    # NaN and +-inf slip through every `<= 0` range check
-    if not all(math.isfinite(v) for v in values
-               if isinstance(v, (int, float))):
-        raise ConfigError("%s must be finite, got %r" % (key, values))
+def _check_finite(key, value):
+    """ConfigError unless a number, or each of a tuple of them, is finite:
+    NaN and +-inf slip through every `<= 0` range check."""
+    values = value if isinstance(value, tuple) else (value,)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("%s must be finite, got %r" % (key, value))
 
 
-def _build_parser():
+def _add_options(sp, command):
+    """Give a command's subparser its arguments from the option table."""
+    for dest, opt in _OPTIONS.items():
+        if command not in opt.commands:
+            continue
+        default = opt.default
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        text = opt.help if default is None else \
+            "%s (default: %s)" % (opt.help, default)
+        kw = {"type": opt.type, "choices": opt.choices,
+              "metavar": opt.metavar, "help": text}
+        if dest == "check":
+            sp.add_argument(dest, **kw)
+        else:
+            sp.add_argument("--" + dest.replace("_", "-"), dest=dest, **kw)
+
+
+class _LazySubcommands(argparse._SubParsersAction):
+    """The command subparsers, each given its arguments only when its
+    command is parsed: a run builds one of the seven."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] in self.choices:
+            _add_options(self.choices[values[0]], values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _build_parser(lazy=False):
+    """The qcurve argument parser.  With `lazy`, as `parse_config` builds
+    it, a subparser gets its arguments only when its command is parsed;
+    help, usage and error text are those of the whole parser."""
     p = argparse.ArgumentParser(
         prog="qcurve",
         description="Constant Q- and U-curvature conformal metrics on the "
                     "ball: solvers, kernels, and verification reports.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           **({"action": _LazySubcommands} if lazy else {}))
     for command, summary in _COMMANDS.items():
         sp = sub.add_parser(command, help=summary)
-        for dest, opt in _OPTIONS.items():
-            if command not in opt.commands:
-                continue
-            default = opt.default
-            if isinstance(default, tuple):
-                default = ",".join(map(str, default))
-            text = opt.help if default is None else \
-                "%s (default: %s)" % (opt.help, default)
-            kw = {"type": opt.type, "choices": opt.choices,
-                  "metavar": opt.metavar, "help": text}
-            if dest == "check":
-                sp.add_argument(dest, **kw)
-            else:
-                sp.add_argument("--" + dest.replace("_", "-"), dest=dest,
-                                **kw)
+        if not lazy:
+            _add_options(sp, command)
     return p
 
 
@@ -182,7 +202,7 @@ def parse_config(argv):
     kernel fit window or the covariance window, is refused here, before
     any work.
     """
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser(lazy=True).parse_args(argv)
     command = ns.command
     allowed = [key for key, opt in _OPTIONS.items()
                if command in opt.commands and key != "config"]
@@ -227,7 +247,7 @@ def parse_config(argv):
     for key in ("amplitude", "amplitudes", "epsilon", "tol", "r_max",
                 "alpha", "target"):
         if opts.get(key) is not None:
-            _check_finite(key, np.ravel(opts[key]))
+            _check_finite(key, opts[key])
     if command in _BANDED or opts.get("check") == "asymptotics":
         if opts["points"] < _MIN_POINTS:
             raise ConfigError("need at least %d grid points for the banded "
@@ -367,25 +387,34 @@ def _canonical(obj):
     return json.dumps(str(obj))
 
 
+_CSV_BLOCK = 256     # table rows formatted per write
+
+
 def write_report(report, fmt, path):
     """Serialize a report dict (json) or a column table (csv) to `path`.
 
-    The csv table is given as report = (header, columns).  Serialization is
-    deterministic: identical inputs produce byte-identical files.
+    The csv table is given as report = (header, columns) and is formatted
+    and written _CSV_BLOCK rows at a time.  Serialization is deterministic:
+    identical inputs produce byte-identical files.
     """
     try:
         if fmt == "json":
             text = _canonical(report) + "\n"
+            with open(path, "w") as fh:
+                fh.write(text)
         elif fmt == "csv":
             header, columns = report
-            row = ",".join(["%.12e"] * len(columns))
-            cells = zip(*(np.asarray(col, float).tolist() for col in columns))
-            text = "\n".join([",".join(header)]
-                              + [row % cell for cell in cells]) + "\n"
+            columns = [np.asarray(col, float) for col in columns]
+            row = ",".join(["%.12e"] * len(columns)) + "\n"
+            rows = min(map(len, columns), default=0)
+            with open(path, "w") as fh:
+                fh.write(",".join(header) + "\n")
+                for i in range(0, rows, _CSV_BLOCK):
+                    cells = zip(*(col[i:i + _CSV_BLOCK].tolist()
+                                  for col in columns))
+                    fh.write("".join([row % cell for cell in cells]))
         else:
             raise ValueError("unknown format %r" % fmt)
-        with open(path, "w") as fh:
-            fh.write(text)
     except OSError as exc:
         raise OSError("cannot write report to %s: %s" % (path, exc))
 

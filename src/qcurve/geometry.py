@@ -37,7 +37,6 @@ __all__ = [
     "paneitz_values",
     "q_of_conformal",
     "scalar_of_conformal",
-    "laplacian_conformal_values",
     "WarpedCurvature",
     "warped_product_curvature",
     "paneitz_conformal_values",
@@ -274,18 +273,6 @@ def scalar_of_conformal(u, n):
     return RadialFunction(u.grid, vals)
 
 
-def laplacian_conformal_values(values, w, grid, n):
-    """Laplacian of g~ = e^{2w} g on a radial sample:
-    Lap~ f = e^{-2w} (Lap f + (n-2) w' f')."""
-    values = np.asarray(values)
-    dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.dtype(float)
-    lap = laplacian_values(values, grid, n)
-    w = np.asarray(w, dtype=dtype)
-    wp = differentiate(w, grid.h, 1)
-    fp = differentiate(values.astype(dtype), grid.h, 1)
-    return np.exp(-2.0 * w) * (lap + (n - 2.0) * wp * fp)
-
-
 class WarpedCurvature(NamedTuple):
     """Warped-product data of g~ = e^{2w} g = A^2 dr^2 + B^2 dS^2.
 
@@ -371,9 +358,13 @@ def paneitz_conformal_values(phi, w, grid, n):
     h = grid.h
 
     A, B, B_s, ric_ss, ric_ang, R_scal = warped_product_curvature(w, grid, n)
+    # Lap~ f = e^{-2w} (Lap f + (n-2) w' f'), the Laplacian of g~
+    wp = (n - 2.0) * differentiate(w, h, 1)
+    exp_m2w = np.exp(-2.0 * w)
 
     def lap_conf(vals):
-        return laplacian_conformal_values(vals, w, grid, n)
+        return exp_m2w * (laplacian_values(vals, grid, n)
+                          + wp * differentiate(vals, h, 1))
 
     lap_phi = lap_conf(phi)
     lap2_phi = lap_conf(lap_phi)

@@ -188,8 +188,20 @@ BAND = (_L_BAND, _U_BAND)
 def _add_entries(ab, rows, cols, vals):
     """Accumulate matrix entries (rows, cols) += vals into the solve_banded
     layout, in the order given, so that entries landing on one position sum
-    as a row-by-row loop would."""
+    as a row-by-row loop would: the origin rows, where the mirrored fold
+    makes a stencil's entries collide."""
     np.add.at(ab, (_U_BAND + rows - cols, cols), vals)
+
+
+def _stencil_values(r, n, scale, h, lo, hi):
+    """The stencil rows of  scale Lap  at the radii r, one column per offset
+    lo..hi, as pairs (offset, values) in longdouble: at most one diagonal
+    is held at a time."""
+    a1 = scale * (n - 1.0) * (1.0 / np.tanh(r))
+    w2 = scale * (stencil_weights(lo, hi, 2) / h ** 2)
+    w1 = stencil_weights(lo, hi, 1) / h
+    for k, off in enumerate(range(lo, hi + 1)):
+        yield off, w2[k] + a1 * w1[k]
 
 
 def _equation_band(grid, n, scale, constant, i0=0):
@@ -203,6 +215,10 @@ def _equation_band(grid, n, scale, constant, i0=0):
     origin error under composed fourth-order diagnostics -- and row 1's
     stencil folds across the origin.  i0 > 0, an excised segment: row 0 is
     the inner Dirichlet row u(i0) = rhs[0], row 1 the biased stencil.
+
+    Rows 0 and 1 of the full ball accumulate entry by entry; every other
+    stencil row owns its positions, so each diagonal of a run of rows is
+    written whole, its longdouble values rounded once to double.
     """
     r, h = grid.r[i0:], grid.h
     m = len(r)
@@ -214,19 +230,18 @@ def _equation_band(grid, n, scale, constant, i0=0):
         six = np.array([-20.0, 30.0, -12.0, 2.0])
         _add_entries(ab, row0[:4], np.arange(4),
                      -scale * (n - 1.0) * six / (45.0 * h ** 2))
-        stencils = [(np.arange(1, m - 2), (-2, 2))]
+        row1 = [vals for _, vals in _stencil_values(r[1:2], n, scale, h,
+                                                    -2, 2)]
+        _add_entries(ab, row0 + 1, np.abs(np.arange(-1, 4)),
+                     np.concatenate(row1))
+        runs = [(2, m - 2, (-2, 2))]
     else:
         ab[_U_BAND, 0] = 1.0
-        stencils = [(np.array([1]), (-1, 3)),
-                    (np.arange(2, m - 2), (-2, 2))]
-    stencils.append((np.array([m - 2]), (-3, 1)))
-    for rows, (lo, hi) in stencils:
-        offs = np.arange(lo, hi + 1)
-        a1 = scale * (n - 1.0) * (1.0 / np.tanh(r[rows]))
-        vals = (scale * (stencil_weights(lo, hi, 2) / h ** 2)
-                + a1[:, None] * (stencil_weights(lo, hi, 1) / h))
-        _add_entries(ab, np.repeat(rows, len(offs)),
-                     np.abs(rows[:, None] + offs).ravel(), vals.ravel())
+        runs = [(1, 2, (-1, 3)), (2, m - 2, (-2, 2))]
+    runs.append((m - 2, m - 1, (-3, 1)))
+    for start, stop, (lo, hi) in runs:
+        for off, vals in _stencil_values(r[start:stop], n, scale, h, lo, hi):
+            ab[_U_BAND - off, start + off:stop + off] = vals
     ab[_U_BAND, (1 if i0 else 0):m - 1] += constant
     return ab
 
@@ -263,26 +278,29 @@ def _banded_lapack():
     return dgbtrf, dgbtrs
 
 
-dgbtrf, dgbtrs = _banded_lapack()
+_lapack = functools.cache(_banded_lapack)
 
 
 def factor_banded(ab):
     """LU factors of a closed band in the solve_banded layout (BAND), for
     any number of `solve_banded` calls: LAPACK dgbtrf, in place, on a
     Fortran-ordered copy padded with the l rows of fill-in it needs -- the
-    factorization scipy.linalg.solve_banded repeats on every call."""
+    factorization scipy.linalg.solve_banded repeats on every call.  The
+    factors carry their dgbtrs; LAPACK is loaded at the first factoring, so
+    a process that factors no band never maps it."""
+    dgbtrf, dgbtrs = _lapack()
     lu = np.zeros((2 * _L_BAND + _U_BAND + 1, ab.shape[1]), order="F")
     lu[_L_BAND:] = ab
     lu, piv, info = dgbtrf(lu, _L_BAND, _U_BAND, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular banded matrix")
-    return lu, piv
+    return lu, piv, dgbtrs
 
 
 def solve_banded(factor, rhs):
     """x with A x = rhs, A given by its `factor_banded` factors (dgbtrs);
     like scipy.linalg.solve_banded, non-finite data raise ValueError."""
-    lu, piv = factor
+    lu, piv, dgbtrs = factor
     return dgbtrs(lu, _L_BAND, _U_BAND, np.asarray_chkfinite(rhs), piv)[0]
 
 

@@ -105,13 +105,40 @@ def covariance_pair(grid, cw, cp):
     return w, phi
 
 
+# the (w, phi) coefficients of `verify_covariance`, rows of (cw, cp): the
+# draw np.random.default_rng(20260823).uniform(-1, 1, (10, 2, 3)), kept as
+# numbers so that the check loads no random-number generator
+_COVARIANCE_COEFFS = (
+    -0.9175146655806534, -0.6496781143276384, -0.5145652030945886,
+    -0.0659154876775685, 0.9282538513354992, -0.6522639555049929,
+    0.5984281422432969, -0.4056825448265664, 0.6537635396034382,
+    0.7669251639274433, 0.3096331592659973, 0.9488786696317197,
+    -0.20955935831106465, -0.3944651237995247, 0.8307816252918871,
+    -0.16234122763113645, 0.8410485455834356, -0.7758847057867753,
+    -0.5110214484604645, -0.2980788858565748, 0.0354421123819173,
+    0.7321549008203663, -0.9633818766178528, -0.4758786558143795,
+    0.29711139240911133, -0.6696369603820382, 0.656108979504177,
+    -0.8570820824901944, 0.009527945364862012, -0.7035232982419788,
+    0.5813292937312451, 0.7774170322722227, -0.728921803561754,
+    -0.9173445959769357, -0.29998531579489707, 0.05340988000268054,
+    -0.8813250956511598, -0.6830148251686534, 0.17923749948611944,
+    0.9026472799454002, 0.541702617963499, -0.9811016633481253,
+    0.5591244856909883, -0.48623897529151217, -0.6528673502220652,
+    -0.7532723751614809, 0.9843336219414862, -0.41341650878732916,
+    0.5269592566624988, -0.18977750872514787, 0.5630945649916215,
+    0.1796194756562537, 0.6426626186635391, -0.7979920253299531,
+    0.08689273419908061, 0.09829565026852793, 0.5822775066965586,
+    0.4589643032414894, 0.9444034613712731, 0.31326656603556025,
+)
+
+
 def verify_covariance(n, r_max):
     """Covariance defects of ten seeded (w, phi) pairs at 2048 and 4096
     points on [0, r_max]; passed when every refinement ratio is at least
     3.5, the h^4 truncation error (ratio 16) rather than rounding."""
     coarse = RadialGrid(r_max, 2048)
     fine = RadialGrid(r_max, 4096)
-    coeffs = np.random.default_rng(20260823).uniform(-1.0, 1.0, (10, 2, 3))
+    coeffs = np.reshape(_COVARIANCE_COEFFS, (10, 2, 3))
     entries = []
     for cw, cp in coeffs:
         res = [covariance_residual(g, n, *covariance_pair(g, cw, cp))

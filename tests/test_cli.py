@@ -76,7 +76,18 @@ def test_parse_rejects_non_finite(argv, capsys):
     """NaN and inf slip through every `<= 0` range check; they must exit 2
     at parse time, before any machinery is built."""
     assert main(argv) == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "array(" not in err
+
+
+def test_non_finite_message_names_the_value(capsys):
+    assert main(["solve", "--amplitude", "nan"]) == 2
+    assert capsys.readouterr().err == \
+        "error: amplitude must be finite, got nan\n"
+    assert main(["sweep", "--amplitudes", "1e-4,-inf"]) == 2
+    assert capsys.readouterr().err == \
+        "error: amplitudes must be finite, got (0.0001, -inf)\n"
 
 
 def test_config_file_rejects_non_finite(tmp_path):
@@ -165,6 +176,49 @@ def test_option_table_builds_parser_and_config_keys(tmp_path):
         cfg_file.write_text(json.dumps({key: 1.0}))
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config(["sweep", "--config", str(cfg_file)])
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(namespace or None, exit code, stdout, stderr) of one parse."""
+    try:
+        ns, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    out = capsys.readouterr()
+    return ns, code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], [], ["bogus"], ["sol"], ["--bogus"],
+    ["--bogus", "solve"], ["-1", "solve"], ["solve", "--bogus"],
+    ["solve", "--n", "x"], ["solve", "--n"], ["solve", "--format", "xml"],
+    ["solve", "extra"], ["verify"], ["verify", "nope"],
+    ["verify", "bessel", "--n", "4", "--r-max", "9"], ["--", "solve"],
+    ["solve", "--", "--n"], ["solve", "--amp", "2e-3", "--tol=1e-9"],
+    ["sweep", "--amplitudes", "1e-4,2e-4", "--workers", "2"],
+    ["ucurve", "--preset", "P", "--config", "c.json"],
+    ["indicial", "--alpha", "0.6"], ["kernel", "--gamma", "1,2,3"],
+    ["expand", "--max-iter", "3"]]
+    + [[command, "--help"] for command in qcurve.cli._COMMANDS])
+def test_lazy_parser_matches_full_parser(argv, capsys, monkeypatch):
+    """The parser that gives only the invoked command's subparser its
+    arguments parses, helps and fails byte for byte as the one that builds
+    them all: namespace, exit code, stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_outcome(_build_parser(), argv, capsys)
+    lazy = _parse_outcome(_build_parser(lazy=True), argv, capsys)
+    assert lazy == full
+    assert full[2] or full[3] or full[0]
+
+
+def test_lazy_parser_builds_only_the_invoked_command(monkeypatch):
+    built = []
+    add_options = qcurve.cli._add_options
+    monkeypatch.setattr(qcurve.cli, "_add_options",
+                        lambda sp, command: (built.append(command),
+                                             add_options(sp, command)))
+    assert parse_config(["verify", "bessel"]).check == "bessel"
+    assert built == ["verify"]
 
 
 def test_parse_preset_aliases():
@@ -327,6 +381,39 @@ def test_csv_rows_match_per_cell_format(tmp_path):
             == ["nan", "inf", "-inf"])
 
 
+@pytest.mark.parametrize("rows", [0, 1, qcurve.cli._CSV_BLOCK,
+                                  2 * qcurve.cli._CSV_BLOCK + 37])
+def test_csv_blocks_match_one_string(rows, tmp_path):
+    """Blocks of rows write the bytes of the whole table formatted as one
+    string, at block edges and for unequal columns (cut to the shortest)."""
+    r = np.linspace(np.longdouble(0), np.longdouble(12), rows)
+    columns = (r, np.sin(np.asarray(r, float)), np.arange(rows + 5.0))
+    path = tmp_path / "t.csv"
+    write_report((("r", "s", "i"), columns), "csv", str(path))
+    cells = zip(*(np.asarray(col, float).tolist() for col in columns))
+    want = "\n".join(["r,s,i"] + ["%.12e,%.12e,%.12e" % c
+                                  for c in cells]) + "\n"
+    assert path.read_text() == want
+
+
+def test_csv_writer_holds_one_block(tmp_path):
+    """A 4097-row table of five columns is formatted a block at a time:
+    the writer's own allocations stay below a third of the table's text
+    (one list of all row strings and their join hold about four times
+    it)."""
+    import tracemalloc
+    r = np.linspace(0.0, 12.0, 4097)
+    columns = (r, np.tanh(r), np.sin(r), np.cos(r) * 1e-7, np.exp(-r))
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_report((tuple("abcde"), columns), "csv", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 3
+
+
 # ---------------------------------------------------------------------------
 # command execution on small grids
 
@@ -433,6 +520,16 @@ def test_sweep_report(tmp_path):
     assert code == 0
     assert len(data["entries"]) == 2
     assert data["entries"][1]["pairwise_distances"][0] > 0
+
+
+def test_ucurve_at_the_double_root(tmp_path, capsys):
+    """alpha = 3/5 (gamma 1, 7.2, 1), where T3's indicial roots meet at
+    3/2, parses and solves: no companion-check failure."""
+    code, data = run(["ucurve", "--gamma", "1,7.2,1", "--points", "1024"],
+                     tmp_path, "ucurve.json")
+    assert code == 0, capsys.readouterr().err
+    assert data["converged"] and data["params"]["alpha"] == 0.6
+    assert data["residual"] < 1e-8
 
 
 def test_ucurve_report(tmp_path):

@@ -274,3 +274,47 @@ def test_warm_solve_differentiates_nothing(monkeypatch):
     report, _ = fixed_point_solve(-8e-4, f, IterationConfig(), m)
     assert report.converged
     assert calls == []
+
+
+
+def per_call_paneitz_conformal(phi, w, grid, n):
+    """paneitz_conformal_values with each conformal Laplacian formed afresh,
+    e^{-2w} (Lap f + (n-2) w' f') with its own w' and e^{-2w}."""
+    cc = hyperbolic_curvature_report(n)
+    h = grid.h
+    A, B, B_s, ric_ss, ric_ang, R_scal = geometry.warped_product_curvature(
+        w, grid, n)
+
+    def lap_conf(vals):
+        return np.exp(-2.0 * w) * (laplacian_values(vals, grid, n)
+                                   + (n - 2.0) * differentiate(w, h, 1)
+                                   * differentiate(vals, h, 1))
+
+    G = (cc.a_n * R_scal - cc.b_n * ric_ss) * (differentiate(phi, h, 1) / A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        div = (differentiate(G, h, 1, parity=-1) / A
+               + (n - 1) * (B_s / B) * G)
+    div[~np.isfinite(div)] = 0.0
+    out = lap_conf(lap_conf(phi)) - div
+    if n > 4:
+        q_conf = (-2.0 / (n - 2) ** 2 * (ric_ss ** 2 + (n - 1) * ric_ang ** 2)
+                  + (n ** 3 - 4 * n ** 2 + 16 * n - 16)
+                  / (8.0 * (n - 1) ** 2 * (n - 2) ** 2) * R_scal ** 2
+                  - lap_conf(R_scal) / (2.0 * (n - 1)))
+        out = out + 0.5 * (n - 4) * q_conf * phi
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_conformal_paneitz_matches_per_call_laplacians(n):
+    """paneitz_conformal_values takes w' and e^{-2w} once for its two or
+    three conformal Laplacians, and equals the evaluation that forms them
+    per call bit for bit, in longdouble and in double."""
+    from qcurve.verify import covariance_pair
+    g = RadialGrid(12.0, 1024)
+    w, phi = covariance_pair(g, (0.3, -0.5, 0.2), (1.0, 0.4, -0.7))
+    for dtype in (np.longdouble, float):
+        wd, pd = np.asarray(w, dtype), np.asarray(phi, dtype)
+        got = geometry.paneitz_conformal_values(pd, wd, g, n)
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, per_call_paneitz_conformal(pd, wd, g, n))

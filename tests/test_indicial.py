@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from qcurve.indicial import (DegenerateOperatorError, oscillation_parameter,
+from qcurve.indicial import (DegenerateOperatorError, RootCheckError,
+                             _companion_check, oscillation_parameter,
                              q_indicial_polynomial, q_indicial_spectrum,
                              u_indicial_polynomial, u_indicial_spectrum)
 
@@ -99,6 +100,34 @@ def test_u_spectrum_against_companion_oracle():
                         key=lambda z: (z.real, z.imag))
         for a, b in zip(oracle, roots_set(u_indicial_spectrum(alpha))):
             assert abs(a - b) < 1e-10
+
+
+def test_u_spectrum_double_root_alpha_3_5():
+    """At alpha = 3/5 the T3 roots meet at 3/2: both routes split the
+    double root by about sqrt(eps), and the check accepts the cluster."""
+    spec = u_indicial_spectrum(0.6)
+    roots = roots_set(spec)
+    assert [z.real for z in roots[::3]] == [-1.0, 4.0]
+    for z in roots[1:3]:
+        assert abs(z - 1.5) < 1e-7
+    assert abs(spec.extras["alpha_tilde_sq"]) < 1e-15
+    oracle = np.roots(spec.polynomial.coefficients())
+    assert sum(abs(z - 1.5) < 1e-6 for z in oracle) == 2
+
+
+def test_root_check_raises_a_typed_error():
+    """A wrong closed-form root is a numerical failure (an ArithmeticError
+    the CLI maps to exit 1), never an AssertionError, whether it misses
+    an isolated root or a cluster by more than its guard."""
+    poly = u_indicial_polynomial(0.6)
+    good = [complex(-1), complex(4), 1.5 + 2e-8, 1.5 - 2e-8]
+    _companion_check(poly, good)
+    for bad in ([complex(-1), complex(4 + 1e-9), 1.5, 1.5],
+                [complex(-1), complex(4), 1.5 + 3e-6, 1.5 - 3e-6]):
+        with pytest.raises(RootCheckError):
+            _companion_check(poly, bad)
+    assert issubclass(RootCheckError, ArithmeticError)
+    assert not issubclass(RootCheckError, AssertionError)
 
 
 def test_degenerate_alpha_rejected():

@@ -13,7 +13,8 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from qcurve.geometry import laplacian_values
-from qcurve.grid import RadialFunction, RadialGrid, differentiate
+from qcurve.grid import (RadialFunction, RadialGrid, differentiate,
+                         stencil_weights)
 from qcurve.indicial import oscillation_parameter
 from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
                            _close_band, _equation_band, _fit_boundary,
@@ -132,6 +133,102 @@ def test_excised_factor_solves_match_solve_banded(grid2048):
             rhs[0], rhs[-1] = 0.25, -0.5
             assert np.array_equal(solve_banded(factor, rhs),
                                   scipy.linalg.solve_banded(BAND, band, rhs))
+
+
+def add_at_band(grid, n, scale, constant, i0=0):
+    """`_equation_band` written out with np.add.at for every stencil row:
+    the entry-by-entry accumulation that the diagonal writes replace."""
+    ub = BAND[1]
+    r, h = grid.r[i0:], grid.h
+    m = len(r)
+    ab = np.zeros((sum(BAND) + 1, m))
+
+    def add(rows, cols, vals):
+        np.add.at(ab, (ub + rows - cols, cols), vals)
+
+    if i0 == 0:
+        row0 = np.zeros(5, dtype=int)
+        add(row0, np.abs(np.arange(-2, 3)),
+            scale * n * (stencil_weights(-2, 2, 2) / h ** 2))
+        add(row0[:4], np.arange(4), -scale * (n - 1.0)
+            * np.array([-20.0, 30.0, -12.0, 2.0]) / (45.0 * h ** 2))
+        stencils = [(np.arange(1, m - 2), (-2, 2))]
+    else:
+        ab[ub, 0] = 1.0
+        stencils = [(np.array([1]), (-1, 3)), (np.arange(2, m - 2), (-2, 2))]
+    stencils.append((np.array([m - 2]), (-3, 1)))
+    for rows, (lo, hi) in stencils:
+        offs = np.arange(lo, hi + 1)
+        a1 = scale * (n - 1.0) * (1.0 / np.tanh(r[rows]))
+        vals = (scale * (stencil_weights(lo, hi, 2) / h ** 2)
+                + a1[:, None] * (stencil_weights(lo, hi, 1) / h))
+        add(np.repeat(rows, len(offs)),
+            np.abs(rows[:, None] + offs).ravel(), vals.ravel())
+    ab[ub, (1 if i0 else 0):m - 1] += constant
+    return ab
+
+
+@pytest.mark.parametrize("points", [64, 1024, 4096])
+def test_bands_match_add_at_reference(points):
+    """Every full-ball band (n = 4, 5, 6 and the T3 of each U preset) and
+    every excised band (the P preset's T3 and Lap - 4) equals the np.add.at
+    accumulation bit for bit, signs of zero included."""
+    g = RadialGrid(12.0, points)
+    cases = [(n, 1.0, c) for n in (4, 5, 6)
+             for c in (-float(n), (n * n - 4.0) / 2.0)]
+    for tag in ("conformal_laplacian", "spin_laplacian", "paneitz"):
+        a = DetParams.preset(tag).alpha
+        cases.append((4, 1.0 + a, 6.0 * a))
+    i0 = g.index_of(1.0)
+    a = DetParams.preset("paneitz").alpha
+    excised = [(4, 1.0 + a, 6.0 * a, i0), (4, 1.0, -4.0, i0)]
+    for args in cases + excised:
+        got, want = _equation_band(g, *args), add_at_band(g, *args)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), args
+        assert np.array_equal(np.signbit(got), np.signbit(want)), args
+
+
+def test_lapack_loads_at_first_factoring(tmp_path):
+    """A fresh interpreter maps scipy's `_flapack` only when a command
+    factors a band: importing qcurve.cli, the commands that factor none
+    (indicial, kernel, verify bessel and covariance) and refused configs
+    leave it unloaded; a solve loads it, once."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import os, sys
+        import qcurve.cli, qcurve.linear
+
+        def loaded():
+            cached = qcurve.linear._lapack.cache_info().currsize
+            if os.path.exists("/proc/self/maps"):
+                with open("/proc/self/maps") as fh:
+                    assert ("_flapack" in fh.read()) == bool(cached)
+            return cached
+
+        assert not loaded(), "import"
+        out = sys.argv[1]
+        for argv, want in [
+                (["indicial", "--n", "5"], 0),
+                (["indicial", "--alpha", "0.6"], 0),
+                (["kernel", "--n", "5", "--points", "512"], 0),
+                (["kernel", "--preset", "D2", "--points", "512"], 0),
+                (["verify", "bessel", "--n", "4"], 0),
+                (["verify", "covariance", "--n", "4"], 0),
+                (["solve", "--n", "3"], 2),
+                (["ucurve", "--gamma", "1,-12,1"], 2),
+                (["solve", "--amplitude", "nan"], 2)]:
+            assert qcurve.cli.main(argv + ["--out", out]) == want, argv
+            assert not loaded(), argv
+        assert qcurve.cli.main(["solve", "--n", "4", "--points", "256",
+                                "--out", out]) == 0
+        assert loaded() == 1
+        """
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_loaded_lapack_matches_public_routines(grid2048):

@@ -1,6 +1,9 @@
 import math
 
-from qcurve.verify import verify_asymptotics, verify_covariance
+import numpy as np
+
+from qcurve.verify import (_COVARIANCE_COEFFS, verify_asymptotics,
+                           verify_covariance)
 
 
 def test_verify_asymptotics_within_one_percent():
@@ -17,3 +20,9 @@ def test_verify_covariance_reports_its_worst_ratio():
     assert rep["n"] == 6
     assert rep["min_ratio"] == min(p["ratio"] for p in rep["pairs"])
     assert rep["passed"] == (rep["min_ratio"] >= 3.5)
+
+
+def test_covariance_coefficients_are_the_seeded_draw():
+    """The stored coefficients are numpy's seeded draw, bit for bit."""
+    draw = np.random.default_rng(20260823).uniform(-1.0, 1.0, (10, 2, 3))
+    assert np.array_equal(np.reshape(_COVARIANCE_COEFFS, (10, 2, 3)), draw)
