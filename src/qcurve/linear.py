@@ -18,6 +18,7 @@ projection exists; see the fit-window notes on ProjectionP1).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -278,7 +279,53 @@ def _banded_lapack():
     return dgbtrf, dgbtrs
 
 
-_lapack = functools.cache(_banded_lapack)
+def _openblas_lapack():
+    """dgbtrf and dgbtrs of the ILP64 OpenBLAS numpy itself links
+    (`scipy_dgbtrf_64_`, `scipy_dgbtrs_64_`), called through ctypes with
+    scipy.linalg.lapack's signatures and 1-based int64 pivots; a negative
+    LAPACK info raises ValueError.  AttributeError where numpy's build
+    exports no such symbols."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    trf, trs = lib.scipy_dgbtrf_64_, lib.scipy_dgbtrs_64_
+    trf.restype = trs.restype = None
+
+    def refs(*ints):
+        return [ctypes.byref(ctypes.c_int64(i)) for i in ints]
+
+    def checked(name, info):
+        if info.value < 0:
+            raise ValueError("illegal value in argument %d of %s"
+                             % (-info.value, name))
+        return info.value
+
+    def dgbtrf(ab, kl, ku, overwrite_ab=False):
+        ab = np.asarray(ab, float, order="F") if overwrite_ab \
+            else np.array(ab, float, order="F")
+        m = ab.shape[1]
+        piv, info = np.empty(m, np.int64), ctypes.c_int64()
+        trf(*refs(m, m, kl, ku), ab.ctypes, *refs(ab.shape[0]), piv.ctypes,
+            ctypes.byref(info))
+        return ab, piv, checked("dgbtrf", info)
+
+    def dgbtrs(lu, kl, ku, b, piv):
+        x, info = np.array(b, float, order="F"), ctypes.c_int64()
+        n = lu.shape[1]
+        trs(b"N", *refs(n, kl, ku, x.size // n), lu.ctypes,
+            *refs(lu.shape[0]), piv.ctypes, x.ctypes, *refs(n),
+            ctypes.byref(info), ctypes.c_size_t(1))
+        return x, checked("dgbtrs", info)
+
+    return dgbtrf, dgbtrs
+
+
+@functools.cache
+def _lapack():
+    """`_openblas_lapack`, or `_banded_lapack` where numpy exports no
+    banded LAPACK: the process then maps no second OpenBLAS."""
+    try:
+        return _openblas_lapack()
+    except AttributeError:
+        return _banded_lapack()
 
 
 def factor_banded(ab):
@@ -286,8 +333,9 @@ def factor_banded(ab):
     any number of `solve_banded` calls: LAPACK dgbtrf, in place, on a
     Fortran-ordered copy padded with the l rows of fill-in it needs -- the
     factorization scipy.linalg.solve_banded repeats on every call.  The
-    factors carry their dgbtrs; LAPACK is loaded at the first factoring, so
-    a process that factors no band never maps it."""
+    factors carry their dgbtrs.  LAPACK (`_lapack`: numpy's own OpenBLAS,
+    scipy's where numpy exports no dgbtrf) is bound at the first
+    factoring, so a process that factors no band never looks it up."""
     dgbtrf, dgbtrs = _lapack()
     lu = np.zeros((2 * _L_BAND + _U_BAND + 1, ab.shape[1]), order="F")
     lu[_L_BAND:] = ab

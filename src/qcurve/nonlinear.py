@@ -16,6 +16,7 @@ right-hand side: the constant-Q solve here and the U-curvature solve of
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,9 +56,10 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class Machinery:
     """The assembled linear machinery a solve runs on; `first_iterates`
-    memoizes the constant-Q solve's `_first_iterate_series` per (target,
-    epsilon), and `paneitz_kernel` holds P k-hat in longdouble for the
-    constant-Q residual (None in U solves)."""
+    memoizes the constant-Q solve's first two iterates as power series in
+    the amplitude (`_iterate_memo`) per (target, epsilon), and
+    `paneitz_kernel` holds P k-hat in longdouble for the constant-Q
+    residual (None in U solves)."""
 
     grid: object
     n: int
@@ -152,9 +154,9 @@ class IterationConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -250,58 +252,101 @@ def e_residual(u, f, dim, split=None):
     return float(np.abs(np.asarray(res, float)[:inner]).max())
 
 
-# Highest power of the amplitude `_first_iterate_series` keeps: T(a k-hat)
-# for n = 5 is a polynomial of degree p = 9.
+# Highest power of the amplitude an iterate series keeps: T(a k-hat) for
+# n = 5 is a polynomial of degree p = 9.
 _MAX_DEGREE = 9
 
 
-def _first_iterate_series(machinery, f, epsilon):
-    """(j0, V): the first fixed-point iterate G T(a k-hat) of the constant-Q
-    solve is sum_j a^j V[j - j0] for every |a| <= epsilon, V[j - j0] = G of
-    the a^j term of T(a k-hat); V is one contiguous read-only array.  A row
-    whose term epsilon^j max|V_j| falls to 2^-64 of the kept terms' sum,
-    11 bits under the rounding of the sum, ends the series.  None where
-    that takes powers beyond `_MAX_DEGREE`."""
-    n, grid, k = machinery.n, machinery.grid, machinery.kernel.base.values
+def _rhs_coefficients(u, f, n):
+    """Yield T_0, T_1, ...: the a^m coefficients of T(sum_j a^j u[j])
+    (`nonlinear_rhs`), one row at a time and without end.  T_0 = T(u[0]);
+    beyond it, X = e^{4u} (n = 4) or (1+u)^p (n >= 5) obeys w X' =
+    p u' X with p = 4, w = 1 (n = 4) or w = 1 + u, so its excess
+    R_m = X_m - p u_m over the linear term is
+
+        R_m = sum_{k=1}^{m-1} c_k u_k X_{m-k} / (m w_0)
+              + p u_m (X_0 / w_0 - 1),
+
+    c_k = 4 k (n = 4) or (p+1) k - m, and T_m = scale f R_m + linear
+    (f - Q) u_m.  Only the last len(u) - 1 coefficients of X are kept."""
     fv = np.asarray(f.f.values, float)
     dev = fv - f.q_base
-    # the Taylor series of `nonlinear_rhs`: c_0 and c_1 carry f - Q, and
-    # c_j = scale b_j f for j >= 2, b_j = 4^j / j! from e^{4u} (n = 4) or
-    # binom(p, j) from (1+u)^p, which ends at an integer p
+    yield nonlinear_rhs(RadialFunction(f.grid, u[0]), f, n).values
     if n == 4:
-        scale, linear, p = 2.0, 8.0, None
+        scale, linear, p, w0 = 2.0, 8.0, 4.0, 1.0
+        x0 = np.exp(4.0 * u[0])
+        excess = np.expm1(4.0 * u[0])
+
+        def weight(k, m):
+            return 4.0 * k
     else:
         scale, linear = 0.5 * (n - 4.0), 0.5 * (n + 4.0)
         p = (n + 4.0) / (n - 4.0)
-    j0 = 0 if np.any(dev) else 2
-    b, power, total = 4.0 if p is None else p, k, 0.0
-    rows = np.empty((_MAX_DEGREE + 1, grid.n_points))
-    for j in itertools.count(j0):
-        if j < 2:
-            data = scale * dev if j == 0 else linear * dev * k
-        else:
-            b *= (4.0 if p is None else p + 1.0 - j) / j
-            if b == 0.0:
-                break
-            power = power * k
-            data = scale * b * fv * power
+        w0 = 1.0 + u[0]
+        x0 = _power1p(u[0], p)
+        excess = np.expm1((p - 1.0) * np.log1p(u[0]))
+
+        def weight(k, m):
+            return (p + 1.0) * k - m
+    lead = x0 / w0
+    history = collections.deque([x0], maxlen=len(u) - 1)
+    for m in itertools.count(1):
+        s = np.zeros_like(fv)
+        for k in range(1, min(m, len(u))):
+            s += weight(k, m) * u[k] * history[-k]
+        s /= m * w0
+        um = u[m] if m < len(u) else 0.0
+        history.append(s + p * um * lead)
+        yield scale * fv * (s + p * um * excess) + linear * dev * um
+
+
+def _iterate_series(machinery, f, epsilon, u, j0):
+    """(j0, W): G T(sum_j a^j u[j]) = sum_j a^j W[j - j0] for every |a| <=
+    epsilon, W[j - j0] = G T_j of `_rhs_coefficients` (T_j = 0 for j <
+    j0); W is one contiguous read-only array.  A row whose term epsilon^j
+    max|W_j| falls to 2^-64 of the kept terms' sum, 11 bits under the
+    rounding of the sum, ends the series.  None where that takes powers
+    beyond `_MAX_DEGREE`."""
+    rows, total = [], 0.0
+    for j, data in enumerate(_rhs_coefficients(u, f, machinery.n)):
+        if j < j0:
+            continue
         row = generalized_inverse(machinery.operator,
-                                  RadialFunction(grid, data),
+                                  RadialFunction(machinery.grid, data),
                                   machinery.projection).values
         term = epsilon ** j * float(np.abs(row).max())
         if j >= 2 and term <= 2.0 ** -64 * total:
             break
         if j > _MAX_DEGREE:
             return None
-        rows[j] = row
+        rows.append(row)
         total += term
-    rows = rows[j0:j].copy()
+    rows = np.array(rows)
     rows.flags.writeable = False
     return j0, rows
 
 
-def _first_iterate(series, amplitude):
-    """sum_j a^j V_j of `_first_iterate_series`, by Horner's rule."""
+def _iterate_memo(machinery, f, epsilon):
+    """(first, second): the constant-Q solve's first two fixed-point
+    iterates, G T(a k-hat) and G T(a k-hat + first), as `_iterate_series`
+    at every |a| <= epsilon.  Their rows start at j0 = 2 on a constant
+    target, where T(a k-hat) = O(a^2), and at 0 otherwise.  None where the
+    first needs powers beyond `_MAX_DEGREE`, and `second` None where it
+    alone does."""
+    k = np.asarray(machinery.kernel.base.values, float)
+    zero = np.zeros_like(k)
+    j0 = 0 if np.any(np.asarray(f.f.values, float) - f.q_base) else 2
+    first = _iterate_series(machinery, f, epsilon, [zero, k], j0)
+    if first is None:
+        return None
+    # a k-hat + first by coefficient: views of first's rows but for u_1
+    u = [zero] * j0 + list(first[1])
+    u[1] = u[1] + k
+    return first, _iterate_series(machinery, f, epsilon, u, j0)
+
+
+def _iterate_at(series, amplitude):
+    """sum_j a^j W_j of an `_iterate_series`, by Horner's rule."""
     j0, rows = series
     a = float(amplitude)
     out = rows[-1].copy()
@@ -312,10 +357,13 @@ def _first_iterate(series, amplitude):
     return out
 
 
-def iterate_fixed_point(update, u2, cfg, first=None):
+def iterate_fixed_point(update, u2, cfg, first=None, second=None):
     """Iterate u2 <- update(u2) until the sup-norm step falls below cfg.tol
     or cfg.max_iter maps have been applied; `first`, when given, is
-    update(u2) computed beforehand and counts as the first map.
+    update(u2) computed beforehand and counts as the first map.  `second`,
+    given with `first`, is the map after it computed beforehand: the
+    second map calls update(first, second), which returns `second` and
+    does only the rest of its work.
 
     A step that is not <= the first one (NaN included) ends the loop as
     diverging, since a contraction never takes one; u2 is then the last
@@ -328,8 +376,13 @@ def iterate_fixed_point(update, u2, cfg, first=None):
     its result once)."""
     ratios, step, first_step = [], None, None
     for iterations in range(1, cfg.max_iter + 1):
-        new = np.asarray(update(u2) if first is None else first, float)
-        first = None
+        if iterations == 1 and first is not None:
+            new = first
+        elif iterations == 2 and second is not None:
+            new = update(u2, second)
+        else:
+            new = update(u2)
+        new = np.asarray(new, float)
         prev_step, step = step, float(np.abs(new - u2).max())
         if prev_step:
             ratios.append(step / prev_step)
@@ -343,7 +396,9 @@ def iterate_fixed_point(update, u2, cfg, first=None):
 
 
 def check_amplitude(amplitude, cfg):
-    """AdmissibilityError unless |amplitude| <= cfg.epsilon."""
+    """AdmissibilityError unless |amplitude| <= cfg.epsilon (NaN is not)."""
+    if math.isnan(amplitude):
+        raise AdmissibilityError("kernel amplitude is not a number")
     if abs(amplitude) > cfg.epsilon:
         raise AdmissibilityError(
             "kernel amplitude %g exceeds the configured bound %g"
@@ -381,11 +436,13 @@ def solve_report(cfg, converged, amplitude, fitted, ratios, step, **fields):
 
 
 def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
-                          first=None):
+                          first=None, second=None):
     """(report, u): iterate u2 <- G T(u1 + u2) from u2 = 0, u1 = amplitude
     k-hat in extended precision (an amplitude the caller has checked), on
     the machinery's operator, kernel and projection; `first`, when given,
-    is the first iterate G T(u1), computed beforehand.
+    is the first iterate G T(u1), computed beforehand, and `second`, given
+    with it, the second, G T(u1 + first): the second map then forms
+    T(u1 + first) but applies no G (`iterate_fixed_point`).
 
     `rhs(u1, u2)` and `residual(u1, u2)` are T(u1 + u2) and the family's
     equation residual from the value arrays of u1 (extended precision) and
@@ -394,19 +451,21 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
     seeds noise that residuals amplify by 1/h^4.  The report holds the
     re-fitted kernel datum and the `decay_diagnostics` of the last
     right-hand side G was applied to (T(u1) if the loop stops at
-    `first`)."""
+    `first`, T(u1 + first) if at `second`)."""
     grid = machinery.grid
     zero = np.zeros(grid.n_points)
     data = None
 
-    def update(u2):
+    def update(u2, known=None):
         nonlocal data
         data = rhs(u1, u2)
+        if known is not None:
+            return known
         return generalized_inverse(machinery.operator, data,
                                    machinery.projection).values
 
     u2, converged, iterations, ratios, step = iterate_fixed_point(
-        update, zero, cfg, first)
+        update, zero, cfg, first, second)
     if data is None:
         data = rhs(u1, zero)
     u = RadialFunction(grid, u1 + u2)
@@ -429,16 +488,18 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     check_amplitude(amplitude, cfg)
     key = (f, cfg.epsilon)
     if key not in machinery.first_iterates:
-        machinery.first_iterates[key] = _first_iterate_series(machinery, *key)
-    series = machinery.first_iterates[key]
+        machinery.first_iterates[key] = _iterate_memo(machinery, *key)
+    memo = machinery.first_iterates[key]
     # T(u) and E(u) in double from u1 = a k-hat rounded once per solve,
     # with P u = a P k-hat + P u2 in E: u2 = O(a^2)
     u1 = machinery.kernel.base.values * float(amplitude)
     u1_double = np.asarray(u1, float)
-    first = None
-    if series is not None:
+    first = second = None
+    if memo is not None:
         check_positive(RadialFunction(grid, u1_double), n)
-        first = _first_iterate(series, amplitude)
+        first = _iterate_at(memo[0], amplitude)
+        if memo[1] is not None:
+            second = _iterate_at(memo[1], amplitude)
     report, u = projected_contraction(
         amplitude, u1, cfg, machinery,
         lambda _, u2: nonlinear_rhs(RadialFunction(grid, u1_double + u2),
@@ -446,7 +507,7 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
         lambda _, u2: e_residual(
             RadialFunction(grid, u1_double + u2), f, n,
             split=(amplitude * machinery.paneitz_kernel, u2)),
-        first)
+        first, second)
     report.expansion = fit_leading(u, n) if amplitude != 0 else None
     report.diagnostics = f.diagnostics + report.diagnostics
     return report, u

@@ -16,6 +16,7 @@ from qcurve.geometry import laplacian_values
 from qcurve.grid import (RadialFunction, RadialGrid, differentiate,
                          stencil_weights)
 from qcurve.indicial import oscillation_parameter
+from qcurve import linear
 from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
                            _close_band, _equation_band, _fit_boundary,
                            _hc_sums, apply_L, assemble,
@@ -190,10 +191,11 @@ def test_bands_match_add_at_reference(points):
 
 
 def test_lapack_loads_at_first_factoring(tmp_path):
-    """A fresh interpreter maps scipy's `_flapack` only when a command
-    factors a band: importing qcurve.cli, the commands that factor none
-    (indicial, kernel, verify bessel and covariance) and refused configs
-    leave it unloaded; a solve loads it, once."""
+    """A fresh interpreter binds LAPACK only when a command factors a
+    band: importing qcurve.cli, the commands that factor none (indicial,
+    kernel, verify bessel and covariance) and refused configs leave
+    `_lapack` uncalled; a solve binds it, once, from numpy's own OpenBLAS,
+    so scipy's `_flapack` is never mapped and no scipy module imported."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -202,11 +204,12 @@ def test_lapack_loads_at_first_factoring(tmp_path):
         import qcurve.cli, qcurve.linear
 
         def loaded():
-            cached = qcurve.linear._lapack.cache_info().currsize
             if os.path.exists("/proc/self/maps"):
                 with open("/proc/self/maps") as fh:
-                    assert ("_flapack" in fh.read()) == bool(cached)
-            return cached
+                    assert "_flapack" not in fh.read()
+            assert not [name for name in sys.modules
+                        if name.split(".")[0] == "scipy"]
+            return qcurve.linear._lapack.cache_info().currsize
 
         assert not loaded(), "import"
         out = sys.argv[1]
@@ -229,6 +232,80 @@ def test_lapack_loads_at_first_factoring(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def _closed_bands(grid):
+    """Every closed band a solve factors on `grid`: the T1 (Robin) and T2
+    (anchored) bands of n = 4, 5, 6, and one T3 band (alpha = 0.4)."""
+    bands = []
+    for n in (4, 5, 6):
+        op = assemble(grid, n=n)
+        for factor, closure in ((op.t1, (op.robin, 1.0)),
+                                (op.t2, (0.6, 0.8))):
+            ab = _equation_band(grid, n, factor.scale, factor.constant)
+            bands.append(_close_band(ab, grid.h, *closure))
+    ab = _equation_band(grid, 4, 1.4, 2.4)
+    bands.append(_close_band(ab, grid.h, 0.6, 0.8))
+    return bands
+
+
+def _factor_and_solve(routines, band, rhs):
+    trf, trs = routines
+    lu = np.zeros((2 * BAND[0] + BAND[1] + 1, band.shape[1]), order="F")
+    lu[BAND[0]:] = band
+    lu, piv, info = trf(lu, *BAND, overwrite_ab=True)
+    x, info_s = trs(lu, *BAND, rhs, piv)
+    assert info == info_s == 0
+    return lu, piv, x
+
+
+def test_numpy_lapack_matches_scipy_flapack(grid4096):
+    """dgbtrf and dgbtrs of numpy's OpenBLAS give the LU factors and
+    solves of scipy's `_flapack`, bit for bit, on every band a solve
+    factors; their pivots are LAPACK's 1-based ones, scipy's less one."""
+    g = grid4096
+    r = g.r.astype(float)
+    rhs = np.cos(2.0 * r) / np.cosh(r)
+    for band in _closed_bands(g):
+        lu, piv, x = _factor_and_solve(linear._openblas_lapack(), band, rhs)
+        lu_s, piv_s, x_s = _factor_and_solve(_banded_lapack(), band, rhs)
+        assert np.array_equal(lu, lu_s)
+        assert np.array_equal(piv, piv_s + 1)
+        assert np.array_equal(x, x_s)
+        # two right-hand sides in one call
+        both, info = linear._openblas_lapack()[1](
+            lu, *BAND, np.column_stack([rhs, 2.0 * rhs]), piv)
+        assert info == 0 and np.array_equal(both[:, 0], x)
+
+
+def test_lapack_falls_back_to_scipy(grid2048, monkeypatch):
+    """Where numpy's library exports no `scipy_dgbtrf_64_`, `_lapack`
+    binds `_banded_lapack`'s routines, which solve the same band alike."""
+    rhs = np.sin(grid2048.r.astype(float)) / np.cosh(grid2048.r.astype(float))
+    band = _closed_bands(grid2048)[2]
+    want = _factor_and_solve(linear._openblas_lapack(), band, rhs)[2]
+    monkeypatch.setattr(linear.ctypes, "CDLL",
+                        lambda path: types.SimpleNamespace())
+    with pytest.raises(AttributeError):
+        linear._openblas_lapack()
+    routines = linear._lapack.__wrapped__()
+    assert routines == _banded_lapack()
+    assert np.array_equal(_factor_and_solve(routines, band, rhs)[2], want)
+
+
+def test_numpy_lapack_raises_on_an_illegal_argument(grid512):
+    """A negative LAPACK info (an illegal argument) raises ValueError
+    naming the argument, where scipy's wrappers would return it."""
+    trf, trs = linear._openblas_lapack()
+    band = _closed_bands(grid512)[0]
+    lu = np.zeros((2 * BAND[0] + BAND[1] + 1, band.shape[1]), order="F")
+    lu[BAND[0]:] = band
+    with pytest.raises(ValueError, match="argument 3 of dgbtrf"):
+        trf(lu.copy(order="F"), -1, BAND[1])
+    lu, piv, info = trf(lu, *BAND, overwrite_ab=True)
+    assert info == 0
+    with pytest.raises(ValueError, match="argument 4 of dgbtrs"):
+        trs(lu, BAND[0], -1, np.ones(band.shape[1]), piv)
 
 
 def test_loaded_lapack_matches_public_routines(grid2048):

@@ -68,6 +68,28 @@ def test_iteration_config_validation():
         IterationConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "tol"])
+def test_iteration_config_rejects_nan(field):
+    with pytest.raises(ValueError, match="must be positive"):
+        IterationConfig(**{field: math.nan})
+
+
+def test_nan_amplitude_is_inadmissible(machinery4, monkeypatch):
+    """A NaN amplitude fails the admissibility check before any memo is
+    built or G applied: `abs(nan) > epsilon` is False."""
+    applied = []
+    inverse = nonlinear.generalized_inverse
+    monkeypatch.setattr(nonlinear, "generalized_inverse",
+                        lambda *args: applied.append(1) or inverse(*args))
+    m = machinery4
+    f = constant_target(m)
+    cfg = IterationConfig(epsilon=7e-4)
+    with pytest.raises(AdmissibilityError, match="not a number"):
+        fixed_point_solve(math.nan, f, cfg, m)
+    assert (f, cfg.epsilon) not in m.first_iterates
+    assert applied == []
+
+
 # ---------------------------------------------------------------------------
 # algebraic structure of the right-hand side
 
@@ -330,7 +352,7 @@ def test_bands_factored_once_per_machinery(monkeypatch, grid2048):
 @pytest.mark.parametrize("n", [4, 5])
 def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
     """The coth table, the boundary-fit design and its SVD, the indicial
-    spectrum and the first-iterate series are fixed per grid, n or
+    spectrum and the iterate memo are fixed per grid, n or
     (machinery, target, epsilon): a second solve on the same machinery and
     target computes none of them.  The coth table is counted by its cosh
     calls, which no other step of a solve makes."""
@@ -348,7 +370,7 @@ def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
     count(np, "cosh")
     count(linear, "_boundary_design")
     count(np.linalg, "svd")
-    count(nonlinear, "_first_iterate_series")
+    count(nonlinear, "_iterate_memo")
     for owner in (expansion, indicial):
         count(owner, "q_indicial_spectrum")
     # a grid no other case uses, so the first solve finds cold caches
@@ -359,7 +381,7 @@ def test_warm_solve_recomputes_no_invariant(n, monkeypatch):
     calls.clear()
     report, _ = fixed_point_solve(7e-4, f, IterationConfig(), m)
     assert report.converged
-    for name in ("cosh", "_first_iterate_series"):
+    for name in ("cosh", "_iterate_memo"):
         assert calls.get(name, 0) >= 1, name
     calls.clear()
     report, _ = fixed_point_solve(-3e-4, f, IterationConfig(), m)
@@ -444,20 +466,47 @@ def test_memoized_first_iterate_matches_direct(n, fraction, machinery_4096):
     G T(a k-hat) at every |a| <= epsilon, for a constant target and (n = 4)
     a prescribed one, whose rows start at j = 0.  The bound is the direct
     route's own rounding, whose expm1 / log1p terms cancel to a^2 size:
-    measured at most 2.2e-12 relative at 4096 points."""
+    measured at most 3.3e-12 relative at 4096 points."""
     m = machinery_4096[n]
     cfg = IterationConfig()
     targets = [constant_target(m)] + ([_perturbed_target(m)] if n == 4
                                       else [])
     for f, j0 in zip(targets, (2, 0)):
-        series = nonlinear._first_iterate_series(m, f, cfg.epsilon)
+        series = nonlinear._iterate_memo(m, f, cfg.epsilon)[0]
         assert series[0] == j0
         a = fraction * cfg.epsilon
         u1 = np.asarray(m.kernel.base.values * a, float)
         direct = linear.generalized_inverse(
             m.operator, nonlinear_rhs(RadialFunction(m.grid, u1), f, n),
             m.projection).values
-        memo = nonlinear._first_iterate(series, a)
+        memo = nonlinear._iterate_at(series, a)
+        assert memo.dtype == np.float64
+        assert (np.abs(memo - direct).max()
+                <= 1e-11 * np.abs(direct).max())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("fraction", [1.0, -1.0, 0.3, -0.3])
+def test_memoized_second_iterate_matches_direct(n, fraction, machinery_4096):
+    """The memoized second iterate, sum_j a^j G T_j with T_j the a^j
+    coefficient of T(a k-hat + first), is G T(u1 + first) at every |a| <=
+    epsilon, first the memoized first iterate, for a constant target and
+    (n = 4) a prescribed one, whose rows start at j = 0.  The bound is the
+    direct route's own rounding, as for the first iterate: measured at
+    most 1.9e-12 relative at 4096 points."""
+    m = machinery_4096[n]
+    cfg = IterationConfig()
+    targets = [constant_target(m)] + ([_perturbed_target(m)] if n == 4
+                                      else [])
+    for f, j0 in zip(targets, (2, 0)):
+        first, second = nonlinear._iterate_memo(m, f, cfg.epsilon)
+        assert first[0] == second[0] == j0
+        a = fraction * cfg.epsilon
+        u1 = np.asarray(m.kernel.base.values * a, float)
+        u = RadialFunction(m.grid, u1 + nonlinear._iterate_at(first, a))
+        direct = linear.generalized_inverse(
+            m.operator, nonlinear_rhs(u, f, n), m.projection).values
+        memo = nonlinear._iterate_at(second, a)
         assert memo.dtype == np.float64
         assert (np.abs(memo - direct).max()
                 <= 1e-11 * np.abs(direct).max())
@@ -493,12 +542,12 @@ def test_memoized_first_iterate_keeps_the_contraction(n, machinery_4096):
 @pytest.mark.parametrize("n", [4, 5])
 def test_first_iterate_memo_built_once(n, monkeypatch):
     """The memo is built at the first solve on a (machinery, target,
-    epsilon), as one contiguous read-only float64 array (6 rows, j = 2..7,
-    at epsilon = 1e-3); each later solve on it applies G once per
-    iteration after the first."""
+    epsilon), as two contiguous read-only float64 arrays: the first
+    iterate's (6 rows, j = 2..7, at epsilon = 1e-3) and the second's (7
+    rows, j = 2..8).  Each later solve on it applies G once per iteration
+    after the second."""
     built, applied = [], []
-    series, inverse = nonlinear._first_iterate_series, \
-        nonlinear.generalized_inverse
+    series, inverse = nonlinear._iterate_memo, nonlinear.generalized_inverse
 
     def counted_series(*args):
         built.append(args[1:])
@@ -508,22 +557,27 @@ def test_first_iterate_memo_built_once(n, monkeypatch):
         applied.append(1)
         return inverse(*args)
 
-    monkeypatch.setattr(nonlinear, "_first_iterate_series", counted_series)
+    monkeypatch.setattr(nonlinear, "_iterate_memo", counted_series)
     monkeypatch.setattr(nonlinear, "generalized_inverse", counted_inverse)
     m = build_machinery(n, RadialGrid(12.0, 1100 + n))
     f = constant_target(m)
     assert m.first_iterates == {}
-    for a, memo_rows in ((7e-4, 7), (-4e-4, 0), (1e-3, 0)):
+    iterations = []
+    for a, memo_rows in ((7e-4, 15), (-4e-4, 0), (1e-3, 0), (-1e-3, 0)):
         applied.clear()
         report, _ = fixed_point_solve(a, f, IterationConfig(), m)
         assert report.converged
-        # the build applies G to 6 kept rows and to the j = 8 row it drops
-        assert len(applied) == memo_rows + report.iterations - 1
+        iterations.append(report.iterations)
+        # the build applies G to 6 + 7 kept rows and to the j = 8 and
+        # j = 9 rows the two series drop
+        assert len(applied) == memo_rows + max(report.iterations - 2, 0)
+    # n = 5 at |a| = 1e-3 takes a third iteration, which applies one G
+    assert max(iterations) == (3 if n == 5 else 2)
     assert built == [(f, 1e-3)]
-    j0, rows = m.first_iterates[(f, 1e-3)]
-    assert j0 == 2 and rows.shape == (6, m.grid.n_points)
-    assert rows.dtype == np.float64
-    assert rows.flags.c_contiguous and not rows.flags.writeable
+    for rows, count in zip(m.first_iterates[(f, 1e-3)], (6, 7)):
+        assert rows[0] == 2 and rows[1].shape == (count, m.grid.n_points)
+        assert rows[1].dtype == np.float64
+        assert rows[1].flags.c_contiguous and not rows[1].flags.writeable
     fixed_point_solve(1e-4, f, IterationConfig(epsilon=5e-4), m)
     fixed_point_solve(-1e-4, f, IterationConfig(epsilon=5e-4), m)
     assert built == [(f, 1e-3), (f, 5e-4)]
@@ -533,8 +587,8 @@ def test_first_iterate_memo_built_once(n, monkeypatch):
 def test_large_epsilon_falls_back_to_the_direct_loop(n, machinery4):
     """At epsilon = 0.5 the kernel series of n = 4 (exponential) and n = 7
     (non-integer p) needs more than _MAX_DEGREE powers: the memo records
-    None, and the solve computes iteration 1 from T as the loop without a
-    memo does, bit for bit."""
+    None, and the solve computes iterations 1 and 2 from T as the loop
+    without a memo does, bit for bit."""
     m = machinery4 if n == 4 else build_machinery(7, machinery4.grid)
     f = constant_target(m)
     cfg = IterationConfig(epsilon=0.5)
@@ -547,6 +601,33 @@ def test_large_epsilon_falls_back_to_the_direct_loop(n, machinery4):
         assert report.contraction_ratios == [
             s / p for p, s in zip(steps, steps[1:])]
         assert np.array_equal(u.values, m.kernel.base.values * a + u2)
+
+
+def test_second_iterate_falls_back_alone(machinery5, monkeypatch):
+    """At epsilon = 0.5 the n = 5 first iterate, a polynomial of degree 9,
+    is memoized, but the second iterate's series needs more powers: the
+    memo keeps the first and records None for the second, and the solve
+    applies G from iteration 2 on.  It matches the direct loop to the
+    first memo's rounding: measured at most 5.8e-14 a^2 at 2048 points."""
+    m = machinery5
+    f = constant_target(m)
+    cfg = IterationConfig(epsilon=0.5)
+    applied = []
+    inverse = nonlinear.generalized_inverse
+    report, u = fixed_point_solve(1e-3, f, cfg, m)
+    first, second = m.first_iterates[(f, 0.5)]
+    assert first[1].shape[0] == 8 and second is None
+    monkeypatch.setattr(nonlinear, "generalized_inverse",
+                        lambda *args: applied.append(1) or inverse(*args))
+    for a in (1e-3, -2e-2):
+        applied.clear()
+        report, u = fixed_point_solve(a, f, cfg, m)
+        u2, steps = _direct_contraction(m, f, a, cfg)
+        assert report.converged
+        assert report.iterations == len(steps) >= 2
+        assert len(applied) == report.iterations - 1
+        assert np.abs(u.values - (m.kernel.base.values * a + u2)).max() \
+            <= 1e-12 * a ** 2
 
 
 def test_memoized_solve_checks_positivity_of_the_datum(machinery5,
@@ -709,6 +790,20 @@ def test_sweep_family_isolates_failures(machinery4):
     assert "exceeds" in reports[1].message
     assert sols[1] is None
     assert math.isnan(reports[1].pairwise_distances[0])
+
+
+def test_sweep_family_isolates_a_nan_amplitude(machinery4):
+    f = constant_target(machinery4)
+    reports, sols = sweep_family((1e-4, math.nan, -1e-4), f,
+                                 IterationConfig(), machinery4)
+    assert reports[0].converged and reports[2].converged
+    bad = reports[1]
+    assert not bad.converged and bad.iterations == 0
+    assert "not a number" in bad.message and math.isnan(bad.amplitude)
+    assert sols[1] is None
+    assert math.isnan(bad.pairwise_distances[0])
+    assert math.isnan(reports[2].pairwise_distances[1])
+    assert reports[2].pairwise_distances[0] > 0
 
 
 def test_report_serialization(machinery4):

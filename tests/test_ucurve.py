@@ -258,6 +258,8 @@ def test_solve_guards(grid1024):
     p = DetParams.preset("conformal_laplacian")
     with pytest.raises(AdmissibilityError):
         u_fixed_point_solve(0.5, p, IterationConfig(), grid=grid1024)
+    with pytest.raises(AdmissibilityError, match="not a number"):
+        u_fixed_point_solve(math.nan, p, IterationConfig(), grid=grid1024)
     with pytest.raises(DegenerateOperatorError):
         u_fixed_point_solve(1e-3, DetParams(0.0, -12.0, 1.0),
                             IterationConfig(), grid=grid1024)
