@@ -443,25 +443,26 @@ def _run_kernel(cfg):
     if cfg.params is not None:
         params = cfg.params
         try:
-            k = u_kernel_element(params, grid, amplitude=cfg.amplitude)
+            k = u_kernel_element(params, grid)
         except WindowError as exc:
             report = {"family": "ucurve", "params": params.to_dict(),
                       "error": str(exc)}
             return report, None, EXIT_SOLVER
         report = {"family": "ucurve", "params": params.to_dict()}
     else:
-        k = kernel_element(cfg.n, grid, amplitude=cfg.amplitude)
+        k = kernel_element(cfg.n, grid)
         report = {"family": "qcurve", "n": cfg.n}
+    # the kernel datum a names a k^, with leading coefficients a unit_fit
+    a = float(cfg.amplitude)
     report.update({
-        "amplitude": k.amplitude,
-        "leading_fit": list(k.leading_fit),
+        "amplitude": a,
+        "leading_fit": [c * a for c in k.unit_fit],
         "diagnostics": dict(k.diagnostics),
         "window_r": list(k.window_r),
     })
-    prof = k.profile
     table = (("r", "x", "value"),
              (grid.r.astype(float), grid.x.astype(float),
-              np.asarray(prof.values, float)))
+              np.asarray(k.base.values * a, float)))
     return report, table, EXIT_OK
 
 

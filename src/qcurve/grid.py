@@ -7,7 +7,9 @@ profiles sampled on a uniform r-grid, with derivatives supplied by
 fourth-order finite-difference stencils.  Smooth radial profiles are even
 functions of r, so the origin is closed with mirrored ghost points instead
 of one-sided stencils; a segment that starts away from the origin is
-closed by the outer end's biased stencils, mirrored.
+closed by the outer end's biased stencils, mirrored.  A RadialFunction
+checks a profile where it enters or leaves the library; the operators
+and solves inside act on plain sample arrays.
 """
 
 from __future__ import annotations
@@ -168,8 +170,11 @@ class RadialFunction:
     """A radial profile sampled on a RadialGrid: an even function of r, the
     generic case for regular radial data.
 
-    The universal value carrier: construction rejects NaN/Inf; derivatives
-    come from `differentiate` on its values.
+    The checked container for profiles that enter or leave the library (a
+    target curvature, a solved u or w, a unit kernel, the arguments of the
+    curvature, expansion and geometry functions): construction rejects a
+    wrong length and NaN/Inf, and keeps a read-only copy of the values.
+    Internal maps act on the value arrays.
     """
 
     def __init__(self, grid, values):
@@ -182,29 +187,3 @@ class RadialFunction:
         self.grid = grid
         self.values = values.copy()
         self.values.setflags(write=False)
-
-    def __add__(self, other):
-        if isinstance(other, RadialFunction):
-            self._check_same_grid(other)
-            other = other.values
-        return RadialFunction(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, RadialFunction):
-            self._check_same_grid(other)
-            other = other.values
-        return RadialFunction(self.grid, self.values - other)
-
-    def __mul__(self, c):
-        return RadialFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RadialFunction(self.grid, -self.values)
-
-    def _check_same_grid(self, other):
-        if other.grid != self.grid:
-            raise ValueError("operands live on different grids")

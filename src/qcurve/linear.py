@@ -24,7 +24,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -347,9 +347,15 @@ def factor_banded(ab):
 
 def solve_banded(factor, rhs):
     """x with A x = rhs, A given by its `factor_banded` factors (dgbtrs);
-    like scipy.linalg.solve_banded, non-finite data raise ValueError."""
+    like scipy.linalg.solve_banded, non-finite data raise ValueError, and
+    so does a right-hand side that is not one column of the band's order
+    (dgbtrs would read its length as a column count)."""
     lu, piv, dgbtrs = factor
-    return dgbtrs(lu, _L_BAND, _U_BAND, np.asarray_chkfinite(rhs), piv)[0]
+    rhs = np.asarray_chkfinite(rhs)
+    if rhs.shape != (lu.shape[1],):
+        raise ValueError("right-hand side of shape %s for a band of order %d"
+                         % (rhs.shape, lu.shape[1]))
+    return dgbtrs(lu, _L_BAND, _U_BAND, rhs, piv)[0]
 
 
 class BandedFactor:
@@ -456,12 +462,9 @@ class FactoredOperator:
     decaying Robin rate of t1 is carried along for the solves."""
 
     grid: RadialGrid
-    n: int
-    family: str            # 'q' | 'u'
     t1: BandedFactor
     t2: BandedFactor
     robin: float           # decaying rate of the t1 branch (x^robin)
-    alpha: float | None = None
 
 
 def assemble(grid, n=None, alpha=None):
@@ -476,21 +479,17 @@ def assemble(grid, n=None, alpha=None):
         a = float(alpha)
         t1 = BandedFactor(grid, 4, 1.0, -4.0)
         t2 = BandedFactor(grid, 4, 1.0 + a, 6.0 * a)
-        return FactoredOperator(grid=grid, n=4, family="u", t1=t1, t2=t2,
-                                robin=4.0, alpha=a)
+        return FactoredOperator(grid=grid, t1=t1, t2=t2, robin=4.0)
     n = check_dimension(n)
     t1 = BandedFactor(grid, n, 1.0, -float(n))
     t2 = BandedFactor(grid, n, 1.0, (n * n - 4.0) / 2.0)
-    return FactoredOperator(grid=grid, n=n, family="q", t1=t1, t2=t2,
-                            robin=float(n))
+    return FactoredOperator(grid=grid, t1=t1, t2=t2, robin=float(n))
 
 
 def apply_L(op, u):
-    """L u through the factored application; accepts a RadialFunction and
-    returns one (dtype preserving, so extended-precision input stays so)."""
-    if u.grid != op.grid:
-        raise ValueError("function does not live on the operator's grid")
-    return RadialFunction(op.grid, op.t1.apply(op.t2.apply(u.values)))
+    """L u of the samples u through the factored application (dtype
+    preserving, so extended-precision input stays so)."""
+    return op.t1.apply(op.t2.apply(u))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +498,7 @@ def apply_L(op, u):
 
 @dataclass(frozen=True)
 class KernelElement:
-    """A multiple of the regular radial kernel of a T2-type factor.
+    """The unit regular radial kernel of a T2-type factor.
 
     `base` is the profile k^ whose leading boundary coefficients, fitted
     on `window_r`, are `unit_fit` = (a, b) with a^2 + b^2 = 1 in
@@ -507,32 +506,19 @@ class KernelElement:
         k ~ x^mu (a cos(beta ln x) + b sin(beta ln x)),  x -> 0,
 
     or (a, 0) with a = +-1 in  k ~ a x^mu  when `beta` is None (a real
-    indicial root); `profile` = amplitude * k^ and `leading_fit` =
-    amplitude * unit_fit, so a zero amplitude keeps the direction.
-    `diagnostics` records the measured oscillation frequency and envelope
-    exponent (or decay exponent) next to their exact values.
+    indicial root).  A kernel datum is a number a, naming a k^ with
+    leading coefficients a unit_fit.  `diagnostics` records the measured
+    oscillation frequency and envelope exponent (or decay exponent) next
+    to their exact values.
     """
 
     grid: RadialGrid
-    n: int
-    amplitude: float
     base: RadialFunction
     unit_fit: tuple[float, float]
     mu: float
     beta: float | None
     window_r: tuple[float, float]
     diagnostics: dict
-
-    @property
-    def profile(self):
-        return self.base * self.amplitude
-
-    @property
-    def leading_fit(self):
-        return tuple(c * self.amplitude for c in self.unit_fit)
-
-    def with_amplitude(self, amplitude):
-        return replace(self, amplitude=float(amplitude))
 
 
 _NUISANCE_POWERS = 6
@@ -642,8 +628,7 @@ def fit_window(r_max, beta, need=3.0):
     return window, periods
 
 
-def _regular_kernel(factor, mu, beta=None, amplitude=1.0, need=3.0,
-                    **diagnostics):
+def _regular_kernel(factor, mu, beta=None, need=3.0, **diagnostics):
     """KernelElement of the regular solution of `factor`, in longdouble,
     whose leading boundary term x^{mu +- i beta} (x^mu if beta is None) is
     fitted on `_default_window` -- for an oscillation over at least `need`
@@ -674,21 +659,19 @@ def _regular_kernel(factor, mu, beta=None, amplitude=1.0, need=3.0,
             "fit_periods": periods,
         })
     return KernelElement(
-        grid=grid, n=n, amplitude=float(amplitude),
-        base=RadialFunction(grid, vals / scale),
+        grid=grid, base=RadialFunction(grid, vals / scale),
         unit_fit=(a / scale, b / scale), mu=mu, beta=beta, window_r=window,
         diagnostics=diagnostics)
 
 
-def kernel_element(n, grid, amplitude=1.0):
+def kernel_element(n, grid):
     """The regular decaying kernel element of T2, from the series solution
     k = 1 - (n^2-4)/(4n) r^2 + ... of BandedFactor.shoot_regular, with its
     boundary oscillation fitted over at least 3 periods (see
     `_regular_kernel`)."""
     n = check_dimension(n)
     factor = BandedFactor(grid, n, 1.0, (n * n - 4.0) / 2.0)
-    return _regular_kernel(factor, (n - 1.0) / 2.0, oscillation_parameter(n),
-                           amplitude)
+    return _regular_kernel(factor, (n - 1.0) / 2.0, oscillation_parameter(n))
 
 
 @dataclass(frozen=True)
@@ -696,9 +679,10 @@ class ProjectionP1:
     """Boundary-coefficient projection onto the radial kernel span.
 
     P1 u fits u's leading coefficients (a, b) of x^mu (cos, sin)(beta ln x)
-    on the kernel's `window_r` and returns c k^ with
+    on the kernel's `window_r` and is c k^ with
     c = (a a0 + b b0) / (a0^2 + b0^2), (a0, b0) the kernel's `unit_fit` (a
-    real-regime kernel, beta None, has the one coefficient a of x^mu).
+    real-regime kernel, beta None, has the one coefficient a of x^mu);
+    `project_P1` returns the amplitude c.
     Exact annihilation of the complement requires the remainder to decay
     strictly faster than the kernel, which the nonlinear scheme guarantees
     by its choice of solution weight.
@@ -732,12 +716,8 @@ def make_projection(kernel):
 
 
 def project_P1(proj, u):
-    """P1 u as a KernelElement (its .profile is the projected function)."""
-    k = proj.kernel
-    if u.grid != k.grid:
-        raise ValueError("function does not live on the projection's grid")
-    return k.with_amplitude(
-        float(proj.covector @ np.asarray(u.values, float)))
+    """The amplitude c of P1 u = c k^, for the samples u."""
+    return float(proj.covector @ np.asarray(u, float))
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +762,10 @@ def solve_T1(op, f):
     """The unique decaying solution of T1 v = f: regular at the origin,
     outer Robin row v' + robin v = 0 selecting the x^robin branch over the
     growing x^{-1} branch.  Slowly decaying data is solved anyway; see
-    `decay_diagnostics`."""
-    if f.grid != op.grid:
-        raise ValueError("data does not live on the operator's grid")
-    if np.all(f.values == 0.0):
-        return RadialFunction(op.grid, np.zeros(op.grid.n_points))
-    v = op.t1.solve_robin(f.values, op.robin)
-    return RadialFunction(op.grid, v)
+    `decay_diagnostics`.  Zero data of the grid's length skip the solve."""
+    if not np.any(f) and len(f) == op.grid.n_points:
+        return np.zeros(op.grid.n_points)
+    return op.t1.solve_robin(f, op.robin)
 
 
 def generalized_inverse(op, f, proj):
@@ -800,12 +777,9 @@ def generalized_inverse(op, f, proj):
     (both decay at the same envelope rate), hence the subtraction step.
     c k^ is subtracted in extended precision and rounded to double once.
     """
-    if f.grid != op.grid:
-        raise ValueError("data does not live on the operator's grid")
-    if np.all(f.values == 0.0):
-        return RadialFunction(op.grid, np.zeros(op.grid.n_points))
-    v = op.t1.solve_robin(f.values, op.robin)   # solve_T1's, unwrapped
+    v = solve_T1(op, f)
+    if not v.any():
+        return v
     w = op.t2.solve_anchored(v, *proj.anchor)
-    c = float(proj.covector @ w)
-    return RadialFunction(
-        op.grid, np.asarray(w - c * proj.kernel.base.values, float))
+    return np.asarray(w - project_P1(proj, w) * proj.kernel.base.values,
+                      float)

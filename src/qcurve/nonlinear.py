@@ -95,26 +95,21 @@ class TargetCurvature:
     """Prescribed curvature target f with its deviation bookkeeping.
 
     `f` may be a constant (the constant-curvature problem) or a
-    RadialFunction; the deviation f - Q_g must decay like x^nu with
-    nu in ((n-1)/4, (n-1)/2) — the window on which the projected linear
-    theory is invertible.  The measured weighted deviation norm is stored;
-    a deviation that fails to decay at rate nu is noted in `diagnostics`,
-    which every solve on this target reports, not refused, since constants
-    sharper than the a-priori ones may still admit the contraction.
+    RadialFunction; the deviation f - Q_g must decay like x^nu, the weight
+    nu = 3(n-1)/8 the midpoint of ((n-1)/4, (n-1)/2) -- the window on which
+    the projected linear theory is invertible.  The measured weighted
+    deviation norm is stored; a deviation that fails to decay at rate nu is
+    noted in `diagnostics`, which every solve on this target reports, not
+    refused, since constants sharper than the a-priori ones may still admit
+    the contraction.
     """
 
-    def __init__(self, f, n, nu=None, grid=None):
+    def __init__(self, f, n, grid=None):
         n = check_dimension(n)
         self.n = n
         cc = hyperbolic_curvature_report(n)
         self.q_base = cc.Q_hyp
-        if nu is None:
-            nu = 0.375 * (n - 1)  # midpoint of the admissible window
-        if not (n - 1) / 4.0 < nu < (n - 1) / 2.0:
-            raise AdmissibilityError(
-                "deviation weight nu=%g outside ((n-1)/4, (n-1)/2) = (%g, %g)"
-                % (nu, (n - 1) / 4.0, (n - 1) / 2.0))
-        self.nu = float(nu)
+        self.nu = 0.375 * (n - 1)
         if isinstance(f, RadialFunction):
             self.f = f
             self.grid = f.grid
@@ -311,9 +306,8 @@ def _iterate_series(machinery, f, epsilon, u, j0):
     for j, data in enumerate(_rhs_coefficients(u, f, machinery.n)):
         if j < j0:
             continue
-        row = generalized_inverse(machinery.operator,
-                                  RadialFunction(machinery.grid, data),
-                                  machinery.projection).values
+        row = generalized_inverse(machinery.operator, data,
+                                  machinery.projection)
         term = epsilon ** j * float(np.abs(row).max())
         if j >= 2 and term <= 2.0 ** -64 * total:
             break
@@ -461,8 +455,8 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
         data = rhs(u1, u2)
         if known is not None:
             return known
-        return generalized_inverse(machinery.operator, data,
-                                   machinery.projection).values
+        return generalized_inverse(machinery.operator, data.values,
+                                   machinery.projection)
 
     u2, converged, iterations, ratios, step = iterate_fixed_point(
         update, zero, cfg, first, second)
@@ -471,7 +465,7 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
     u = RadialFunction(grid, u1 + u2)
     return solve_report(
         cfg, converged, amplitude,
-        project_P1(machinery.projection, u).amplitude, ratios, step,
+        project_P1(machinery.projection, u.values), ratios, step,
         iterations=iterations, residual=residual(u1, u2),
         diagnostics=decay_diagnostics(grid, data.values)), u
 

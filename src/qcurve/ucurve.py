@@ -157,16 +157,16 @@ def u_nonlinear_rhs(w, params):
 def u_linearized_apply(w, params):
     """L w = ((1+alpha) Lap + 6 alpha)(Lap - 4) w, factored application."""
     op = assemble(w.grid, alpha=params.alpha)
-    return apply_L(op, w)
+    return RadialFunction(w.grid, apply_L(op, w.values))
 
 
-def _el_rhs_values(wv, lap_fn, d1, d2, r, params):
+def _el_rhs_values(wv, grid, d1, d2, params):
     """Right-hand side of the Euler-Lagrange equation (curvature scale
-    1/(6 gamma3)) on raw arrays; lap_fn must apply the radial Laplacian."""
+    1/(6 gamma3)) on raw arrays sampled on `grid`."""
     a = params.alpha
-    lap = lap_fn(wv)
-    lap2 = lap_fn(lap)
-    cd1 = _coth_weighted(d1, d2, r)
+    lap = laplacian_values(wv, grid, 4)
+    lap2 = laplacian_values(lap, grid, 4)
+    cd1 = _coth_weighted(d1, d2, grid.r.astype(float))
     nonlin = _nonlin_terms(d1, d2, lap, cd1)
     linear_geo = (2.0 * a) * (-3.0 * lap) + (1.0 / 3.0 - 2.0 * a / 3.0) \
         * (-12.0) * lap
@@ -183,8 +183,7 @@ def u_e_residual(w, params, window=None):
     wv = np.asarray(w.values, float)
     d1 = differentiate(wv, grid.h, 1)
     d2 = differentiate(wv, grid.h, 2)
-    rhs = _el_rhs_values(wv, lambda v: laplacian_values(v, grid, 4),
-                         d1, d2, grid.r.astype(float), params)
+    rhs = _el_rhs_values(wv, grid, d1, d2, params)
     implied = 6.0 * params.gamma3 * np.exp(-4.0 * wv) * rhs
     if window is None:
         window = (0.0, grid.r_max - 0.5)
@@ -252,7 +251,7 @@ def u_kernel_regime(alpha):
     return "real_split", at
 
 
-def u_kernel_element(params, grid, amplitude=1.0):
+def u_kernel_element(params, grid):
     """Regular decaying kernel element of T3 = (1+alpha) Lap + 6 alpha.
 
     Oscillatory regime: leading order x^{3/2 +- i |alpha~|}, fitted like
@@ -274,7 +273,7 @@ def u_kernel_element(params, grid, amplitude=1.0):
     factor = BandedFactor(grid, 4, 1.0 + a, 6.0 * a)
     mu, beta = (1.5, beta) if regime == "oscillatory" else (1.5 - beta, None)
     return _regular_kernel(
-        factor, mu, beta, amplitude, OSCILLATORY_PERIODS, alpha=a,
+        factor, mu, beta, OSCILLATORY_PERIODS, alpha=a,
         log_terms_possible=u_indicial_spectrum(a).log_terms_possible)
 
 

@@ -137,7 +137,7 @@ def test_criterion_5_kernel_structure(fixture, request):
     beta = math.sqrt(n * n + 2.0 * n - 9.0) / 2.0
     assert abs(d["envelope_exponent_measured"] - env) < 0.005 * env
     assert abs(d["frequency_measured"] - beta) < 0.001 * beta
-    k = m.kernel.with_amplitude(1.0).profile
+    k = m.kernel.base
     assert math.isfinite(weighted_norm(k, 0.9 * env))
     assert math.isinf(weighted_norm(k, 1.1 * env))
 
@@ -169,18 +169,17 @@ def test_criterion_6_generalized_inverse(machinery4, machinery5):
             cases.append((m, 1.0 / np.cosh(r) ** p))
             cases.append((m, (1.0 + r ** 2) / np.cosh(r) ** p))
     assert len(cases) == 20
-    for m, vals in cases:
-        u = RadialFunction(m.grid, vals)
+    for m, u in cases:
         f = apply_L(m.operator, u)
         got = generalized_inverse(m.operator, f, m.projection)
-        want = u - project_P1(m.projection, u).profile
-        scale = np.abs(want.values).max()
-        assert np.abs(got.values - want.values).max() < 1e-5 * scale
+        want = u - project_P1(m.projection, u) * m.kernel.base.values
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() < 1e-5 * scale
     for m in (machinery4, machinery5):
-        u = m.kernel.with_amplitude(0.8).profile
-        once = project_P1(m.projection, u)
-        twice = project_P1(m.projection, once.profile)
-        assert abs(twice.amplitude - once.amplitude) < 1e-8
+        k = m.kernel.base.values
+        once = project_P1(m.projection, 0.8 * k)
+        twice = project_P1(m.projection, once * k)
+        assert abs(twice - once) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,6 @@ def test_criterion_10_u_solver(tag, grid2048):
 
 
 def test_criterion_10_frechet_derivative(grid2048):
-    from qcurve.geometry import laplacian_values
     from qcurve.grid import differentiate
     from qcurve.ucurve import _el_rhs_values, u_linearized_apply
     g = grid2048
@@ -308,8 +306,7 @@ def test_criterion_10_frechet_derivative(grid2048):
         def full_map(wv):
             d1 = differentiate(wv, g.h, 1)
             d2 = differentiate(wv, g.h, 2)
-            rhs = _el_rhs_values(wv, lambda v: laplacian_values(v, g, 4),
-                                 d1, d2, r, p)
+            rhs = _el_rhs_values(wv, g, d1, d2, p)
             return rhs - u_over * np.exp(4.0 * wv)
 
         eps = 1e-6

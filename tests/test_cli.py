@@ -445,17 +445,25 @@ def test_kernel_csv(tmp_path):
 
 def test_kernel_longdouble_rounded_once(tmp_path, grid1024):
     """Every kernel element is kept in longdouble, and the kernel command's
-    value column is its profile rounded once to double."""
-    assert kernel_element(5, grid1024).base.values.dtype == np.longdouble
+    value column is its profile, amplitude times the unit kernel, rounded
+    once to double, at the default amplitude 1e-3, at 0.25 and at 0."""
+    kernel = kernel_element(5, grid1024)
+    assert kernel.base.values.dtype == np.longdouble
     for tag in ("conformal_laplacian", "spin_laplacian"):
         k = u_kernel_element(DetParams.preset(tag), grid1024)
         assert k.base.values.dtype == np.longdouble
-    assert main(["kernel", "--n", "5", "--points", "1024", "--format", "csv",
-                 "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "kernel.csv").read_text().strip().split("\n")[1:]
-    want = np.asarray(kernel_element(5, grid1024, 1e-3).profile.values, float)
-    assert [line.split(",")[2] for line in lines] == \
-        ["%.12e" % v for v in want]
+    for amplitude, flags in ((1e-3, []), (0.25, ["--amplitude", "0.25"]),
+                             (0.0, ["--amplitude", "0"])):
+        assert main(["kernel", "--n", "5", "--points", "1024", "--format",
+                     "csv", "--out", str(tmp_path)] + flags) == 0
+        lines = (tmp_path / "kernel.csv").read_text().strip().split("\n")[1:]
+        want = np.asarray(kernel.base.values * amplitude, float)
+        assert [line.split(",")[2] for line in lines] == \
+            ["%.12e" % v for v in want]
+        report = json.loads((tmp_path / "kernel.json").read_text())
+        assert report["amplitude"] == amplitude
+        assert report["leading_fit"] == pytest.approx(
+            [amplitude * c for c in kernel.unit_fit], rel=1e-12, abs=1e-300)
 
 
 def test_solve_report_and_exit_codes(tmp_path):

@@ -56,7 +56,8 @@ def test_fit_leading_covector_matches_lstsq(n, grid2048,
     g = grid2048
     u = synthetic_oscillation(g, n, 7e-4, -3e-4, extra=2e-3)
     r = g.r.astype(float)
-    u = u + 1e-3 * np.exp(-(n + 2.0) / 2.0 * r) * np.cos(0.7 * r)
+    u = RadialFunction(g, u.values + 1e-3 * np.exp(-(n + 2.0) / 2.0 * r)
+                       * np.cos(0.7 * r))
     fit = fit_leading(u, n)
     beta = oscillation_parameter(n)
     window, _ = fit_window(g.r_max, beta)
@@ -75,7 +76,8 @@ def test_fit_leading_memo_matches_fresh_terms(n, grid2048):
     g = grid2048
     r = g.r.astype(float)
     u = synthetic_oscillation(g, n, 7e-4, -3e-4, extra=2e-3)
-    u = u + 1e-3 * np.exp(-(n + 2.0) / 2.0 * r) * np.cos(0.7 * r)
+    u = RadialFunction(g, u.values + 1e-3 * np.exp(-(n + 2.0) / 2.0 * r)
+                       * np.cos(0.7 * r))
     fit = fit_leading(u, n)
     lam, beta = (n - 1) / 2.0, oscillation_parameter(n)
     (lo, hi), _ = fit_window(g.r_max, beta)

@@ -154,20 +154,6 @@ def test_radial_function_rejects_nan_and_shape():
         RadialFunction(g, np.zeros(63))
 
 
-def test_radial_function_arithmetic_and_grid_check():
-    g = RadialGrid(4.0, 64)
-    f = RadialFunction(g, np.linspace(0, 1, 64))
-    h = RadialFunction(g, np.ones(64))
-    assert np.allclose((f + h).values, f.values + 1.0)
-    assert np.allclose((f - h).values, f.values - 1.0)
-    assert np.allclose((2.0 * f).values, 2.0 * f.values)
-    assert np.allclose((-f).values, -f.values)
-    assert (f + 1.0).values[0] == 1.0
-    other = RadialFunction(RadialGrid(4.0, 65), np.zeros(65))
-    with pytest.raises(ValueError):
-        f + other
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
 def test_derivative_linearity(coeffs):

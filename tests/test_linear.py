@@ -13,8 +13,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from qcurve.geometry import laplacian_values
-from qcurve.grid import (RadialFunction, RadialGrid, differentiate,
-                         stencil_weights)
+from qcurve.grid import RadialGrid, differentiate, stencil_weights
 from qcurve.indicial import oscillation_parameter
 from qcurve import linear
 from qcurve.linear import (BAND, BandedFactor, WindowError, _banded_lapack,
@@ -293,6 +292,25 @@ def test_lapack_falls_back_to_scipy(grid2048, monkeypatch):
     assert np.array_equal(_factor_and_solve(routines, band, rhs)[2], want)
 
 
+@pytest.mark.parametrize("binding", ["numpy", "scipy"])
+def test_solve_banded_rejects_wrong_length(binding, monkeypatch):
+    """A right-hand side of N - 1 or 2N samples on an N = 256 band raises
+    ValueError before dgbtrs, on both LAPACK bindings: numpy's ctypes
+    dgbtrs would read N - 1 samples as no column and return them, and 2N
+    as two columns, while scipy's returns a result for both."""
+    g = RadialGrid(12.0, 256)
+    routines = (linear._openblas_lapack() if binding == "numpy"
+                else _banded_lapack())
+    monkeypatch.setattr(linear, "_lapack", lambda: routines)
+    factor = factor_banded(_closed_bands(g)[0])
+    assert factor[2] is routines[1]
+    rhs = np.cos(2.0 * g.r.astype(float)) / np.cosh(g.r.astype(float))
+    assert solve_banded(factor, rhs).shape == rhs.shape
+    for bad in (rhs[:-1], np.concatenate([rhs, rhs])):
+        with pytest.raises(ValueError, match="right-hand side of shape"):
+            solve_banded(factor, bad)
+
+
 def test_numpy_lapack_raises_on_an_illegal_argument(grid512):
     """A negative LAPACK info (an illegal argument) raises ValueError
     naming the argument, where scipy's wrappers would return it."""
@@ -388,8 +406,9 @@ def test_projection_covector_matches_lstsq(kind, grid2048,
             return _fit_boundary(g, values[i0:], window, mu, i0=i0)[0]
     else:
         if kind.startswith("n="):
-            kernel = build_machinery(int(kind[2:]), g).kernel
-            mu = (kernel.n - 1.0) / 2.0
+            n = int(kind[2:])
+            kernel = build_machinery(n, g).kernel
+            mu = (n - 1.0) / 2.0
             beta = kernel.diagnostics["beta_exact"]
         else:
             kernel = u_kernel_element(DetParams.preset("conformal_laplacian"),
@@ -398,10 +417,10 @@ def test_projection_covector_matches_lstsq(kind, grid2048,
         proj = make_projection(kernel)
         window = proj.kernel.window_r
         base = np.asarray(kernel.base.values, float)
-        lead_fit = kernel.leading_fit
+        lead_fit = kernel.unit_fit
 
         def fitted(values):
-            return project_P1(proj, RadialFunction(g, values)).amplitude
+            return project_P1(proj, values)
     for c in (0.37, -2e-3):
         values = (c * base
                   + 0.2 * np.exp(-(mu + 0.8) * r) * np.cos(3.0 * r)
@@ -413,12 +432,11 @@ def test_projection_covector_matches_lstsq(kind, grid2048,
 
 
 def test_zero_amplitude_kernel_keeps_its_direction(grid2048):
-    """A kernel built at amplitude 0 rescales to the leading fit of one
-    built at the new amplitude, and its projection covector is finite."""
-    zero = kernel_element(5, grid2048, amplitude=0.0)
-    assert (zero.with_amplitude(1e-3).leading_fit
-            == kernel_element(5, grid2048, amplitude=1e-3).leading_fit)
-    assert np.isfinite(make_projection(zero).covector).all()
+    """A kernel element is the unit kernel whatever the datum, so a zero
+    datum keeps its direction: its projection covector is finite."""
+    kernel = kernel_element(5, grid2048)
+    assert math.hypot(*kernel.unit_fit) == pytest.approx(1.0)
+    assert np.isfinite(make_projection(kernel).covector).all()
 
 
 def test_banded_factor_scale_and_constant(grid1024):
@@ -438,9 +456,9 @@ def test_assemble_validation(grid512):
     with pytest.raises(ValueError):
         assemble(grid512, n=5, alpha=0.5)
     op = assemble(grid512, n=6)
-    assert op.family == "q" and op.robin == 6.0
+    assert op.robin == 6.0 and op.t2.scale == 1.0 and op.t2.constant == 16.0
     opu = assemble(grid512, alpha=0.5)
-    assert opu.family == "u" and opu.robin == 4.0
+    assert opu.robin == 4.0 and opu.t2.scale == 1.5 and opu.t2.constant == 3.0
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -580,62 +598,48 @@ def test_kernel_window_guard():
         kernel_element(4, g)
 
 
-def test_with_amplitude_scales_fit(grid2048):
-    k = kernel_element(5, grid2048)
-    k2 = k.with_amplitude(0.25)
-    assert k2.amplitude == 0.25
-    a, b = k.leading_fit
-    a2, b2 = k2.leading_fit
-    assert a2 == pytest.approx(0.25 * a)
-    assert b2 == pytest.approx(0.25 * b)
-    assert np.allclose(np.asarray(k2.profile.values, float),
-                       0.25 * np.asarray(k.base.values, float))
-
-
 def test_projection_recovers_kernel_amplitude(machinery5):
     """P1 (c k^) = c k^ for several amplitudes (idempotency on the span)."""
     proj = machinery5.projection
     for c in (1.0, -0.3, 2.5e-3):
-        u = machinery5.kernel.with_amplitude(c).profile
-        got = project_P1(proj, u)
-        assert abs(got.amplitude - c) < 1e-8 * max(1.0, abs(c))
+        got = project_P1(proj, c * machinery5.kernel.base.values)
+        assert abs(got - c) < 1e-8 * max(1.0, abs(c))
 
 
 def test_projection_idempotent(machinery4):
     proj = machinery4.projection
-    u = machinery4.kernel.with_amplitude(0.7).profile
-    once = project_P1(proj, u)
-    twice = project_P1(proj, once.profile)
-    assert abs(twice.amplitude - once.amplitude) < 1e-8
+    k = machinery4.kernel.base.values
+    once = project_P1(proj, 0.7 * k)
+    twice = project_P1(proj, once * k)
+    assert abs(twice - once) < 1e-8
 
 
 def test_projection_annihilates_fast_decay(machinery5):
     """A pure x^n tail carries no x^{(n-1)/2} oscillation."""
     g = machinery5.grid
-    u = RadialFunction(g, np.exp(-5.0 * g.r.astype(float)))
-    got = project_P1(machinery5.projection, u)
-    assert abs(got.amplitude) < 1e-10
+    got = project_P1(machinery5.projection, np.exp(-5.0 * g.r.astype(float)))
+    assert abs(got) < 1e-10
 
 
 def test_projection_superposition(machinery4):
     """P1 extracts the kernel part of kernel + fast remainder."""
     g = machinery4.grid
-    rem = RadialFunction(g, 4.0 * np.exp(-2.0 * g.r.astype(float)))
-    u = machinery4.kernel.with_amplitude(0.3).profile + rem
+    rem = 4.0 * np.exp(-2.0 * g.r.astype(float))
+    u = 0.3 * machinery4.kernel.base.values + rem
     got = project_P1(machinery4.projection, u)
-    assert abs(got.amplitude - 0.3) < 1e-4
+    assert abs(got - 0.3) < 1e-4
 
 
 @pytest.mark.parametrize("power", [3, 4])
 def test_generalized_inverse_left_identity(machinery5, power):
     """G L u = u - P1 u on manufactured decaying profiles."""
     m = machinery5
-    u = RadialFunction(m.grid, even_profile(m.grid, power))
+    u = even_profile(m.grid, power)
     f = apply_L(m.operator, u)
     got = generalized_inverse(m.operator, f, m.projection)
-    want = u - project_P1(m.projection, u).profile
-    scale = np.abs(want.values).max()
-    assert np.abs(got.values - want.values).max() < 1e-5 * scale
+    want = u - project_P1(m.projection, u) * m.kernel.base.values
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() < 1e-5 * scale
 
 
 @pytest.mark.parametrize("case", [4, 5, 6, "conformal_laplacian",
@@ -652,46 +656,44 @@ def test_generalized_inverse_rounds_once(case, grid1024):
         params = DetParams.preset(case)
         op = assemble(g, alpha=params.alpha)
         proj = make_projection(u_kernel_element(params, g))
-    f = RadialFunction(g, even_profile(g, 4))
-    got = generalized_inverse(op, f, proj).values
-    w = op.t2.solve_anchored(solve_T1(op, f).values, *proj.anchor)
-    p1 = project_P1(proj, RadialFunction(g, w))
-    assert p1.profile.values.dtype == np.longdouble
-    want = np.asarray(w - p1.profile.values, float)
+    f = even_profile(g, 4)
+    got = generalized_inverse(op, f, proj)
+    w = op.t2.solve_anchored(solve_T1(op, f), *proj.anchor)
+    c = project_P1(proj, w)
+    p1 = c * proj.kernel.base.values
+    assert p1.dtype == np.longdouble
+    want = np.asarray(w - p1, float)
     assert got.dtype == np.float64
     assert np.array_equal(got, want)
-    rounded_first = w - p1.amplitude * np.asarray(proj.kernel.base.values,
-                                                  float)
+    rounded_first = w - c * np.asarray(proj.kernel.base.values, float)
     assert not np.array_equal(rounded_first, want)
 
 
 def test_generalized_inverse_of_zero(machinery4):
-    z = RadialFunction(machinery4.grid,
-                       np.zeros(machinery4.grid.n_points))
+    z = np.zeros(machinery4.grid.n_points)
     out = generalized_inverse(machinery4.operator, z, machinery4.projection)
-    assert np.all(out.values == 0.0)
+    assert out.shape == z.shape and np.all(out == 0.0)
 
 
 def test_generalized_inverse_kernel_free(machinery4):
     """P1 G f = 0: the generalized inverse lands in the complement."""
     m = machinery4
-    f = RadialFunction(m.grid, even_profile(m.grid, 4))
+    f = even_profile(m.grid, 4)
     u2 = generalized_inverse(m.operator, f, m.projection)
     p = project_P1(m.projection, u2)
-    assert abs(p.amplitude) < 1e-8 * max(1.0, np.abs(u2.values).max())
+    assert abs(p) < 1e-8 * max(1.0, np.abs(u2).max())
 
 
 def test_solve_T1_inverts_factor(machinery5):
     m = machinery5
-    f = RadialFunction(m.grid, even_profile(m.grid, 4))
+    f = even_profile(m.grid, 4)
     v = solve_T1(m.operator, f)
-    back = m.operator.t1.apply(v.values)
+    back = m.operator.t1.apply(v)
     mask = m.grid.window_mask(0.0, m.grid.r_max - 0.5)
-    scale = np.abs(f.values).max()
-    assert np.abs(np.asarray(back, float) - f.values)[mask].max() \
-        < 1e-7 * scale
+    scale = np.abs(f).max()
+    assert np.abs(np.asarray(back, float) - f)[mask].max() < 1e-7 * scale
     # the decaying branch was selected: the solution dies at the boundary
-    assert np.abs(v.values[-10:]).max() < 1e-6 * np.abs(v.values).max()
+    assert np.abs(v[-10:]).max() < 1e-6 * np.abs(v).max()
 
 
 @pytest.mark.parametrize("mu, notes", [
@@ -712,13 +714,15 @@ def test_decay_diagnostics(mu, notes, grid1024):
     assert all(g.startswith(want) for g, want in zip(got, notes))
 
 
-def test_grid_mismatch_rejected(machinery4, grid1024):
-    f = RadialFunction(grid1024, np.zeros(grid1024.n_points))
-    with pytest.raises(ValueError):
-        apply_L(machinery4.operator, f)
-    with pytest.raises(ValueError):
-        solve_T1(machinery4.operator, f)
-    with pytest.raises(ValueError):
-        generalized_inverse(machinery4.operator, f, machinery4.projection)
-    with pytest.raises(ValueError):
-        project_P1(machinery4.projection, f)
+def test_grid_mismatch_rejected(machinery4):
+    """Samples of the wrong length (N - 1 or 2N against the operator's
+    N = 2048 points), zero or not, raise in L, T1, G and P1."""
+    op, proj = machinery4.operator, machinery4.projection
+    for length in (2047, 4096):
+        for f in (1.0 / np.cosh(np.linspace(0.0, 12.0, length)) ** 3,
+                  np.zeros(length)):
+            for apply in (lambda: apply_L(op, f), lambda: solve_T1(op, f),
+                          lambda: generalized_inverse(op, f, proj),
+                          lambda: project_P1(proj, f)):
+                with pytest.raises(ValueError):
+                    apply()

@@ -94,9 +94,7 @@ def test_linearization_matches_frechet_derivative(tag, grid2048):
     def full_map(wv):
         d1 = differentiate(wv, g.h, 1)
         d2 = differentiate(wv, g.h, 2)
-        from qcurve.geometry import laplacian_values
-        rhs = _el_rhs_values(wv, lambda v: laplacian_values(v, g, 4),
-                             d1, d2, r, p)
+        rhs = _el_rhs_values(wv, g, d1, d2, p)
         return rhs - u_over * np.exp(4.0 * wv)
 
     eps = 1e-6
