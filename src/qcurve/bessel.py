@@ -27,6 +27,7 @@ are scale-invariant.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,15 +94,23 @@ def _gamma_ld(z):
 
 def _kahan_triple_series(alpha, t):
     """Rows (S0, S1, S2) with S0 = I_a(t), S1 = I_a'(t), S2 = I_a''(t): an
-    unscaled clongdouble (3, len(t)) array over the float array t.
+    unscaled read-only clongdouble (3, len(t)) array over the float array
+    t.
 
     Term-wise differentiated ascending series, accumulated in clongdouble
     with Kahan compensation; a point's sums and compensations freeze once
-    its own stopping test passes.
+    its own stopping test passes.  The last two sums are kept, so K's
+    reflection formula reuses the I_a that `bessel_I_derivatives` summed
+    on the same t.
     """
-    alpha_c = complex(alpha)
     if np.any(t <= 0):
         raise ValueError("Bessel evaluator needs t > 0")
+    return _kahan_triple_sums(complex(alpha), np.asarray(t, float).tobytes())
+
+
+@functools.lru_cache(maxsize=2)
+def _kahan_triple_sums(alpha_c, t_bytes):
+    t = np.frombuffer(t_bytes)
     if alpha_c.imag == 0.0 and alpha_c.real < 0 \
             and alpha_c.real == round(alpha_c.real):
         alpha_c = -alpha_c  # I_{-m} = I_m at exact integer order
@@ -128,6 +137,7 @@ def _kahan_triple_series(alpha, t):
         term = term * q / (k * (alpha + k))
     sums[1] /= tl
     sums[2] /= tl * tl
+    sums.flags.writeable = False
     return sums
 
 

@@ -55,9 +55,9 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Machinery:
-    """The assembled linear machinery a solve runs on; `first_iterates`
-    memoizes the constant-Q solve's first two iterates as power series in
-    the amplitude (`_iterate_memo`) per (target, epsilon), and
+    """The assembled linear machinery a solve runs on; `iterates` memoizes
+    the constant-Q solve's fixed-point iterates as power series in the
+    amplitude (`_iterate_memo`) per (target, epsilon, tol), and
     `paneitz_kernel` holds P k-hat in longdouble for the constant-Q
     residual (None in U solves)."""
 
@@ -66,8 +66,7 @@ class Machinery:
     operator: FactoredOperator
     kernel: KernelElement
     projection: ProjectionP1
-    first_iterates: dict = field(default_factory=dict, compare=False,
-                                 repr=False)
+    iterates: dict = field(default_factory=dict, compare=False, repr=False)
     paneitz_kernel: np.ndarray = field(default=None, compare=False, repr=False)
 
 
@@ -300,43 +299,68 @@ def _iterate_series(machinery, f, epsilon, u, j0):
     epsilon, W[j - j0] = G T_j of `_rhs_coefficients` (T_j = 0 for j <
     j0); W is one contiguous read-only array.  A row whose term epsilon^j
     max|W_j| falls to 2^-64 of the kept terms' sum, 11 bits under the
-    rounding of the sum, ends the series.  None where that takes powers
-    beyond `_MAX_DEGREE`."""
-    rows, total = [], 0.0
+    rounding of the sum, ends the series.  That term is estimated before G
+    is applied, from the gain max|W| / max|T| of the last kept row: G's
+    gain falls with j past the first rows, so the estimate errs toward
+    keeping a row.  None where the series takes powers beyond
+    `_MAX_DEGREE`."""
+    rows, total, gain = [], 0.0, 0.0
     for j, data in enumerate(_rhs_coefficients(u, f, machinery.n)):
         if j < j0:
             continue
-        row = generalized_inverse(machinery.operator, data,
-                                  machinery.projection)
-        term = epsilon ** j * float(np.abs(row).max())
-        if j >= 2 and term <= 2.0 ** -64 * total:
+        size = float(np.abs(data).max())
+        if j >= 2 and rows and (epsilon ** j * gain * size
+                                <= 2.0 ** -64 * total):
             break
         if j > _MAX_DEGREE:
             return None
+        row = generalized_inverse(machinery.operator, data,
+                                  machinery.projection)
         rows.append(row)
-        total += term
+        peak = float(np.abs(row).max())
+        total += epsilon ** j * peak
+        gain = peak / size
     rows = np.array(rows)
     rows.flags.writeable = False
     return j0, rows
 
 
-def _iterate_memo(machinery, f, epsilon):
-    """(first, second): the constant-Q solve's first two fixed-point
-    iterates, G T(a k-hat) and G T(a k-hat + first), as `_iterate_series`
-    at every |a| <= epsilon.  Their rows start at j0 = 2 on a constant
-    target, where T(a k-hat) = O(a^2), and at 0 otherwise.  None where the
-    first needs powers beyond `_MAX_DEGREE`, and `second` None where it
-    alone does."""
+def _step_bound(memo, epsilon):
+    """sum_j epsilon^j max|W_j - W'_j| over the rows of the last two
+    `_iterate_series` of `memo` (one series: its predecessor is 0), a
+    bound on the sup-norm step between them at every |a| <= epsilon."""
+    j0, rows = memo[-1]
+    previous = memo[-2][1] if len(memo) > 1 else ()
+    return sum(epsilon ** (j0 + i) * float(np.abs(row - prev).max())
+               for i, (row, prev) in enumerate(
+                   itertools.zip_longest(rows, previous, fillvalue=0.0)))
+
+
+def _iterate_memo(machinery, f, epsilon, tol):
+    """The constant-Q solve's fixed-point iterates u2^(1), u2^(2), ...,
+    u2^(k+1) = G T(a k-hat + u2^(k)), as a tuple of `_iterate_series` at
+    every |a| <= epsilon.  Their rows start at j0 = 2 on a constant target,
+    where T(a k-hat) = O(a^2), and at 0 otherwise.  The tuple ends at the
+    first iterate whose step from its predecessor is certified below `tol`
+    on the whole disc, sum_j epsilon^j max|W_j - W'_j| < tol, after
+    `_MAX_DEGREE` iterates (on a constant target step k is O(a^(k+1)), so
+    by then it lies beyond the kept powers), or before a series that needs
+    powers beyond `_MAX_DEGREE`; None where the first does."""
     k = np.asarray(machinery.kernel.base.values, float)
     zero = np.zeros_like(k)
     j0 = 0 if np.any(np.asarray(f.f.values, float) - f.q_base) else 2
-    first = _iterate_series(machinery, f, epsilon, [zero, k], j0)
-    if first is None:
-        return None
-    # a k-hat + first by coefficient: views of first's rows but for u_1
-    u = [zero] * j0 + list(first[1])
-    u[1] = u[1] + k
-    return first, _iterate_series(machinery, f, epsilon, u, j0)
+    memo, u = [], [zero, k]
+    while len(memo) < _MAX_DEGREE:
+        series = _iterate_series(machinery, f, epsilon, u, j0)
+        if series is None:
+            break
+        memo.append(series)
+        if _step_bound(memo, epsilon) < tol:
+            break
+        # a k-hat + the iterate by coefficient: views of its rows but u_1
+        u = [zero] * j0 + list(series[1])
+        u[1] = u[1] + k
+    return tuple(memo) or None
 
 
 def _iterate_at(series, amplitude):
@@ -351,13 +375,13 @@ def _iterate_at(series, amplitude):
     return out
 
 
-def iterate_fixed_point(update, u2, cfg, first=None, second=None):
+def iterate_fixed_point(update, u2, cfg, known=()):
     """Iterate u2 <- update(u2) until the sup-norm step falls below cfg.tol
-    or cfg.max_iter maps have been applied; `first`, when given, is
-    update(u2) computed beforehand and counts as the first map.  `second`,
-    given with `first`, is the map after it computed beforehand: the
-    second map calls update(first, second), which returns `second` and
-    does only the rest of its work.
+    or cfg.max_iter maps have been applied.  `known` yields maps computed
+    beforehand, each drawn only when the loop reaches it: the first counts
+    as the first map, and map k >= 2 calls update(u2, known[k - 1]), which
+    returns that map and does only the rest of its work.  Past `known`,
+    update(u2) computes each map.
 
     A step that is not <= the first one (NaN included) ends the loop as
     diverging, since a contraction never takes one; u2 is then the last
@@ -369,13 +393,15 @@ def iterate_fixed_point(update, u2, cfg, first=None, second=None):
     double iterates the loop keeps (the generalized inverse already rounds
     its result once)."""
     ratios, step, first_step = [], None, None
+    known = iter(known)
     for iterations in range(1, cfg.max_iter + 1):
-        if iterations == 1 and first is not None:
-            new = first
-        elif iterations == 2 and second is not None:
-            new = update(u2, second)
-        else:
+        given = next(known, None)
+        if given is None:
             new = update(u2)
+        elif iterations == 1:
+            new = given
+        else:
+            new = update(u2, given)
         new = np.asarray(new, float)
         prev_step, step = step, float(np.abs(new - u2).max())
         if prev_step:
@@ -430,13 +456,13 @@ def solve_report(cfg, converged, amplitude, fitted, ratios, step, **fields):
 
 
 def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
-                          first=None, second=None):
+                          known=()):
     """(report, u): iterate u2 <- G T(u1 + u2) from u2 = 0, u1 = amplitude
     k-hat in extended precision (an amplitude the caller has checked), on
-    the machinery's operator, kernel and projection; `first`, when given,
-    is the first iterate G T(u1), computed beforehand, and `second`, given
-    with it, the second, G T(u1 + first): the second map then forms
-    T(u1 + first) but applies no G (`iterate_fixed_point`).
+    the machinery's operator, kernel and projection; `known` yields the
+    first iterates G T(u1), G T(u1 + first), ..., computed beforehand: a
+    map after the first that takes one still forms T(u1 + u2) but applies
+    no G (`iterate_fixed_point`).
 
     `rhs(u1, u2)` and `residual(u1, u2)` are T(u1 + u2) and the family's
     equation residual from the value arrays of u1 (extended precision) and
@@ -444,22 +470,23 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
     linear term.  u = u1 + u2 stays in extended precision: rounding u1
     seeds noise that residuals amplify by 1/h^4.  The report holds the
     re-fitted kernel datum and the `decay_diagnostics` of the last
-    right-hand side G was applied to (T(u1) if the loop stops at
-    `first`, T(u1 + first) if at `second`)."""
+    right-hand side formed, T(u1) if the loop stops at the first iterate
+    and T(u1 + u2) of the iterate before the last otherwise, whether G
+    was applied to it or its image was known."""
     grid = machinery.grid
     zero = np.zeros(grid.n_points)
     data = None
 
-    def update(u2, known=None):
+    def update(u2, image=None):
         nonlocal data
         data = rhs(u1, u2)
-        if known is not None:
-            return known
+        if image is not None:
+            return image
         return generalized_inverse(machinery.operator, data.values,
                                    machinery.projection)
 
     u2, converged, iterations, ratios, step = iterate_fixed_point(
-        update, zero, cfg, first, second)
+        update, zero, cfg, known)
     if data is None:
         data = rhs(u1, zero)
     u = RadialFunction(grid, u1 + u2)
@@ -480,20 +507,18 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     if f.grid != grid:
         raise ValueError("target curvature lives on a different grid")
     check_amplitude(amplitude, cfg)
-    key = (f, cfg.epsilon)
-    if key not in machinery.first_iterates:
-        machinery.first_iterates[key] = _iterate_memo(machinery, *key)
-    memo = machinery.first_iterates[key]
+    key = (f, cfg.epsilon, cfg.tol)
+    if key not in machinery.iterates:
+        machinery.iterates[key] = _iterate_memo(machinery, *key)
+    memo = machinery.iterates[key]
     # T(u) and E(u) in double from u1 = a k-hat rounded once per solve,
     # with P u = a P k-hat + P u2 in E: u2 = O(a^2)
     u1 = machinery.kernel.base.values * float(amplitude)
     u1_double = np.asarray(u1, float)
-    first = second = None
+    known = ()
     if memo is not None:
         check_positive(RadialFunction(grid, u1_double), n)
-        first = _iterate_at(memo[0], amplitude)
-        if memo[1] is not None:
-            second = _iterate_at(memo[1], amplitude)
+        known = (_iterate_at(series, amplitude) for series in memo)
     report, u = projected_contraction(
         amplitude, u1, cfg, machinery,
         lambda _, u2: nonlinear_rhs(RadialFunction(grid, u1_double + u2),
@@ -501,7 +526,7 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
         lambda _, u2: e_residual(
             RadialFunction(grid, u1_double + u2), f, n,
             split=(amplitude * machinery.paneitz_kernel, u2)),
-        first, second)
+        known)
     report.expansion = fit_leading(u, n) if amplitude != 0 else None
     report.diagnostics = f.diagnostics + report.diagnostics
     return report, u

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qcurve import bessel
 from qcurve.bessel import (bessel_I_derivatives, bessel_K_derivatives,
                            model_operator, model_residual, model_solutions)
 
@@ -100,6 +101,25 @@ def test_lanes_are_independent(evaluate, order):
     for ts, want in ((LANE_T, alone), (LANE_T[::-1], alone[:, ::-1])):
         for got, ref in zip(evaluate(order, ts), want):
             np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("order", [2.5, 1j * math.sqrt(15) / 2.0, 3.0])
+def test_K_reuses_the_I_series_summed_on_its_t(order):
+    """K on the t array I was just evaluated on sums I_a once: one more
+    series for I_{-a} beside it (none at the integer order 3, whose
+    log-series needs I_3 alone), and the same bits as a K evaluated with
+    no sum kept."""
+    ts = np.linspace(0.2, 8.0, 40)
+    sums = bessel._kahan_triple_sums
+    sums.cache_clear()
+    fresh = bessel_K_derivatives(order, ts)
+    sums.cache_clear()
+    bessel_I_derivatives(order, ts)
+    misses = sums.cache_info().misses
+    shared = bessel_K_derivatives(order, ts)
+    assert sums.cache_info().misses - misses == (0 if order == 3.0 else 1)
+    for got, ref in zip(shared, fresh):
+        np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("factor,kw", [

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import sys
 
@@ -78,7 +80,7 @@ def test_nan_amplitude_is_inadmissible(machinery4, monkeypatch):
     cfg = IterationConfig(epsilon=7e-4)
     with pytest.raises(AdmissibilityError, match="not a number"):
         fixed_point_solve(math.nan, f, cfg, m)
-    assert (f, cfg.epsilon) not in m.first_iterates
+    assert (f, cfg.epsilon, cfg.tol) not in m.iterates
     assert applied == []
 
 
@@ -464,7 +466,7 @@ def test_memoized_first_iterate_matches_direct(n, fraction, machinery_4096):
     targets = [constant_target(m)] + ([_perturbed_target(m)] if n == 4
                                       else [])
     for f, j0 in zip(targets, (2, 0)):
-        series = nonlinear._iterate_memo(m, f, cfg.epsilon)[0]
+        series = nonlinear._iterate_memo(m, f, cfg.epsilon, cfg.tol)[0]
         assert series[0] == j0
         a = fraction * cfg.epsilon
         u1 = np.asarray(m.kernel.base.values * a, float)
@@ -480,34 +482,93 @@ def test_memoized_first_iterate_matches_direct(n, fraction, machinery_4096):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("fraction", [1.0, -1.0, 0.3, -0.3])
 def test_memoized_second_iterate_matches_direct(n, fraction, machinery_4096):
-    """The memoized second iterate, sum_j a^j G T_j with T_j the a^j
-    coefficient of T(a k-hat + first), is G T(u1 + first) at every |a| <=
-    epsilon, first the memoized first iterate, for a constant target and
-    (n = 4) a prescribed one, whose rows start at j = 0.  The bound is the
-    direct route's own rounding, as for the first iterate: measured at
-    most 1.9e-12 relative at 4096 points."""
+    """Every memoized iterate after the first, sum_j a^j G T_j with T_j
+    the a^j coefficient of T(a k-hat + previous), is G T(u1 + previous) at
+    every |a| <= epsilon, previous the memoized iterate before it: the
+    second and, for n = 5 and the prescribed target, the third.  Checked
+    for a constant target and (n = 4) a prescribed one, whose rows start
+    at j = 0.  The bound is the direct route's own rounding, as for the
+    first iterate: measured at most 1.9e-12 relative at 4096 points for
+    the second and 9.0e-13 for the third."""
     m = machinery_4096[n]
     cfg = IterationConfig()
     targets = [constant_target(m)] + ([_perturbed_target(m)] if n == 4
                                       else [])
     for f, j0 in zip(targets, (2, 0)):
-        first, second = nonlinear._iterate_memo(m, f, cfg.epsilon)
-        assert first[0] == second[0] == j0
+        memo = nonlinear._iterate_memo(m, f, cfg.epsilon, cfg.tol)
+        assert len(memo) == (3 if n == 5 or j0 == 0 else 2)
         a = fraction * cfg.epsilon
         u1 = np.asarray(m.kernel.base.values * a, float)
-        u = RadialFunction(m.grid, u1 + nonlinear._iterate_at(first, a))
-        direct = linear.generalized_inverse(
-            m.operator, nonlinear_rhs(u, f, n).values, m.projection)
-        memo = nonlinear._iterate_at(second, a)
-        assert memo.dtype == np.float64
-        assert (np.abs(memo - direct).max()
-                <= 1e-11 * np.abs(direct).max())
+        for previous, series in zip(memo, memo[1:]):
+            assert series[0] == j0
+            u = RadialFunction(m.grid,
+                               u1 + nonlinear._iterate_at(previous, a))
+            direct = linear.generalized_inverse(
+                m.operator, nonlinear_rhs(u, f, n).values, m.projection)
+            iterate = nonlinear._iterate_at(series, a)
+            assert iterate.dtype == np.float64
+            assert (np.abs(iterate - direct).max()
+                    <= 1e-11 * np.abs(direct).max())
+
+
+@pytest.mark.parametrize("n, count", [(4, 2), (5, 3), (6, 2)])
+def test_memo_runs_to_the_certified_step(n, count, machinery_4096):
+    """At epsilon = 1e-3 and tol = 1e-10 the memo holds 2 / 3 / 2 iterates
+    for n = 4 / 5 / 6 at 4096 points: it ends at the first whose step from
+    its predecessor is certified below tol on the whole disc |a| <=
+    epsilon, and the step of every solve in it obeys that bound."""
+    m = machinery_4096[n]
+    cfg = IterationConfig()
+    memo = nonlinear._iterate_memo(m, constant_target(m), cfg.epsilon,
+                                   cfg.tol)
+    assert len(memo) == count
+    bound = nonlinear._step_bound(memo, cfg.epsilon)
+    assert bound < cfg.tol <= nonlinear._step_bound(memo[:-1], cfg.epsilon)
+    for a in np.linspace(-cfg.epsilon, cfg.epsilon, 9):
+        step = np.abs(nonlinear._iterate_at(memo[-1], a)
+                      - nonlinear._iterate_at(memo[-2], a)).max()
+        # up to the rounding of the two Horner sums: at a = +-epsilon the
+        # step attains the bound
+        assert step <= (1.0 + 1e-12) * bound
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_warm_solves_apply_no_generalized_inverse(n, machinery_4096,
+                                                  monkeypatch):
+    """Over the benchmark's 81 calibration amplitudes in [-epsilon,
+    epsilon] at 4096 points, warm solves take every iterate from the memo
+    and apply no G; their iteration counts, verdicts and solutions are
+    those of the direct loop (`_iterate_memo` patched to None), the
+    solutions to 1e-14 relative (measured at most 1.0e-15)."""
+    m = machinery_4096[n]
+    f = constant_target(m)
+    cfg = IterationConfig()
+    amplitudes = [-cfg.epsilon + 2.0 * cfg.epsilon * i / 80
+                  for i in range(81)]
+    fixed_point_solve(0.0, f, cfg, m)
+    applied = []
+    inverse = nonlinear.generalized_inverse
+    monkeypatch.setattr(nonlinear, "generalized_inverse",
+                        lambda *args: applied.append(1) or inverse(*args))
+    warm = [fixed_point_solve(a, f, cfg, m) for a in amplitudes]
+    assert applied == []
+    monkeypatch.setattr(nonlinear, "_iterate_memo", lambda *args: None)
+    direct = dataclasses.replace(m, iterates={})
+    for a, (report, u) in zip(amplitudes, warm):
+        ref, u_ref = fixed_point_solve(a, f, cfg, direct)
+        assert report.converged and ref.converged
+        assert report.iterations == ref.iterations
+        assert report.message == ref.message
+        scale = np.abs(u_ref.values).max()
+        assert (np.abs(u.values - u_ref.values).max()
+                <= 1e-14 * scale)
+    assert applied
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_memoized_first_iterate_keeps_the_contraction(n, machinery_4096):
-    """Solves that take their first iterate from the memo count it as
-    iteration 1: iteration counts, steps and the solution are those of the
+    """Solves that take their iterates from the memo count each as one
+    iteration: iteration counts, steps and the solution are those of the
     loop that computes every map from T.  The first contraction ratio
     agrees to 1e-5 relative (measured at most 7e-9); a second ratio, where
     n = 5 at |a| >= 0.85e-3 has one, divides steps of about 5e-13 that are
@@ -528,16 +589,17 @@ def test_memoized_first_iterate_keeps_the_contraction(n, machinery_4096):
             assert got == pytest.approx(ref, rel=1e-5 if i == 0 else 1e-4)
         direct = m.kernel.base.values * a + u2
         assert np.abs(u.values - direct).max() <= 1e-17
-    assert m.first_iterates[(f, cfg.epsilon)] is not None
+    assert m.iterates[(f, cfg.epsilon, cfg.tol)] is not None
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_first_iterate_memo_built_once(n, monkeypatch):
     """The memo is built at the first solve on a (machinery, target,
-    epsilon), as two contiguous read-only float64 arrays: the first
-    iterate's (6 rows, j = 2..7, at epsilon = 1e-3) and the second's (7
-    rows, j = 2..8).  Each later solve on it applies G once per iteration
-    after the second."""
+    epsilon, tol), as one contiguous read-only float64 array per iterate:
+    at epsilon = 1e-3 the first iterate's (6 rows, j = 2..7), the
+    second's (7 rows, j = 2..8) and, for n = 5, the third's (7 rows).
+    The build applies G to the kept rows only, and no later solve on it
+    applies G."""
     built, applied = [], []
     series, inverse = nonlinear._iterate_memo, nonlinear.generalized_inverse
 
@@ -553,41 +615,45 @@ def test_first_iterate_memo_built_once(n, monkeypatch):
     monkeypatch.setattr(nonlinear, "generalized_inverse", counted_inverse)
     m = build_machinery(n, RadialGrid(12.0, 1100 + n))
     f = constant_target(m)
-    assert m.first_iterates == {}
+    assert m.iterates == {}
+    counts = (6, 7, 7) if n == 5 else (6, 7)
     iterations = []
-    for a, memo_rows in ((7e-4, 15), (-4e-4, 0), (1e-3, 0), (-1e-3, 0)):
+    for a, memo_rows in ((7e-4, sum(counts)), (-4e-4, 0), (1e-3, 0),
+                         (-1e-3, 0)):
         applied.clear()
         report, _ = fixed_point_solve(a, f, IterationConfig(), m)
         assert report.converged
         iterations.append(report.iterations)
-        # the build applies G to 6 + 7 kept rows and to the j = 8 and
-        # j = 9 rows the two series drop
-        assert len(applied) == memo_rows + max(report.iterations - 2, 0)
-    # n = 5 at |a| = 1e-3 takes a third iteration, which applies one G
-    assert max(iterations) == (3 if n == 5 else 2)
-    assert built == [(f, 1e-3)]
-    for rows, count in zip(m.first_iterates[(f, 1e-3)], (6, 7)):
+        assert len(applied) == memo_rows
+    # n = 5 at |a| = 1e-3 takes a third iteration, from the third series
+    assert max(iterations) == len(counts)
+    assert built == [(f, 1e-3, 1e-10)]
+    memo = m.iterates[(f, 1e-3, 1e-10)]
+    assert len(memo) == len(counts)
+    for rows, count in zip(memo, counts):
         assert rows[0] == 2 and rows[1].shape == (count, m.grid.n_points)
         assert rows[1].dtype == np.float64
         assert rows[1].flags.c_contiguous and not rows[1].flags.writeable
     fixed_point_solve(1e-4, f, IterationConfig(epsilon=5e-4), m)
     fixed_point_solve(-1e-4, f, IterationConfig(epsilon=5e-4), m)
-    assert built == [(f, 1e-3), (f, 5e-4)]
+    fixed_point_solve(1e-4, f, IterationConfig(tol=1e-12), m)
+    assert built == [(f, 1e-3, 1e-10), (f, 5e-4, 1e-10), (f, 1e-3, 1e-12)]
 
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_large_epsilon_falls_back_to_the_direct_loop(n, machinery4):
-    """At epsilon = 0.5 the kernel series of n = 4 (exponential) and n = 7
-    (non-integer p) needs more than _MAX_DEGREE powers: the memo records
-    None, and the solve computes iterations 1 and 2 from T as the loop
-    without a memo does, bit for bit."""
+    """At epsilon = 0.5 and 2 the kernel series of n = 4 (exponential) and
+    n = 7 (non-integer p) needs more than _MAX_DEGREE powers: the memo
+    records None, and the solve computes every iteration from T as the
+    loop without a memo does, bit for bit."""
     m = machinery4 if n == 4 else build_machinery(7, machinery4.grid)
     f = constant_target(m)
-    cfg = IterationConfig(epsilon=0.5)
-    for a in (1e-3, -2e-2):
+    for cfg, a in itertools.product(
+            (IterationConfig(epsilon=0.5), IterationConfig(epsilon=2.0)),
+            (1e-3, -2e-2)):
         report, u = fixed_point_solve(a, f, cfg, m)
         u2, steps = _direct_contraction(m, f, a, cfg)
-        assert m.first_iterates[(f, 0.5)] is None
+        assert m.iterates[(f, cfg.epsilon, cfg.tol)] is None
         assert report.converged
         assert report.iterations == len(steps)
         assert report.contraction_ratios == [
@@ -598,17 +664,17 @@ def test_large_epsilon_falls_back_to_the_direct_loop(n, machinery4):
 def test_second_iterate_falls_back_alone(machinery5, monkeypatch):
     """At epsilon = 0.5 the n = 5 first iterate, a polynomial of degree 9,
     is memoized, but the second iterate's series needs more powers: the
-    memo keeps the first and records None for the second, and the solve
-    applies G from iteration 2 on.  It matches the direct loop to the
-    first memo's rounding: measured at most 5.8e-14 a^2 at 2048 points."""
+    memo holds the first alone, and the solve applies G from iteration 2
+    on.  It matches the direct loop to the first memo's rounding:
+    measured at most 5.8e-14 a^2 at 2048 points."""
     m = machinery5
     f = constant_target(m)
     cfg = IterationConfig(epsilon=0.5)
     applied = []
     inverse = nonlinear.generalized_inverse
     report, u = fixed_point_solve(1e-3, f, cfg, m)
-    first, second = m.first_iterates[(f, 0.5)]
-    assert first[1].shape[0] == 8 and second is None
+    first, = m.iterates[(f, 0.5, cfg.tol)]
+    assert first[1].shape[0] == 8
     monkeypatch.setattr(nonlinear, "generalized_inverse",
                         lambda *args: applied.append(1) or inverse(*args))
     for a in (1e-3, -2e-2):
@@ -632,7 +698,7 @@ def test_memoized_solve_checks_positivity_of_the_datum(machinery5,
     cfg = IterationConfig(epsilon=2.0)
     assert fixed_point_solve(1e-3, f, cfg, m)[0].converged
     # the p = 9 polynomial ends within the cap at any epsilon
-    assert m.first_iterates[(f, 2.0)] is not None
+    assert len(m.iterates[(f, 2.0, cfg.tol)]) == 1
     u1 = RadialFunction(m.grid, np.asarray(m.kernel.base.values * -1.9,
                                            float))
     with pytest.raises(PositivityError) as direct:
@@ -666,7 +732,7 @@ def test_memoized_solve_reports_decay_of_its_first_data(amplitude,
     assert any("T1 data decays like x^0.300" in note for note in notes)
     report, _ = fixed_point_solve(amplitude, slow, IterationConfig(max_iter=1),
                                   m)
-    assert m.first_iterates[(slow, 1e-3)] is not None
+    assert m.iterates[(slow, 1e-3, 1e-10)] is not None
     assert report.iterations == 1
     assert report.diagnostics == slow.diagnostics + notes
     report, _ = fixed_point_solve(0.0, constant_target(m), IterationConfig(),
