@@ -92,20 +92,21 @@ def _gamma_ld(z):
     return np.exp(log_gamma) / shift
 
 
-def _kahan_triple_series(alpha, t):
+def _kahan_triple_series(alpha, t, rows=slice(None)):
     """Rows (S0, S1, S2) with S0 = I_a(t), S1 = I_a'(t), S2 = I_a''(t): an
-    unscaled read-only clongdouble (3, len(t)) array over the float array
-    t.
+    unscaled read-only clongdouble array over the float array t, its
+    columns `rows`.
 
     Term-wise differentiated ascending series, accumulated in clongdouble
     with Kahan compensation; a point's sums and compensations freeze once
-    its own stopping test passes.  The last two sums are kept, so K's
-    reflection formula reuses the I_a that `bessel_I_derivatives` summed
-    on the same t.
+    its own stopping test passes, so a column does not depend on the rest
+    of t.  The last two sums over all of t are kept, so K reuses the I_a
+    that `bessel_I_derivatives` summed on the same t.
     """
     if np.any(t <= 0):
         raise ValueError("Bessel evaluator needs t > 0")
-    return _kahan_triple_sums(complex(alpha), np.asarray(t, float).tobytes())
+    return _kahan_triple_sums(complex(alpha),
+                              np.asarray(t, float).tobytes())[:, rows]
 
 
 @functools.lru_cache(maxsize=2)
@@ -141,12 +142,12 @@ def _kahan_triple_sums(alpha_c, t_bytes):
     return sums
 
 
-def _k_triple_direct(alpha, t):
-    """K via the reflection formula, no integer handling, unscaled triple
-    rows in clongdouble (the caller downcasts)."""
+def _k_triple_direct(alpha, t, rows):
+    """K at the points `rows` of t by the reflection formula, no integer
+    handling: unscaled clongdouble triple rows (the caller downcasts)."""
     alpha = _CLD(complex(alpha))
-    im = _kahan_triple_series(-alpha, t)
-    ip = _kahan_triple_series(alpha, t)
+    im = _kahan_triple_series(-alpha, t, rows)
+    ip = _kahan_triple_series(alpha, t, rows)
     return _PI_LD / 2 * (im - ip) / np.sin(alpha * _PI_LD)
 
 
@@ -188,9 +189,9 @@ def _k_asymptotic_scaled(alpha, t):
 _EULER_GAMMA = _LD("0.57721566490153286060651209008240243")
 
 
-def _k_triple_int(m, t):
+def _k_triple_int(m, t, rows):
     """Unscaled clongdouble (K, K', K'') rows at exact nonnegative integer
-    order.
+    order at the points `rows` of t.
 
     Ascending log-series: finite (t/2)^{-m} part, the log term ln(t/2) I_m
     (differentiated by product rule against the I triple), and the digamma
@@ -198,6 +199,8 @@ def _k_triple_int(m, t):
     intrinsic e^{2t} depth of any ascending K evaluation.
     """
     m = int(m)
+    i0, i1, i2 = _kahan_triple_series(m, t, rows)
+    t = t[rows]
     tl = t.astype(_LD)
     half = tl / 2
     q = half * half
@@ -232,18 +235,9 @@ def _k_triple_int(m, t):
     sums[2] /= tl * tl
 
     # log part: (-1)^{m+1} ln(t/2) I_m(t), product rule for the derivatives
-    i0, i1, i2 = _kahan_triple_series(m, t)
     lg = np.log(half.astype(_CLD))
     return sums - sign * np.array([lg * i0, i0 / tl + lg * i1,
                                    -i0 / (tl * tl) + 2 * i1 / tl + lg * i2])
-
-
-def _nearest_integer_distance(alpha):
-    alpha = complex(alpha)
-    if abs(alpha.imag) > _INTEGER_MARGIN:
-        return math.inf, None
-    m = round(alpha.real)
-    return abs(alpha - m), m
 
 
 _K_ASYMPTOTIC_FROM = 12.0
@@ -272,41 +266,43 @@ def bessel_K_derivatives(alpha, t):
     crosses over early for near-integer orders and once t beats 1.5|a|^2
     otherwise; very large orders at middling t stay on the reflection
     path, whose accuracy degrades outside that contracted (t, order) box.
-    The ascending series runs only on the points left to it.
+    The ascending series runs only on the points left to it, but for the
+    shared I sums (`_kahan_triple_series`).
     """
     alpha = complex(alpha)
     t = np.asarray(t, float)
     scaled = t > SCALE_THRESHOLD
-    dist, m = _nearest_integer_distance(alpha)
+    near = not abs(alpha.imag) > _INTEGER_MARGIN
+    m = round(alpha.real) if near else None
+    dist = abs(alpha - m) if near else math.inf
     asym = scaled | ((t > _K_ASYMPTOTIC_FROM)
                      & ((t > 1.5 * abs(alpha) ** 2) | (dist < _INTEGER_MARGIN)))
     out = np.empty((3,) + t.shape, complex)
     ta = t[asym]
     f = np.where(scaled[asym], 1.0, np.exp(-ta))
     out[:, asym] = _k_asymptotic_scaled(alpha, ta) * f
-    ts = t[~asym]
+    rows = ~asym
     if dist >= _INTEGER_MARGIN:
-        triple = _k_triple_direct(alpha, ts)
+        triple = _k_triple_direct(alpha, t, rows)
     else:
         # the reflection formula divides by sin(pi a), hopeless this close
         # to an integer; evaluate the integer-order log-series (K is even
         # in the order, so the nonnegative integer suffices)
-        triple = _k_triple_int(abs(m), ts)
+        triple = _k_triple_int(abs(m), t, rows)
         if dist > 0:
             # shift back by a second-order Taylor step in the order;
             # both order-derivatives come from m +- h reflection evals
             # (far enough from the integer to be clean), leaving an
             # O(dist^3) remainder below the series noise floor.
-            up2 = _k_triple_direct(m + 0.02, ts)
-            dn2 = _k_triple_direct(m - 0.02, ts)
+            up2, dn2, up1, dn1 = (_k_triple_direct(m + d, t, rows)
+                                  for d in (0.02, -0.02, 0.01, -0.01))
             coarse = (up2 - dn2) / 0.04
-            fine = (_k_triple_direct(m + 0.01, ts)
-                    - _k_triple_direct(m - 0.01, ts)) / 0.02
+            fine = (up1 - dn1) / 0.02
             d1 = (4.0 * fine - coarse) / 3.0
             d2 = (up2 + dn2 - 2.0 * triple) / 0.02 ** 2
             shift = _CLD(alpha - m)
             triple = triple + shift * d1 + shift * shift / 2.0 * d2
-    out[:, ~asym] = triple
+    out[:, rows] = triple
     return out[0], out[1], out[2], np.where(scaled, t, 0.0)
 
 

@@ -466,16 +466,6 @@ def _run_kernel(cfg):
     return report, table, EXIT_OK
 
 
-def _solve_profile_table(u, n):
-    grid = u.grid
-    q = q_of_conformal(u, n)
-    s = scalar_of_conformal(u, n)
-    return (("r", "x", "u", "Q", "R"),
-            (grid.r.astype(float), grid.x.astype(float),
-             np.asarray(u.values, float), np.asarray(q.values, float),
-             np.asarray(s.values, float)))
-
-
 def _run_solve(cfg):
     machinery, target = constant_q_problem(cfg.n, cfg.r_max, cfg.points,
                                            cfg.target)
@@ -483,7 +473,11 @@ def _run_solve(cfg):
                               _iteration_config(cfg), machinery)
     if u is None:
         return {"n": cfg.n, **report.to_dict()}, None, EXIT_SOLVER
-    table = _solve_profile_table(u, cfg.n)
+    q, s = q_of_conformal(u, cfg.n), scalar_of_conformal(u, cfg.n)
+    table = (("r", "x", "u", "Q", "R"),
+             (u.grid.r.astype(float), u.grid.x.astype(float),
+              np.asarray(u.values, float), np.asarray(q.values, float),
+              np.asarray(s.values, float)))
     code = EXIT_OK if report.converged else EXIT_SOLVER
     return {"n": cfg.n, "target": float(target.f.values[0]),
             **report.to_dict()}, table, code

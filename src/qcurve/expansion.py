@@ -116,7 +116,7 @@ def fit_leading(u, dim):
     n = check_dimension(dim)
     lam, beta, (lo, hi), mask, rows, env, cos, sin, flag = _leading_terms(
         u.grid, n)
-    values = np.asarray(u.values, float)[mask]
+    values = u.values[mask].astype(float)
     a, b = map(float, rows @ values)
     fitted = env * (a * cos - b * sin)
     return ExpansionFit(
@@ -194,7 +194,7 @@ def _scalar_deviation(u, n, route):
     if route != "warped":
         raise ValueError("route must be 'conformal' or 'warped', got %r"
                          % (route,))
-    check_positive(u, n)
+    check_positive(u.values, u.grid, n)
     # extended precision: the nested stencils amplify the rounding of B by
     # 1/h^2 (in double the n = 5 ratio at 2048 points is off by a relative
     # 3e-6, in longdouble by 1e-7)

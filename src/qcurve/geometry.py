@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import RadialFunction, _stencils, differentiate
+from .grid import RadialFunction, _stencils, check_samples, differentiate
 
 __all__ = [
     "check_dimension",
@@ -72,9 +72,11 @@ class CurvatureConstants:
                 "a_n": self.a_n, "b_n": self.b_n}
 
 
+@functools.lru_cache(maxsize=16)
 def hyperbolic_curvature_report(n):
     """Constants of hyperbolic n-space: R = -n(n-1), Q = n(n^2-4)/8, and the
-    Paneitz coefficients a_n = ((n-2)^2+4)/(2(n-1)(n-2)), b_n = 4/(n-2).
+    Paneitz coefficients a_n = ((n-2)^2+4)/(2(n-1)(n-2)), b_n = 4/(n-2),
+    once per n and process.
 
     Near the boundary the model satisfies Ric = -(n-1) g and W = 0 exactly,
     so these constants are global, not just leading-order.
@@ -92,16 +94,17 @@ def hyperbolic_curvature_report(n):
     )
 
 
-def check_positive(u, n):
-    """PositivityError unless the profile u is a conformal factor of the
-    hyperbolic base: g~ = e^{2u} g (n = 4) takes any u, while
-    g~ = (1+u)^{4/(n-4)} g (n >= 5) requires 1 + u > 0."""
+def check_positive(u, grid, n):
+    """PositivityError unless the samples u on `grid` (`check_samples`)
+    are a conformal factor of the hyperbolic base: g~ = e^{2u} g (n = 4)
+    takes any u, while g~ = (1+u)^{4/(n-4)} g (n >= 5) needs 1 + u > 0."""
+    u = check_samples(u, grid)
     if n > 4:
-        bad = np.where(1.0 + u.values <= 0.0)[0]
-        if bad.size:
+        bad = 1.0 + u <= 0.0
+        if bad.any():
             raise PositivityError(
                 "conformal factor needs 1 + u > 0; violated first at r=%g"
-                % u.grid.r[bad[0]])
+                % grid.r[bad.argmax()])
 
 
 @functools.lru_cache(maxsize=16)
@@ -142,16 +145,6 @@ def laplacian_values(values, grid, n):
           - 12 * values[2] + 2 * values[3])
     out[0] = n * d2[0] - (n - 1) * d6 / (dtype.type(45) * grid.h ** 2)
     return out
-
-
-def paneitz_gradient_coefficient(n):
-    """Constant c_n with P = Lap^2 - c_n Lap + (n-4)/2 Q on the base.
-
-    The tensor a_n R g - b_n Ric is c_n g on hyperbolic space (Ric = -(n-1)g,
-    R = -n(n-1)), so the divergence term is a pure Laplacian multiple.
-    """
-    cc = hyperbolic_curvature_report(n)
-    return cc.a_n * cc.R_hyp + cc.b_n * (n - 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -201,10 +194,14 @@ def paneitz_values(values, grid, n, extended=True):
     """P_g applied to a raw sample array on the hyperbolic base, in the
     dtype and with the accumulation of `laplacian_values`.  `extended=False`
     applies each Laplacian by `_small_laplacian`, in double: for small
-    fields only (the double part of a split residual)."""
+    fields only (the double part of a split residual).
+
+    On the base P = Lap^2 - c_n Lap + (n-4)/2 Q: the tensor a_n R g - b_n
+    Ric is c_n g (Ric = -(n-1) g, R = -n(n-1)), so the divergence term is
+    a pure Laplacian multiple."""
     n = check_dimension(n)
     cc = hyperbolic_curvature_report(n)
-    c_n = paneitz_gradient_coefficient(n)
+    c_n = cc.a_n * cc.R_hyp + cc.b_n * (n - 1)
     if extended:
         lap = laplacian_values(values, grid, n)
         lap2 = laplacian_values(lap, grid, n)
@@ -233,7 +230,7 @@ def q_of_conformal(u, n):
     n >= 5:  Q~ = (2/(n-4)) (1+u)^{-(n+4)/(n-4)} P(1+u)
     """
     n = check_dimension(n)
-    check_positive(u, n)
+    check_positive(u.values, u.grid, n)
     cc = hyperbolic_curvature_report(n)
     uv = u.values
     pu = paneitz_values(uv, u.grid, n)
@@ -257,7 +254,7 @@ def scalar_of_conformal(u, n):
     conformal-Laplacian law with phi = (1+u)^{(n-2)/(n-4)}.
     """
     n = check_dimension(n)
-    check_positive(u, n)
+    check_positive(u.values, u.grid, n)
     cc = hyperbolic_curvature_report(n)
     uv = u.values
     if n == 4:

@@ -21,7 +21,7 @@ import operator
 import numpy as np
 
 __all__ = ["RadialGrid", "RadialFunction", "fd_weights", "stencil_weights",
-           "differentiate"]
+           "differentiate", "check_samples"]
 
 
 def fd_weights(offsets, m):
@@ -166,22 +166,30 @@ class RadialGrid:
         return RadialGrid(self.r_max, 2 * self.n_points - 1)
 
 
+def check_samples(values, grid):
+    """`values` as an array, ValueError unless one sample per node of
+    `grid` (a length-1 array would broadcast silently)."""
+    values = np.asarray(values)
+    if values.shape != (grid.n_points,):
+        raise ValueError("value array length %s does not match grid size %d"
+                         % (values.shape, grid.n_points))
+    return values
+
+
 class RadialFunction:
     """A radial profile sampled on a RadialGrid: an even function of r, the
     generic case for regular radial data.
 
     The checked container for profiles that enter or leave the library (a
     target curvature, a solved u or w, a unit kernel, the arguments of the
-    curvature, expansion and geometry functions): construction rejects a
-    wrong length and NaN/Inf, and keeps a read-only copy of the values.
-    Internal maps act on the value arrays.
+    expansion fits and the conformal curvature laws): construction rejects
+    a wrong length and NaN/Inf, and keeps a read-only copy of the values.
+    Internal maps, the solves' right-hand sides and residuals among them,
+    act on value arrays and check only their length (`check_samples`).
     """
 
     def __init__(self, grid, values):
-        values = np.asarray(values)
-        if values.shape != (grid.n_points,):
-            raise ValueError("value array length %s does not match grid size %d"
-                             % (values.shape, grid.n_points))
+        values = check_samples(values, grid)
         if not np.isfinite(values).all():
             raise ValueError("RadialFunction values must be finite")
         self.grid = grid

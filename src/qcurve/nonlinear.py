@@ -17,6 +17,7 @@ right-hand side: the constant-Q solve here and the U-curvature solve of
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ import numpy as np
 from .expansion import ExpansionFit, fit_leading
 from .geometry import (PositivityError, check_dimension, check_positive,
                        hyperbolic_curvature_report, paneitz_values)
-from .grid import RadialFunction, RadialGrid
+from .grid import RadialFunction, RadialGrid, check_samples
 from .linear import (FactoredOperator, KernelElement, ProjectionP1, assemble,
                      decay_diagnostics, generalized_inverse, kernel_element,
                      make_projection, project_P1)
@@ -106,8 +107,7 @@ class TargetCurvature:
     def __init__(self, f, n, grid=None):
         n = check_dimension(n)
         self.n = n
-        cc = hyperbolic_curvature_report(n)
-        self.q_base = cc.Q_hyp
+        self.q_base = hyperbolic_curvature_report(n).Q_hyp
         self.nu = 0.375 * (n - 1)
         if isinstance(f, RadialFunction):
             self.f = f
@@ -182,7 +182,8 @@ class SolveReport:
 
 
 def nonlinear_rhs(u, f, dim):
-    """T(u): every term of the curvature equation beyond L u, in double.
+    """T(u) of the sample array u on the target's grid: every term of the
+    curvature equation beyond L u, in double.
 
     n = 4:   T(u) = 2 f (e^{4u} - 1 - 4u) + 2 (f - Q) + 8 (f - Q) u
     n >= 5:  T(u) = (n-4)/2 [ f ((1+u)^p - 1 - p u) + (f - Q) ]
@@ -192,8 +193,8 @@ def nonlinear_rhs(u, f, dim):
     order at u = 0 when f = Q.
     """
     n = check_dimension(dim)
-    check_positive(u, n)
-    u = np.asarray(u.values, float)
+    check_positive(u, f.grid, n)
+    u = np.asarray(u, float)
     fv = np.asarray(f.f.values, float)
     q = f.q_base
     if n == 4:
@@ -206,7 +207,7 @@ def nonlinear_rhs(u, f, dim):
         vals = (0.5 * (n - 4.0) * (fv * (np.expm1(p * np.log1p(u)) - p * u)
                                    + (fv - q))
                 + 0.5 * (n + 4.0) * (fv - q) * u)
-    return RadialFunction(f.grid, vals)
+    return vals
 
 
 def _power1p(u, p):
@@ -214,36 +215,43 @@ def _power1p(u, p):
     return np.exp(p * np.log1p(u))
 
 
+@functools.lru_cache(maxsize=16)
+def _interior(grid):
+    """The rows r <= r_max - 0.5 that `e_residual` reads, as a slice."""
+    return slice(np.searchsorted(grid.r, grid.r_max - 0.5, side="right"))
+
+
 def e_residual(u, f, dim, split=None):
-    """Sup of the curvature equation residual on the interior window.
+    """Sup of the curvature equation residual of the samples u on the
+    target's grid, on the interior window.
 
     n = 4:   E(u) = P u + 2 Q - 2 f e^{4u}
     n >= 5:  E(u) = P(1+u) - (n-4)/2 f (1+u)^{(n+4)/(n-4)}
 
-    The outer 0.5 of radius (biased-stencil rows) is excluded.
-    E is evaluated in the dtype of u, or in double given `split` = (P v, w)
-    for u = v + w: P u = P v + P w, P w by the fused double kernel of
-    `paneitz_values(..., extended=False)` (for w small enough that its
-    rounding, of order eps max|w| / h^4, is negligible).
+    The outer 0.5 of radius (biased-stencil rows) is excluded, and E is
+    formed only on the rows read, in the dtype of u, or in double given
+    `split` = (P v, w) for u = v + w: P u = P v + P w, P w by the fused
+    double kernel of `paneitz_values(..., extended=False)` (for w small
+    enough that its rounding, of order eps max|w| / h^4, is negligible).
     """
     n = check_dimension(dim)
-    grid = u.grid
-    fv = np.asarray(f.f.values, float)
-    uv = np.asarray(u.values)
+    grid = f.grid
+    rows = _interior(grid)
+    uv = check_samples(u, grid)
+    fv = np.asarray(f.f.values[rows], float)
     if split is None:
-        pu = paneitz_values(uv, grid, n)
+        pu = paneitz_values(uv, grid, n)[rows]
     else:
-        pu = np.asarray(split[0], float) + paneitz_values(
-            split[1], grid, n, extended=False)
-    uv = np.asarray(uv, pu.dtype)
+        pu = np.asarray(split[0][rows], float) + paneitz_values(
+            split[1], grid, n, extended=False)[rows]
+    uv = np.asarray(uv[rows], pu.dtype)
     if n == 4:
         res = pu + 2.0 * f.q_base - 2.0 * fv * np.exp(4.0 * uv)
     else:
         # P(1+u) = P u + (n-4)/2 Q, split analytically (see q_of_conformal)
         pw = pu + 0.5 * (n - 4.0) * f.q_base
         res = pw - 0.5 * (n - 4.0) * fv * _power1p(uv, (n + 4.0) / (n - 4.0))
-    inner = np.searchsorted(grid.r, grid.r_max - 0.5, side="right")
-    return float(np.abs(np.asarray(res, float)[:inner]).max())
+    return float(np.abs(np.asarray(res, float)).max())
 
 
 # Highest power of the amplitude an iterate series keeps: T(a k-hat) for
@@ -265,7 +273,7 @@ def _rhs_coefficients(u, f, n):
     (f - Q) u_m.  Only the last len(u) - 1 coefficients of X are kept."""
     fv = np.asarray(f.f.values, float)
     dev = fv - f.q_base
-    yield nonlinear_rhs(RadialFunction(f.grid, u[0]), f, n).values
+    yield nonlinear_rhs(u[0], f, n)
     if n == 4:
         scale, linear, p, w0 = 2.0, 8.0, 4.0, 1.0
         x0 = np.exp(4.0 * u[0])
@@ -464,11 +472,12 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
     map after the first that takes one still forms T(u1 + u2) but applies
     no G (`iterate_fixed_point`).
 
-    `rhs(u1, u2)` and `residual(u1, u2)` are T(u1 + u2) and the family's
-    equation residual from the value arrays of u1 (extended precision) and
-    u2 (double), so each family picks where the sum is rounded or splits a
-    linear term.  u = u1 + u2 stays in extended precision: rounding u1
-    seeds noise that residuals amplify by 1/h^4.  The report holds the
+    `rhs(u1, u2)` and `residual(u1, u2)` are the array T(u1 + u2) and the
+    family's equation residual from the value arrays of u1 (extended
+    precision) and u2 (double), so each family picks where the sum is
+    rounded or splits a linear term.  u = u1 + u2, the one RadialFunction
+    a solve builds, stays in extended precision: rounding u1 seeds noise
+    that residuals amplify by 1/h^4.  The report holds the
     re-fitted kernel datum and the `decay_diagnostics` of the last
     right-hand side formed, T(u1) if the loop stops at the first iterate
     and T(u1 + u2) of the iterate before the last otherwise, whether G
@@ -482,7 +491,7 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
         data = rhs(u1, u2)
         if image is not None:
             return image
-        return generalized_inverse(machinery.operator, data.values,
+        return generalized_inverse(machinery.operator, data,
                                    machinery.projection)
 
     u2, converged, iterations, ratios, step = iterate_fixed_point(
@@ -494,7 +503,7 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
         cfg, converged, amplitude,
         project_P1(machinery.projection, u.values), ratios, step,
         iterations=iterations, residual=residual(u1, u2),
-        diagnostics=decay_diagnostics(grid, data.values)), u
+        diagnostics=decay_diagnostics(grid, data)), u
 
 
 def fixed_point_solve(amplitude, f, cfg, machinery):
@@ -517,15 +526,13 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     u1_double = np.asarray(u1, float)
     known = ()
     if memo is not None:
-        check_positive(RadialFunction(grid, u1_double), n)
+        check_positive(u1_double, grid, n)
         known = (_iterate_at(series, amplitude) for series in memo)
     report, u = projected_contraction(
         amplitude, u1, cfg, machinery,
-        lambda _, u2: nonlinear_rhs(RadialFunction(grid, u1_double + u2),
-                                    f, n),
-        lambda _, u2: e_residual(
-            RadialFunction(grid, u1_double + u2), f, n,
-            split=(amplitude * machinery.paneitz_kernel, u2)),
+        lambda _, u2: nonlinear_rhs(u1_double + u2, f, n),
+        lambda _, u2: e_residual(u1_double + u2, f, n, split=(
+            amplitude * machinery.paneitz_kernel, u2)),
         known)
     report.expansion = fit_leading(u, n) if amplitude != 0 else None
     report.diagnostics = f.diagnostics + report.diagnostics

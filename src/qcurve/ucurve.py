@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import (hyperbolic_curvature_report, laplacian_values,
                        q_of_conformal)
-from .grid import RadialFunction, differentiate
+from .grid import RadialFunction, check_samples, differentiate
 from .indicial import DegenerateOperatorError, u_indicial_spectrum
 from .linear import (BandedFactor, WindowError, _close_band, _equation_band,
                      _fit_boundary, _hc_sums, _regular_kernel, apply_L,
@@ -134,8 +134,9 @@ def _coth_weighted(d1, d2, r):
     return out
 
 
-def u_nonlinear_rhs(w, params):
-    """T(w): every term of the constant-U-curvature equation beyond L w,
+def u_nonlinear_rhs(w, grid, params):
+    """T(w) of the samples w on `grid`: every term of the constant-U
+    equation beyond L w,
 
     T(w) = (U/(6 g3))(e^{4w} - 1 - 4w) - Nonlin(w),
 
@@ -144,14 +145,12 @@ def u_nonlinear_rhs(w, params):
     if params.alpha == -1:
         raise DegenerateOperatorError(
             "alpha = -1 degenerates the fourth-order family")
-    grid = w.grid
-    wv = np.asarray(w.values, float)
+    wv = np.asarray(check_samples(w, grid), float)
     d1 = differentiate(wv, grid.h, 1)
     d2 = differentiate(wv, grid.h, 2)
     lap = laplacian_values(wv, grid, 4)
     cd1 = _coth_weighted(d1, d2, grid.r.astype(float))
-    return RadialFunction(grid, _nonlinear_values(wv, d1, d2, lap, cd1,
-                                                  params))
+    return _nonlinear_values(wv, d1, d2, lap, cd1, params)
 
 
 def u_linearized_apply(w, params):
@@ -174,13 +173,12 @@ def _el_rhs_values(wv, grid, d1, d2, params):
     return (1.0 + a) * lap2 + linear_geo + nonlin + u_over
 
 
-def u_e_residual(w, params, window=None):
-    """Sup over the interior window of |U_implied(w) - target|, where
-    U_implied = 6 gamma3 e^{-4w} (EL right-hand side): the deformed metric
-    has constant U-curvature exactly when this vanishes."""
-    grid = w.grid
+def u_e_residual(w, grid, params, window=None):
+    """Sup over the interior window of |U_implied(w) - target|, w samples
+    on `grid` and U_implied = 6 gamma3 e^{-4w} (EL right-hand side): the
+    deformed metric has constant U-curvature exactly when it vanishes."""
     target = u_curvature_hyperbolic(params)
-    wv = np.asarray(w.values, float)
+    wv = np.asarray(check_samples(w, grid), float)
     d1 = differentiate(wv, grid.h, 1)
     d2 = differentiate(wv, grid.h, 2)
     rhs = _el_rhs_values(wv, grid, d1, d2, params)
@@ -365,8 +363,8 @@ def _solve_excised(amplitude, params, cfg, grid, at):
     return solve_report(
         cfg, converged, amplitude, fit_x4(w_seg), ratios, step,
         iterations=iterations, excised_r0=r0,
-        residual=u_e_residual(w, params, window=(r0 + 0.5,
-                                                 grid.r_max - 0.5))), w
+        residual=u_e_residual(w.values, grid, params,
+                              window=(r0 + 0.5, grid.r_max - 0.5))), w
 
 
 def u_fixed_point_solve(amplitude, params, cfg, grid):
@@ -398,8 +396,8 @@ def u_fixed_point_solve(amplitude, params, cfg, grid):
                           kernel=kernel, projection=make_projection(kernel))
     report, w = projected_contraction(
         amplitude, kernel.base.values * float(amplitude), cfg, machinery,
-        lambda w1, w2: u_nonlinear_rhs(RadialFunction(grid, w1 + w2), params),
-        lambda w1, w2: u_e_residual(RadialFunction(grid, w1 + w2), params))
+        lambda w1, w2: u_nonlinear_rhs(w1 + w2, grid, params),
+        lambda w1, w2: u_e_residual(w1 + w2, grid, params))
     if kernel.diagnostics.get("log_terms_possible") and not report.message:
         report.message = ("integer-separated indicial roots: log(x) terms "
                           "possible in the boundary expansion")

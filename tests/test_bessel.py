@@ -108,18 +108,21 @@ def test_K_reuses_the_I_series_summed_on_its_t(order):
     """K on the t array I was just evaluated on sums I_a once: one more
     series for I_{-a} beside it (none at the integer order 3, whose
     log-series needs I_3 alone), and the same bits as a K evaluated with
-    no sum kept."""
-    ts = np.linspace(0.2, 8.0, 40)
+    no sum kept; also on t reaching past the large-t crossover (t > 12),
+    where K reads the ascending points' columns of the sum over all of
+    t."""
     sums = bessel._kahan_triple_sums
-    sums.cache_clear()
-    fresh = bessel_K_derivatives(order, ts)
-    sums.cache_clear()
-    bessel_I_derivatives(order, ts)
-    misses = sums.cache_info().misses
-    shared = bessel_K_derivatives(order, ts)
-    assert sums.cache_info().misses - misses == (0 if order == 3.0 else 1)
-    for got, ref in zip(shared, fresh):
-        np.testing.assert_array_equal(got, ref)
+    for ts in (np.linspace(0.2, 8.0, 40), np.linspace(5.0, 20.0, 31)):
+        sums.cache_clear()
+        fresh = bessel_K_derivatives(order, ts)
+        sums.cache_clear()
+        bessel_I_derivatives(order, ts)
+        misses = sums.cache_info().misses
+        shared = bessel_K_derivatives(order, ts)
+        assert sums.cache_info().misses - misses == (
+            0 if order == 3.0 else 1)
+        for got, ref in zip(shared, fresh):
+            np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("factor,kw", [

@@ -121,7 +121,7 @@ def test_positivity_guard(grid1024):
     u = RadialFunction(g, np.full(g.n_points, -1.5))
     f = TargetCurvature(hyperbolic_curvature_report(5).Q_hyp, 5, grid=g)
     for law in (q_of_conformal, scalar_of_conformal,
-                lambda u, n: nonlinear_rhs(u, f, n)):
+                lambda u, n: nonlinear_rhs(u.values, f, n)):
         with pytest.raises(PositivityError, match=r"^conformal factor needs "
                            r"1 \+ u > 0; violated first at r=0$"):
             law(u, 5)

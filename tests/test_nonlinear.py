@@ -8,7 +8,7 @@ import pytest
 
 from qcurve.geometry import (PositivityError, hyperbolic_curvature_report,
                              q_of_conformal)
-from qcurve import expansion, indicial, linear, nonlinear, ucurve
+from qcurve import expansion, geometry, indicial, linear, nonlinear, ucurve
 from qcurve.grid import RadialFunction, RadialGrid
 from qcurve.linear import apply_L
 from qcurve.nonlinear import (AdmissibilityError, IterationConfig,
@@ -93,12 +93,12 @@ def test_rhs_vanishes_quadratically_at_zero(fixture, request):
     m = request.getfixturevalue(fixture)
     f = constant_target(m)
     k = m.kernel.base.values
-    t0 = nonlinear_rhs(RadialFunction(m.grid, 0.0 * k), f, m.n)
-    assert np.abs(t0.values).max() == 0.0
+    t0 = nonlinear_rhs(0.0 * k, f, m.n)
+    assert np.abs(t0).max() == 0.0
     sups = []
     for a in (1e-3, 5e-4):
-        t = nonlinear_rhs(RadialFunction(m.grid, a * k), f, m.n)
-        sups.append(np.abs(t.values).max())
+        t = nonlinear_rhs(a * k, f, m.n)
+        sups.append(np.abs(t).max())
     # halving the amplitude quarters the response
     assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.05)
 
@@ -112,9 +112,9 @@ def test_rhs_consistent_with_equation_residual(fixture, request):
     f = constant_target(m)
     r = g.r.astype(float)
     u = RadialFunction(g, 2e-3 * (1.0 + r ** 2) / np.cosh(r) ** 3)
-    lhs = apply_L(m.operator, u.values) - nonlinear_rhs(u, f, m.n).values
+    lhs = apply_L(m.operator, u.values) - nonlinear_rhs(u.values, f, m.n)
     # recompute E(u) directly for comparison with e_residual's convention
-    res = e_residual(u, f, m.n)
+    res = e_residual(u.values, f, m.n)
     mask = g.window_mask(0.0, g.r_max - 0.5)
     assert np.abs(np.asarray(lhs, float))[mask].max() == \
         pytest.approx(res, rel=1e-6)
@@ -156,7 +156,7 @@ def test_rhs_small_u_matches_exact_power(n, grid512):
     p = (n + 4.0) / (n - 4.0)
     u = np.sign(np.cos(7.0 * np.arange(g.n_points))) * np.logspace(
         -9, -2, g.n_points)
-    got = nonlinear_rhs(RadialFunction(g, u), f, n).values
+    got = nonlinear_rhs(u, f, n)
     with mpmath.workdps(40):
         pm = mpmath.mpf(n + 4) / (n - 4)
         want = np.array([float(mpmath.mpf(n - 4) / 2 * mpmath.mpf(q)
@@ -170,9 +170,32 @@ def test_rhs_small_u_matches_exact_power(n, grid512):
 def test_rhs_positivity_guard(machinery5):
     g = machinery5.grid
     f = constant_target(machinery5)
-    bad = RadialFunction(g, np.full(g.n_points, -1.2))
+    bad = np.full(g.n_points, -1.2)
     with pytest.raises(PositivityError):
         nonlinear_rhs(bad, f, 5)
+
+
+@pytest.mark.parametrize("size", [1, 511])
+@pytest.mark.parametrize("name", ["nonlinear_rhs", "e_residual",
+                                  "check_positive", "u_nonlinear_rhs",
+                                  "u_e_residual"])
+def test_array_maps_refuse_a_wrong_length(name, size, grid512):
+    """The right-hand sides, residuals and positivity check take sample
+    arrays and refuse one that is not one sample per grid node, a
+    length-1 array (which would broadcast) and one of length N - 1
+    alike, in the exponential regime too, which has no positivity
+    constraint."""
+    g = grid512
+    f = TargetCurvature(3.0, 4, grid=g)
+    params = ucurve.DetParams.preset("spin_laplacian")
+    call = {"nonlinear_rhs": lambda v: nonlinear_rhs(v, f, 4),
+            "e_residual": lambda v: e_residual(v, f, 4),
+            "check_positive": lambda v: geometry.check_positive(v, g, 4),
+            "u_nonlinear_rhs": lambda v: ucurve.u_nonlinear_rhs(v, g, params),
+            "u_e_residual": lambda v: ucurve.u_e_residual(v, g, params)}[name]
+    call(np.zeros(g.n_points))
+    with pytest.raises(ValueError, match="does not match grid size 512"):
+        call(np.zeros(size))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +264,7 @@ def test_split_residual_matches_extended_oracle(n, amplitude,
     report, u = fixed_point_solve(amplitude, f, IterationConfig(), m)
     assert report.converged
     assert u.values.dtype == np.longdouble
-    assert abs(report.residual - e_residual(u, f, n)) <= 2e-10
+    assert abs(report.residual - e_residual(u.values, f, n)) <= 2e-10
 
 
 def test_paneitz_kernel_is_memoized_in_extended_precision(monkeypatch):
@@ -437,8 +460,8 @@ def _direct_contraction(m, f, amplitude, cfg):
     u1 = np.asarray(m.kernel.base.values * amplitude, float)
     u2, steps = np.zeros(grid.n_points), []
     for _ in range(cfg.max_iter):
-        t = nonlinear_rhs(RadialFunction(grid, u1 + u2), f, m.n)
-        new = linear.generalized_inverse(m.operator, t.values, m.projection)
+        t = nonlinear_rhs(u1 + u2, f, m.n)
+        new = linear.generalized_inverse(m.operator, t, m.projection)
         steps.append(float(np.abs(new - u2).max()))
         u2 = new
         if steps[-1] < cfg.tol:
@@ -471,8 +494,7 @@ def test_memoized_first_iterate_matches_direct(n, fraction, machinery_4096):
         a = fraction * cfg.epsilon
         u1 = np.asarray(m.kernel.base.values * a, float)
         direct = linear.generalized_inverse(
-            m.operator, nonlinear_rhs(RadialFunction(m.grid, u1), f, n).values,
-            m.projection)
+            m.operator, nonlinear_rhs(u1, f, n), m.projection)
         memo = nonlinear._iterate_at(series, a)
         assert memo.dtype == np.float64
         assert (np.abs(memo - direct).max()
@@ -501,10 +523,9 @@ def test_memoized_second_iterate_matches_direct(n, fraction, machinery_4096):
         u1 = np.asarray(m.kernel.base.values * a, float)
         for previous, series in zip(memo, memo[1:]):
             assert series[0] == j0
-            u = RadialFunction(m.grid,
-                               u1 + nonlinear._iterate_at(previous, a))
+            u = u1 + nonlinear._iterate_at(previous, a)
             direct = linear.generalized_inverse(
-                m.operator, nonlinear_rhs(u, f, n).values, m.projection)
+                m.operator, nonlinear_rhs(u, f, n), m.projection)
             iterate = nonlinear._iterate_at(series, a)
             assert iterate.dtype == np.float64
             assert (np.abs(iterate - direct).max()
@@ -530,6 +551,29 @@ def test_memo_runs_to_the_certified_step(n, count, machinery_4096):
         # up to the rounding of the two Horner sums: at a = +-epsilon the
         # step attains the bound
         assert step <= (1.0 + 1e-12) * bound
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_warm_solve_builds_one_radial_function(n, machinery_4096,
+                                               monkeypatch):
+    """Over the benchmark's 81 calibration amplitudes at 4096 points, a
+    warm solve builds one RadialFunction, the u it returns: its
+    right-hand sides, positivity checks and residual act on arrays."""
+    m = machinery_4096[n]
+    f = constant_target(m)
+    cfg = IterationConfig()
+    fixed_point_solve(0.0, f, cfg, m)
+    built = []
+    init = RadialFunction.__init__
+    monkeypatch.setattr(RadialFunction, "__init__",
+                        lambda self, *args: built.append(1) or init(self,
+                                                                    *args))
+    for i in range(81):
+        built.clear()
+        report, u = fixed_point_solve(-cfg.epsilon + 2.0 * cfg.epsilon * i
+                                      / 80, f, cfg, m)
+        assert report.converged and isinstance(u, RadialFunction)
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -699,8 +743,7 @@ def test_memoized_solve_checks_positivity_of_the_datum(machinery5,
     assert fixed_point_solve(1e-3, f, cfg, m)[0].converged
     # the p = 9 polynomial ends within the cap at any epsilon
     assert len(m.iterates[(f, 2.0, cfg.tol)]) == 1
-    u1 = RadialFunction(m.grid, np.asarray(m.kernel.base.values * -1.9,
-                                           float))
+    u1 = np.asarray(m.kernel.base.values * -1.9, float)
     with pytest.raises(PositivityError) as direct:
         nonlinear_rhs(u1, f, 5)
     applied = []
@@ -725,10 +768,8 @@ def test_memoized_solve_reports_decay_of_its_first_data(amplitude,
     r = m.grid.r.astype(float)
     slow = TargetCurvature(RadialFunction(m.grid,
                                           3.0 + 0.1 * np.exp(-0.3 * r)), 4)
-    u1 = RadialFunction(m.grid, np.asarray(m.kernel.base.values * amplitude,
-                                           float))
-    notes = linear.decay_diagnostics(m.grid,
-                                     nonlinear_rhs(u1, slow, 4).values)
+    u1 = np.asarray(m.kernel.base.values * amplitude, float)
+    notes = linear.decay_diagnostics(m.grid, nonlinear_rhs(u1, slow, 4))
     assert any("T1 data decays like x^0.300" in note for note in notes)
     report, _ = fixed_point_solve(amplitude, slow, IterationConfig(max_iter=1),
                                   m)

@@ -57,9 +57,9 @@ def test_sigma2_preconditions():
 
 def test_rhs_vanishes_at_zero(grid1024):
     p = DetParams.preset("conformal_laplacian")
-    z = RadialFunction(grid1024, np.zeros(grid1024.n_points))
-    t = u_nonlinear_rhs(z, p)
-    assert np.abs(t.values).max() == 0.0
+    z = np.zeros(grid1024.n_points)
+    t = u_nonlinear_rhs(z, grid1024, p)
+    assert np.abs(t).max() == 0.0
 
 
 def test_rhs_quadratic_scaling(grid1024):
@@ -69,15 +69,15 @@ def test_rhs_quadratic_scaling(grid1024):
     base = (1.0 + r ** 2) / np.cosh(r) ** 3
     sups = []
     for c in (2e-3, 1e-3):
-        t = u_nonlinear_rhs(RadialFunction(g, c * base), p)
-        sups.append(np.abs(t.values).max())
+        t = u_nonlinear_rhs(c * base, g, p)
+        sups.append(np.abs(t).max())
     assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.05)
 
 
 def test_rhs_degenerate_alpha(grid1024):
-    z = RadialFunction(grid1024, np.zeros(grid1024.n_points))
+    z = np.zeros(grid1024.n_points)
     with pytest.raises(DegenerateOperatorError):
-        u_nonlinear_rhs(z, DetParams(0.0, -12.0, 1.0))
+        u_nonlinear_rhs(z, grid1024, DetParams(0.0, -12.0, 1.0))
 
 
 @pytest.mark.parametrize("tag", sorted(PRESETS))
@@ -265,5 +265,5 @@ def test_solve_guards(grid1024):
 
 def test_e_residual_zero_profile(grid1024):
     p = DetParams.preset("spin_laplacian")
-    z = RadialFunction(grid1024, np.zeros(grid1024.n_points))
-    assert u_e_residual(z, p) < 1e-10
+    z = np.zeros(grid1024.n_points)
+    assert u_e_residual(z, grid1024, p) < 1e-10
