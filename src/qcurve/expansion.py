@@ -88,19 +88,23 @@ class ExpansionFit:
 
 @functools.lru_cache(maxsize=16)
 def _leading_terms(grid, n):
-    """(lam, beta, window, mask, rows, exp(-lam r), cos(beta r), sin(beta r),
-    log-terms flag) of `fit_leading`; read-only, once per (grid, n)."""
+    """(lam, beta, (window, cut), rows, exp(-lam r), cos(beta r),
+    sin(beta r), log-terms flag) of `fit_leading`, cut the window's grid
+    rows as a slice; read-only, once per (grid, n)."""
     beta = oscillation_parameter(n)
     window, _ = fit_window(grid.r_max, beta)
     lam = (n - 1) / 2.0
     mask, rows = _boundary_rows(grid, window, lam, beta)
-    r = grid.r[mask].astype(float)
+    index = np.flatnonzero(mask)
+    cut = slice(index[0], index[-1] + 1)
+    assert len(index) == cut.stop - cut.start, "window rows not contiguous"
+    r = grid.r[cut].astype(float)
     terms = (np.exp(-lam * r), np.cos(beta * r), np.sin(beta * r))
     for t in terms:
         t.flags.writeable = False
     # a flag, not the spectrum: BoundarySpectrum.extras is a mutable dict
     flag = q_indicial_spectrum(n).log_terms_possible
-    return (lam, beta, window, mask, rows) + terms + (flag,)
+    return (lam, beta, (window, cut), rows) + terms + (flag,)
 
 
 def fit_leading(u, dim):
@@ -114,9 +118,9 @@ def fit_leading(u, dim):
     window it shares one entry with the constant-Q kernel fit and its P1.
     """
     n = check_dimension(dim)
-    lam, beta, (lo, hi), mask, rows, env, cos, sin, flag = _leading_terms(
+    lam, beta, ((lo, hi), cut), rows, env, cos, sin, flag = _leading_terms(
         u.grid, n)
-    values = u.values[mask].astype(float)
+    values = u.values[cut].astype(float)
     a, b = map(float, rows @ values)
     fitted = env * (a * cos - b * sin)
     return ExpansionFit(

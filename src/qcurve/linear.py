@@ -38,6 +38,7 @@ __all__ = [
     "KernelElement",
     "ProjectionP1",
     "assemble",
+    "release_factors",
     "kernel_element",
     "fit_window",
     "apply_L",
@@ -366,7 +367,8 @@ class BandedFactor:
     run on a banded matrix whose last row is chosen per call: a Robin row
     selecting a decay rate, or an anchor row transversal to a supplied
     kernel profile.  Each closure row's band is assembled and factored at
-    its first solve and only its LU factors are kept.
+    its first solve and only its LU factors are kept, until
+    `release_factors` drops them.
     """
 
     def __init__(self, grid, n, scale, constant):
@@ -484,6 +486,13 @@ def assemble(grid, n=None, alpha=None):
     t1 = BandedFactor(grid, n, 1.0, -float(n))
     t2 = BandedFactor(grid, n, 1.0, (n * n - 4.0) / 2.0)
     return FactoredOperator(grid=grid, t1=t1, t2=t2, robin=float(n))
+
+
+def release_factors(op):
+    """Drop the LU factors `op`'s two bands keep; a later solve factors its
+    band again."""
+    op.t1._factors.clear()
+    op.t2._factors.clear()
 
 
 def apply_L(op, u):
@@ -735,6 +744,13 @@ def _measured_decay(grid, values):
                              np.log(mags + floor), 1)[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _decay_tail(grid):
+    """The rows r >= r_max - 3 that `decay_diagnostics` gates on, as a
+    slice."""
+    return slice(np.searchsorted(grid.r, grid.r_max - 3.0), None)
+
+
 def decay_diagnostics(grid, values):
     """Report notes on data for G decaying like x^mu too slowly: mu <= 0
     is non-decaying data; 0.05 < |mu|, mu < 0.5 leaves an O(x^mu) residual
@@ -744,7 +760,7 @@ def decay_diagnostics(grid, values):
     # the gate separates rounding-level tails (iterates of a converged
     # contraction carry ~1e-10 relative noise there) from genuinely slow
     # decay, whose tail/head ratio is at least x^0.5(r_max) ~ 2.5e-3
-    tail = mags[np.searchsorted(grid.r, grid.r_max - 3.0):]
+    tail = mags[_decay_tail(grid)]
     if not tail.max() > 1e-8 * mags.max():
         return []
     mu = _measured_decay(grid, values)

@@ -30,7 +30,7 @@ from .geometry import (PositivityError, check_dimension, check_positive,
 from .grid import RadialFunction, RadialGrid, check_samples
 from .linear import (FactoredOperator, KernelElement, ProjectionP1, assemble,
                      decay_diagnostics, generalized_inverse, kernel_element,
-                     make_projection, project_P1)
+                     make_projection, project_P1, release_factors)
 
 __all__ = [
     "TargetCurvature",
@@ -59,8 +59,8 @@ class Machinery:
     """The assembled linear machinery a solve runs on; `iterates` memoizes
     the constant-Q solve's fixed-point iterates as power series in the
     amplitude (`_iterate_memo`) per (target, epsilon, tol), and
-    `paneitz_kernel` holds P k-hat in longdouble for the constant-Q
-    residual (None in U solves)."""
+    `paneitz_kernel` holds P k-hat, summed in longdouble and rounded once
+    to double, for the constant-Q residual (None in U solves)."""
 
     grid: object
     n: int
@@ -75,9 +75,10 @@ def build_machinery(n, grid):
     n = check_dimension(n)
     op = assemble(grid, n=n)
     k = kernel_element(n, grid)
+    pk = np.asarray(paneitz_values(k.base.values, grid, n), float)
+    pk.flags.writeable = False
     return Machinery(grid=grid, n=n, operator=op, kernel=k,
-                     projection=make_projection(k),
-                     paneitz_kernel=paneitz_values(k.base.values, grid, n))
+                     projection=make_projection(k), paneitz_kernel=pk)
 
 
 def constant_q_problem(n, r_max, points, target=None):
@@ -230,9 +231,10 @@ def e_residual(u, f, dim, split=None):
 
     The outer 0.5 of radius (biased-stencil rows) is excluded, and E is
     formed only on the rows read, in the dtype of u, or in double given
-    `split` = (P v, w) for u = v + w: P u = P v + P w, P w by the fused
-    double kernel of `paneitz_values(..., extended=False)` (for w small
-    enough that its rounding, of order eps max|w| / h^4, is negligible).
+    `split` = (P v, w), both double, for u = v + w: P u = P v + P w, P w
+    by the fused double kernel of `paneitz_values(..., extended=False)`
+    (for w small enough that its rounding, of order eps max|w| / h^4, is
+    negligible).
     """
     n = check_dimension(dim)
     grid = f.grid
@@ -242,8 +244,8 @@ def e_residual(u, f, dim, split=None):
     if split is None:
         pu = paneitz_values(uv, grid, n)[rows]
     else:
-        pu = np.asarray(split[0][rows], float) + paneitz_values(
-            split[1], grid, n, extended=False)[rows]
+        pu = split[0][rows] + paneitz_values(split[1], grid, n,
+                                             extended=False)[rows]
     uv = np.asarray(uv[rows], pu.dtype)
     if n == 4:
         res = pu + 2.0 * f.q_base - 2.0 * fv * np.exp(4.0 * uv)
@@ -372,15 +374,10 @@ def _iterate_memo(machinery, f, epsilon, tol):
 
 
 def _iterate_at(series, amplitude):
-    """sum_j a^j W_j of an `_iterate_series`, by Horner's rule."""
+    """sum_j a^j W_j of an `_iterate_series`, as one matrix-vector product
+    (a BLAS dgemv) of the powers of a with its rows."""
     j0, rows = series
-    a = float(amplitude)
-    out = rows[-1].copy()
-    for row in rows[-2::-1]:
-        out *= a
-        out += row
-    out *= a ** j0
-    return out
+    return float(amplitude) ** np.arange(j0, j0 + len(rows)) @ rows
 
 
 def iterate_fixed_point(update, u2, cfg, known=()):
@@ -509,7 +506,10 @@ def projected_contraction(amplitude, u1, cfg, machinery, rhs, residual,
 def fixed_point_solve(amplitude, f, cfg, machinery):
     """(report, u) of the constant / prescribed Q-curvature metric with
     kernel datum `amplitude` (`projected_contraction`); the report adds the
-    boundary expansion and the target's diagnostics.
+    boundary expansion and the target's diagnostics.  The first solve on a
+    (target, epsilon, tol) builds its `_iterate_memo`, and releases the
+    operator's band factors once that memo's last step is certified below
+    tol.
     """
     n = machinery.n
     grid = machinery.grid
@@ -518,21 +518,27 @@ def fixed_point_solve(amplitude, f, cfg, machinery):
     check_amplitude(amplitude, cfg)
     key = (f, cfg.epsilon, cfg.tol)
     if key not in machinery.iterates:
-        machinery.iterates[key] = _iterate_memo(machinery, *key)
+        memo = machinery.iterates[key] = _iterate_memo(machinery, *key)
+        if memo is not None and _step_bound(memo, cfg.epsilon) < cfg.tol:
+            # every solve on this key now stays inside the memo and applies
+            # no G: the band factors (786 KB per n at 4096 points) go until
+            # a solve that applies G factors them again
+            release_factors(machinery.operator)
     memo = machinery.iterates[key]
     # T(u) and E(u) in double from u1 = a k-hat rounded once per solve,
     # with P u = a P k-hat + P u2 in E: u2 = O(a^2)
-    u1 = machinery.kernel.base.values * float(amplitude)
+    a = float(amplitude)
+    u1 = machinery.kernel.base.values * a
     u1_double = np.asarray(u1, float)
     known = ()
     if memo is not None:
         check_positive(u1_double, grid, n)
-        known = (_iterate_at(series, amplitude) for series in memo)
+        known = (_iterate_at(series, a) for series in memo)
     report, u = projected_contraction(
         amplitude, u1, cfg, machinery,
         lambda _, u2: nonlinear_rhs(u1_double + u2, f, n),
         lambda _, u2: e_residual(u1_double + u2, f, n, split=(
-            amplitude * machinery.paneitz_kernel, u2)),
+            a * machinery.paneitz_kernel, u2)),
         known)
     report.expansion = fit_leading(u, n) if amplitude != 0 else None
     report.diagnostics = f.diagnostics + report.diagnostics

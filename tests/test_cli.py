@@ -511,6 +511,26 @@ def test_solve_reports_diagnostics_not_warnings(tmp_path):
     assert second == "generalized inverse applied to non-decaying data"
 
 
+def test_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """A solve writes the same solve.json and solve.csv bytes under one and
+    under two OpenBLAS threads: the memoized iterates are summed by a
+    dgemv that OpenBLAS may split over threads at 1024 points."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(
+                       None, [str(src), os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "qcurve.cli", "solve", "--n", "5",
+             "--points", "1024", "--format", "csv", "--out", str(out)],
+            check=True, env=env)
+        written.append([(out / name).read_bytes()
+                        for name in ("solve.json", "solve.csv")])
+    assert written[0] == written[1] and all(written[0])
+
+
 def test_solve_csv_columns(tmp_path):
     code = main(["solve", "--n", "4", "--points", "1024", "--format", "csv",
                  "--out", str(tmp_path)])

@@ -253,7 +253,7 @@ def test_small_amplitude_solve_reports_no_diagnostics(n, machinery_4096):
 @pytest.mark.parametrize("amplitude", [0.0, 1e-4, -1e-4, 1e-3, -1e-3])
 def test_split_residual_matches_extended_oracle(n, amplitude,
                                                 machinery_4096):
-    """A solve's residual, a P k-hat (memoized in longdouble) plus P u2
+    """A solve's residual, a P k-hat (memoized in double) plus P u2
     and the nonlinear terms in double, reads what the all-longdouble
     e_residual(u, f, n) reads on the returned u.  The measured gap (at
     most 1.4e-10, for n = 6) is the longdouble rounding of P(a k-hat + u2)
@@ -267,10 +267,10 @@ def test_split_residual_matches_extended_oracle(n, amplitude,
     assert abs(report.residual - e_residual(u.values, f, n)) <= 2e-10
 
 
-def test_paneitz_kernel_is_memoized_in_extended_precision(monkeypatch):
-    """P k-hat is longdouble, bit-equal to paneitz_values of the kernel
-    base, and computed once, by build_machinery: each solve applies P to
-    u2 only, in double."""
+def test_paneitz_kernel_is_memoized_once_in_double(monkeypatch):
+    """P k-hat is computed once, by build_machinery, from one longdouble
+    paneitz_values call on the kernel base, and memoized as that value
+    rounded once to double: each solve applies P to u2 only, in double."""
     dtypes = []
     paneitz = nonlinear.paneitz_values
 
@@ -282,8 +282,10 @@ def test_paneitz_kernel_is_memoized_in_extended_precision(monkeypatch):
     m = build_machinery(5, RadialGrid(12.0, 1200))
     assert dtypes == [np.longdouble]
     memo = m.paneitz_kernel
-    assert memo.dtype == np.longdouble
-    assert np.array_equal(memo, paneitz(m.kernel.base.values, m.grid, 5))
+    assert memo.dtype == np.float64 and not memo.flags.writeable
+    extended = paneitz(m.kernel.base.values, m.grid, 5)
+    assert extended.dtype == np.longdouble
+    assert np.array_equal(memo, extended.astype(np.float64))
     f = constant_target(m)
     for amplitude in (7e-4, -4e-4):
         dtypes.clear()
@@ -548,9 +550,58 @@ def test_memo_runs_to_the_certified_step(n, count, machinery_4096):
     for a in np.linspace(-cfg.epsilon, cfg.epsilon, 9):
         step = np.abs(nonlinear._iterate_at(memo[-1], a)
                       - nonlinear._iterate_at(memo[-2], a)).max()
-        # up to the rounding of the two Horner sums: at a = +-epsilon the
+        # up to the rounding of the two series sums: at a = +-epsilon the
         # step attains the bound
         assert step <= (1.0 + 1e-12) * bound
+
+
+def test_certified_memo_releases_the_band_factors():
+    """Once a target's memo is certified, so that no solve on it applies
+    G, the operator drops its band LU factors; a later G factors them
+    again and returns the same bits.  A solve without a memo keeps them."""
+    m = build_machinery(4, RadialGrid(12.0, 1024))
+    f = constant_target(m)
+    op = m.operator
+    data = nonlinear_rhs(np.asarray(m.kernel.base.values * 1e-3, float), f,
+                         4)
+    before = linear.generalized_inverse(op, data, m.projection)
+    assert op.t1._factors and op.t2._factors
+    report, _ = fixed_point_solve(5e-4, f, IterationConfig(), m)
+    assert report.converged
+    assert not op.t1._factors and not op.t2._factors
+    again = linear.generalized_inverse(op, data, m.projection)
+    assert np.array_equal(again, before)
+    assert op.t1._factors and op.t2._factors
+    # n = 4 at epsilon 0.5 needs powers beyond a^9: no memo, G every map
+    cfg = IterationConfig(epsilon=0.5)
+    fixed_point_solve(0.05, f, cfg, m)
+    assert m.iterates[(f, cfg.epsilon, cfg.tol)] is None
+    assert op.t1._factors and op.t2._factors
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_iterate_series_sum_matches_longdouble_horner(n, machinery_4096):
+    """Over the benchmark's 81 calibration amplitudes at 4096 points, the
+    one-dgemv sum of every memoized iterate series is the longdouble
+    Horner sum of the same rows to 4 eps of sum_j |a|^j |W_j| at every
+    point (measured at most 2.2 eps), in double and on fresh memory."""
+    m = machinery_4096[n]
+    cfg = IterationConfig()
+    memo = nonlinear._iterate_memo(m, constant_target(m), cfg.epsilon,
+                                   cfg.tol)
+    eps = np.finfo(float).eps
+    for i in range(81):
+        a = -cfg.epsilon + 2.0 * cfg.epsilon * i / 80
+        for j0, rows in memo:
+            got = nonlinear._iterate_at((j0, rows), a)
+            assert got.dtype == np.float64
+            assert not np.shares_memory(got, rows)
+            want = rows[-1].astype(np.longdouble)
+            for row in rows[-2::-1]:
+                want = want * np.longdouble(a) + row
+            want *= np.longdouble(a) ** j0
+            scale = abs(a) ** np.arange(j0, j0 + len(rows)) @ np.abs(rows)
+            assert np.all(np.abs(got - want) <= 4.0 * eps * scale)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
